@@ -577,7 +577,8 @@ class InferenceEngine:
     def score_batch_dense(self, histories: list[np.ndarray]) -> np.ndarray:
         """Full-width rows straight from the wrapped model — the escape
         hatch for callers the narrow contract cannot serve (a request
-        whose exclusions swallow every retrieved candidate).  Bypasses
+        whose candidates, minus its exclusions, fall short of
+        ``top_n``).  Bypasses
         the cache and batcher: dense rows at catalogue scale are exactly
         the allocations the narrow path exists to avoid, so they must
         not displace narrow entries, and fallbacks are rare enough that

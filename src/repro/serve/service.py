@@ -464,10 +464,13 @@ class RecommendService:
         candidate list instead of O(|I|) over a scattered row, with the
         same exclusion semantics (history ids masked out, the 0-pad tail
         stripped exactly like the dense path's ``-inf`` tail).  When the
-        exclusions swallow *every* retrieved candidate the request falls
-        back to one true dense forward through the rung's engine
-        (``score_batch_dense``) — the full catalogue can still be ranked,
-        it just costs the allocation the narrow path normally avoids.
+        list comes out shorter than ``top_n`` although the catalogue could
+        fill more of it — thin probed lists, or exclusions swallowing the
+        candidates — the request falls back to one true dense forward
+        through the rung's engine (``score_batch_dense``): the full
+        catalogue can still be ranked, it just costs the allocation the
+        narrow path normally avoids.  A retrieval width ``C < top_n``
+        asks for short lists, so there only an empty list densifies.
         Both outcomes are counted in the service stats
         (``narrow_ranked`` / ``dense_fallbacks``).
         """
@@ -485,17 +488,28 @@ class RecommendService:
             top, top_n, exclude=exclude, check_finite=True
         )[0]
         ranked = ranked[ranked != 0]
-        if ranked.size == 0:
+        if ranked.size == 0 or (
+            ranked.size < top_n <= top.candidates
+            and ranked.size < self._rankable(history)
+        ):
             dense = getattr(rung.model, "score_batch_dense", None)
-            if dense is None:
+            if dense is not None:
+                self._stats.dense_fallbacks += 1
+                return self._rank(dense([history]), history, top_n)
+            if ranked.size == 0:
                 raise ValueError(
                     "no rankable candidates after exclusions and the "
                     "rung has no dense fallback"
                 )
-            self._stats.dense_fallbacks += 1
-            return self._rank(dense([history]), history, top_n)
         self._stats.narrow_ranked += 1
         return ranked
+
+    def _rankable(self, history: np.ndarray) -> int:
+        """Items the dense path can rank: the catalogue minus the
+        excluded history."""
+        if not self.config.exclude_history:
+            return self.num_items
+        return self.num_items - np.unique(history).size
 
     # ------------------------------------------------------------------
     # Operations

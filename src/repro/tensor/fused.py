@@ -197,11 +197,15 @@ def fused_cross_entropy(
     targets_copied = not np.shares_memory(targets, targets_src)
     flat, num_classes = _flatten_logits(logits)
     rows = np.arange(flat.shape[0])
-    shifted = flat - flat.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)  # retained for the backward softmax
+    # Gather the target entries before exponentiating in place: the one
+    # (positions, vocab) buffer holds the shifted logits, then the exps
+    # retained for the backward softmax.
+    exps = flat - flat.max(axis=-1, keepdims=True)
+    target_shifted = exps[rows, targets]
+    np.exp(exps, out=exps)
     denom = exps.sum(axis=-1, keepdims=True)
     # log softmax at the target entries only.
-    picked = shifted[rows, targets] - np.log(denom[:, 0])
+    picked = target_shifted - np.log(denom[:, 0])
     coeff = _position_scale(weights, flat.shape[0], flat.dtype)
     loss = -float((picked * coeff).sum())
     out = np.asarray(loss, dtype=logits.dtype)
@@ -211,13 +215,14 @@ def fused_cross_entropy(
             targets[...] = np.asarray(
                 targets_src, dtype=np.int64
             ).reshape(-1)
-        np.subtract(flat, flat.max(axis=-1, keepdims=True), out=shifted)
-        np.exp(shifted, out=exps)
+        np.subtract(flat, flat.max(axis=-1, keepdims=True), out=exps)
+        target_shifted = exps[rows, targets]
+        np.exp(exps, out=exps)
         np.sum(exps, axis=-1, keepdims=True, out=denom)
         if weights_src is not None:
             _refresh_coeff(weights_src, coeff, flat.dtype,
                            "cross_entropy weights sum to zero")
-        picked = shifted[rows, targets] - np.log(denom[:, 0])
+        picked = target_shifted - np.log(denom[:, 0])
         out[...] = -((picked * coeff).sum())
 
     # The softmax grad matrix is (batch*positions, vocab) — by far the
@@ -257,12 +262,15 @@ def fused_multi_hot_cross_entropy(
     target = np.asarray(target_multi_hot, dtype=flat.dtype)
     target = np.broadcast_to(target, logits.shape).reshape(-1, num_classes)
     target_copied = not np.shares_memory(target, target_src)
-    shifted = flat - flat.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
+    # As in fused_cross_entropy, take ``target · shifted`` before the
+    # in-place exp so one (positions, vocab) buffer is retained.
+    exps = flat - flat.max(axis=-1, keepdims=True)
+    target_dot = (target * exps).sum(axis=-1)
+    np.exp(exps, out=exps)
     denom = exps.sum(axis=-1, keepdims=True)
     lse = np.log(denom[:, 0])
     target_mass = target.sum(axis=-1)
-    per_position = target_mass * lse - (target * shifted).sum(axis=-1)
+    per_position = target_mass * lse - target_dot
     try:
         coeff = _position_scale(weights, flat.shape[0], flat.dtype)
     except ValueError:
@@ -276,12 +284,13 @@ def fused_multi_hot_cross_entropy(
             target[...] = np.broadcast_to(
                 np.asarray(target_src, dtype=flat.dtype), logits_shape
             ).reshape(-1, num_classes)
-        np.subtract(flat, flat.max(axis=-1, keepdims=True), out=shifted)
-        np.exp(shifted, out=exps)
+        np.subtract(flat, flat.max(axis=-1, keepdims=True), out=exps)
+        target_dot = (target * exps).sum(axis=-1)
+        np.exp(exps, out=exps)
         np.sum(exps, axis=-1, keepdims=True, out=denom)
         lse = np.log(denom[:, 0])
         np.sum(target, axis=-1, out=target_mass)
-        per_position = target_mass * lse - (target * shifted).sum(axis=-1)
+        per_position = target_mass * lse - target_dot
         if weights_src is not None:
             _refresh_coeff(weights_src, coeff, flat.dtype,
                            "multi_hot_cross_entropy weights sum to zero")

@@ -180,6 +180,23 @@ def _cached_product(bufs, a, b):
     return out
 
 
+def _zeroed(bufs, like: np.ndarray) -> np.ndarray:
+    """A zero-filled array shaped like ``like``, cached on the closure.
+
+    The scatter-add backwards (``__getitem__``, ``take_rows``) need a
+    fresh zero canvas per call.  Replayed programs rerun them every step,
+    so the canvas is kept and re-zeroed instead of reallocated; it is
+    only ever passed to the copying :meth:`Tensor._accumulate`, so
+    reusing it cannot corrupt a gradient.
+    """
+    buf = bufs[0]
+    if buf is None:
+        bufs[0] = buf = np.zeros_like(like)
+    else:
+        buf.fill(0)
+    return buf
+
+
 def _as_array(value, dtype=None) -> np.ndarray:
     dtype = dtype or DEFAULT_DTYPE
     array = np.asarray(value)
@@ -551,30 +568,49 @@ class Tensor:
             prod_bufs[slot] = out = a @ b
             return out
 
-        def backward(grad):
-            left = self.data[None, :] if left_vector else self.data
-            right = other.data[:, None] if right_vector else other.data
-            full_grad = grad
-            if left_vector:
-                full_grad = np.expand_dims(full_grad, -2)
-            if right_vector:
-                full_grad = np.expand_dims(full_grad, -1)
-            if self.requires_grad:
-                grad_left = _unbroadcast(
-                    grad_product(
-                        0, full_grad, np.swapaxes(right, -1, -2)
-                    ),
-                    left.shape,
-                )
-                self._accumulate_owned(grad_left.reshape(self.shape))
-            if other.requires_grad:
-                grad_right = _unbroadcast(
-                    grad_product(
-                        1, np.swapaxes(left, -1, -2), full_grad
-                    ),
-                    right.shape,
-                )
-                other._accumulate_owned(grad_right.reshape(other.shape))
+        if other.data.ndim == 2 and self.data.ndim >= 2:
+            # A 2-D weight applied to a (..., k) batch (every Linear, the
+            # output head): fold the leading axes so each gradient is one
+            # GEMM.  The weight gradient lands in a (k, n) buffer directly
+            # rather than in a (batch, k, n) stack of per-batch products
+            # summed afterwards.  The forward stays batched: folding it
+            # measured slower at d x d shapes.
+            k, n = other.data.shape
+
+            def backward(grad):
+                flat_grad = grad.reshape(-1, n)
+                if self.requires_grad:
+                    grad_left = grad_product(0, flat_grad, other.data.T)
+                    self._accumulate_owned(grad_left.reshape(self.shape))
+                if other.requires_grad:
+                    other._accumulate_owned(grad_product(
+                        1, self.data.reshape(-1, k).T, flat_grad
+                    ))
+        else:
+            def backward(grad):
+                left = self.data[None, :] if left_vector else self.data
+                right = other.data[:, None] if right_vector else other.data
+                full_grad = grad
+                if left_vector:
+                    full_grad = np.expand_dims(full_grad, -2)
+                if right_vector:
+                    full_grad = np.expand_dims(full_grad, -1)
+                if self.requires_grad:
+                    grad_left = _unbroadcast(
+                        grad_product(
+                            0, full_grad, np.swapaxes(right, -1, -2)
+                        ),
+                        left.shape,
+                    )
+                    self._accumulate_owned(grad_left.reshape(self.shape))
+                if other.requires_grad:
+                    grad_right = _unbroadcast(
+                        grad_product(
+                            1, np.swapaxes(left, -1, -2), full_grad
+                        ),
+                        right.shape,
+                    )
+                    other._accumulate_owned(grad_right.reshape(other.shape))
 
         sa, oa = self.data, other.data
         if left_vector or right_vector:
@@ -887,8 +923,10 @@ class Tensor:
         def forward():
             data[...] = sa[index]
 
+        zero_bufs = [None]
+
         def backward(grad):
-            full = np.zeros_like(self.data)
+            full = _zeroed(zero_bufs, self.data)
             np.add.at(full, index, grad)
             self._accumulate(full)
 
@@ -907,8 +945,10 @@ class Tensor:
         def forward():
             data[...] = sa[indices]
 
+        zero_bufs = [None]
+
         def backward(grad):
-            full = np.zeros_like(self.data)
+            full = _zeroed(zero_bufs, self.data)
             np.add.at(full, indices.reshape(-1),
                       grad.reshape(-1, *self.shape[1:]))
             self._accumulate(full)

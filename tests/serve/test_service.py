@@ -20,6 +20,7 @@ from repro.serve import (
     ServiceConfig,
     TransientError,
 )
+from repro.retrieval import TopScores
 
 from .conftest import (
     NUM_ITEMS,
@@ -186,6 +187,96 @@ class TestRankingContract:
         )
         rec = service.recommend(np.array([1]))
         assert rec.rung == "good"
+
+
+class NarrowStubModel(StubModel):
+    """Answers with a narrow candidate list (score = item id) and keeps
+    the dense ``score_batch_dense`` path for fallbacks."""
+
+    name = "narrow"
+
+    def __init__(self, candidate_ids, **kwargs):
+        super().__init__(**kwargs)
+        self.candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
+        self.dense_calls = 0
+
+    def score_batch(self, histories):
+        self.calls += 1
+        ids = np.tile(self.candidate_ids, (len(histories), 1))
+        return TopScores(ids, ids.astype(np.float64), self.num_items + 1)
+
+    def score_batch_dense(self, histories):
+        self.dense_calls += 1
+        return super().score_batch(histories)
+
+
+class TestNarrowShortRanking:
+    """A narrow list shorter than ``top_n`` densifies whenever the
+    catalogue could fill more of it."""
+
+    def _recommend(self, candidate_ids, history, top_n=5):
+        model = NarrowStubModel(candidate_ids)
+        service = make_service(
+            [("primary", model)],
+            config=ServiceConfig(top_n=top_n, deadline=None),
+        )
+        rec = service.recommend(np.asarray(history, dtype=np.int64))
+        return rec, service.stats(), model
+
+    def test_history_thinning_candidates_falls_back_dense(self):
+        # Six candidates minus three history items leave 3 < top_n = 5.
+        rec, stats, model = self._recommend(
+            [10, 9, 8, 7, 6, 5], history=[10, 9, 8]
+        )
+        np.testing.assert_array_equal(rec.items, [7, 6, 5, 4, 3])
+        assert model.dense_calls == 1
+        assert stats["dense_fallbacks"] == 1
+        assert stats["narrow_ranked"] == 0
+
+    def test_thin_probe_falls_back_dense(self):
+        # Only two real candidates in six slots; nothing excluded.
+        rec, stats, model = self._recommend(
+            [10, 9, -1, -1, -1, -1], history=[1], top_n=3
+        )
+        np.testing.assert_array_equal(rec.items, [10, 9, 8])
+        assert stats["dense_fallbacks"] == 1
+
+    def test_full_list_stays_narrow(self):
+        rec, stats, model = self._recommend(
+            [10, 9, 8, 7, 6, 5], history=[1]
+        )
+        np.testing.assert_array_equal(rec.items, [10, 9, 8, 7, 6])
+        assert model.dense_calls == 0
+        assert stats["narrow_ranked"] == 1
+
+    def test_candidate_width_below_top_n_stays_narrow(self):
+        # Every one of the C = 2 slots is ranked: the list is as long as
+        # the retrieval width allows, so no dense forward.
+        rec, stats, model = self._recommend([10, 9], history=[1], top_n=3)
+        np.testing.assert_array_equal(rec.items, [10, 9])
+        assert model.dense_calls == 0
+        assert stats["dense_fallbacks"] == 0
+
+    def test_short_list_served_when_rung_has_no_dense_path(self):
+        model = NarrowStubModel([10, 9, 8, 7, 6, 5])
+        model.score_batch_dense = None
+        service = make_service(
+            [("primary", model)],
+            config=ServiceConfig(top_n=5, deadline=None),
+        )
+        rec = service.recommend(np.array([10, 9, 8]))
+        np.testing.assert_array_equal(rec.items, [7, 6, 5])
+        assert service.stats()["narrow_ranked"] == 1
+
+    def test_exhausted_catalogue_stays_narrow(self):
+        # History covers 8 of 10 items: only two are rankable anywhere,
+        # and the narrow list already has both.
+        rec, stats, model = self._recommend(
+            [10, 9, 8, 7, 6, 5], history=np.arange(1, 9)
+        )
+        np.testing.assert_array_equal(rec.items, [10, 9])
+        assert model.dense_calls == 0
+        assert stats["narrow_ranked"] == 1
 
 
 class TestFallbackChain:
