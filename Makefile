@@ -42,8 +42,8 @@ bench-train:
 
 # Catalogue-scale retrieval benchmarks: dense vs two-stage IVF scoring
 # on a 100k-item synthetic catalogue, the >= 3x speedup-at-recall>=0.95
-# gate (vs the compiled dense baseline), the candidate-native gates (narrow warm-cache serving >= 2x
-# full-width at <= 4 KB/entry and zero steady-state allocation; 1%-churn
+# gate (vs the compiled dense baseline), the candidate-native gates (narrow warm-cache serving
+# at <= 4 KB/entry and zero steady-state allocation; 1%-churn
 # incremental index updates >= 10x a rebuild at matched recall), and the
 # recall@N-vs-nprobe curve report (gate/curve tests are skipped under
 # --benchmark-only, so they run second).  The regression

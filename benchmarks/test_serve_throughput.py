@@ -62,8 +62,8 @@ def requests():
 class LegacyScorer:
     """The pre-engine serving path, preserved for comparison: pad, run
     the full per-position forward, slice the last position afterwards.
-    No ``no_grad`` guard, no ``forward_last`` — exactly what a rung paid
-    per request before the engine existed."""
+    No ``no_grad`` guard, no last-position ``encode_last`` — exactly what
+    a rung paid per request before the engine existed."""
 
     name = "legacy"
 

@@ -85,7 +85,7 @@ def importance_weighted_log_likelihood(
             hidden = model.generative_layer(
                 Tensor(z), timeline_mask, key_padding_mask
             )
-            logits = model.prediction_layer(hidden).numpy()
+            logits = model.logits(hidden).numpy()
             log_probs = _log_softmax(logits)
             rows = np.arange(batch)[:, None]
             cols = np.arange(length)[None, :]

@@ -252,77 +252,35 @@ class VSAN(NeuralSequentialRecommender):
         )
         return self.final_norm(decoded)
 
-    def prediction_layer(self, hidden: Tensor) -> Tensor:
-        """Prediction Layer (Eq. 19): logits over the catalogue."""
-        if self.tie_weights:
-            return hidden @ self.embedding.item_embedding.weight.T
-        return self.output(hidden)
-
     # ------------------------------------------------------------------
-    # Forward passes
+    # Model contract
     # ------------------------------------------------------------------
-    def _forward(
-        self, padded: np.ndarray, sample: bool
-    ) -> tuple[Tensor, Tensor | None, Tensor | None, np.ndarray]:
-        """Run the full pipeline; returns (logits, mu, sigma, timeline)."""
+    def encode(self, padded: np.ndarray) -> Tensor:
+        """``G_g`` for every position: sampled ``z`` in training (and
+        with ``sample_at_eval``), else the posterior mean — the σ-head
+        is then skipped entirely."""
         encoded, timeline_mask, key_padding_mask = self.inference_layer(
             padded
         )
-        if self.use_latent:
-            mu, sigma = self.posterior(encoded)
-            z = self.latent_layer(mu, sigma, sample=sample)
-        else:
-            mu = sigma = None
+        if not self.use_latent:
             z = encoded
-        hidden = self.generative_layer(z, timeline_mask, key_padding_mask)
-        return self.prediction_layer(hidden), mu, sigma, timeline_mask
+        elif self.training or self.sample_at_eval:
+            z = self.latent_layer(*self.posterior(encoded), sample=True)
+        else:
+            z = self.mu_head(encoded)
+        return self.generative_layer(z, timeline_mask, key_padding_mask)
 
-    def forward_scores(self, padded: np.ndarray) -> Tensor:
-        sample = self.training or self.sample_at_eval
-        logits, _, _, _ = self._forward(padded, sample=sample)
-        return logits
+    def output_head(self) -> tuple[Tensor, Tensor | None]:
+        """Prediction Layer (Eq. 19): ``W_g`` (or the tied item table)."""
+        if self.tie_weights:
+            return self.embedding.item_embedding.weight.T, None
+        return self.output.weight, self.output.bias
 
-    def forward_last(self, padded: np.ndarray) -> Tensor:
-        """Last-position logits with the O(|I|) prediction fast path.
-
-        The attention stacks still see the whole window (causality needs
-        it), but the hidden state is sliced to the final position *before*
-        the Eq. 19 item-vocabulary GEMM, and the σ-head is skipped
-        entirely — at the posterior mean only ``mu`` feeds the decoder.
-        """
-        if self.training or self.sample_at_eval:
-            # Sampling draws noise for every position; keep the full path
-            # so the reparameterization RNG stream matches forward_scores.
-            return super().forward_last(padded)
-        return self.prediction_layer(self.forward_last_hidden(padded))
-
-    # ------------------------------------------------------------------
-    # Approximate-retrieval hooks (repro.retrieval)
-    # ------------------------------------------------------------------
     @property
     def supports_retrieval(self) -> bool:
         # Sampling at eval draws fresh reparameterization noise per call:
         # there is no deterministic query vector to index against.
         return not self.sample_at_eval
-
-    def forward_last_hidden(self, padded: np.ndarray) -> Tensor:
-        """The deterministic (posterior-mean) hidden state that feeds the
-        Eq. 19 prediction GEMM, sliced to the final position (eval-mode
-        only — training must keep the sampling RNG stream intact)."""
-        encoded, timeline_mask, key_padding_mask = self.inference_layer(
-            padded
-        )
-        z = self.mu_head(encoded) if self.use_latent else encoded
-        hidden = self.generative_layer(z, timeline_mask, key_padding_mask)
-        return hidden[:, -1, :]
-
-    def output_head(self) -> tuple[np.ndarray, np.ndarray | None]:
-        if self.tie_weights:
-            return self.embedding.item_embedding.weight.data.T, None
-        bias = (
-            self.output.bias.data if self.output.bias is not None else None
-        )
-        return self.output.weight.data, bias
 
     def training_elbo(self, padded: np.ndarray) -> ELBOTerms:
         """β-ELBO of Eq. 20 over a padded batch, terms kept separate.
@@ -330,7 +288,8 @@ class VSAN(NeuralSequentialRecommender):
         With ``num_samples > 1`` the reconstruction expectation
         ``E_q[log p(S|z)]`` is Monte-Carlo averaged over that many
         reparameterized samples per step (a lower-variance gradient
-        estimate — our extension; the paper uses a single sample).
+        estimate — our extension; the paper uses a single sample); the
+        inference stack runs once and only the decoder repeats.
         """
         inputs, targets, weights, multi_hot = reconstruction_targets(
             padded,
@@ -346,39 +305,37 @@ class VSAN(NeuralSequentialRecommender):
         if self.training:
             self._step += 1
 
-        if not self.use_latent or self.num_samples == 1:
-            logits, mu, sigma, _ = self._forward(inputs, sample=True)
-            return elbo_terms(
-                logits, targets, weights, mu, sigma, beta, multi_hot,
-                fused=self.fused,
-            )
-
-        # Multi-sample path: encode once, decode per sample.
         encoded, timeline_mask, key_padding_mask = self.inference_layer(
             inputs
         )
-        mu, sigma = self.posterior(encoded)
-        terms = None
-        for _ in range(self.num_samples):
-            z = self.latent_layer(mu, sigma, sample=True)
+        mu = sigma = None
+        if self.use_latent:
+            mu, sigma = self.posterior(encoded)
+
+        def sample_terms() -> ELBOTerms:
+            z = (
+                self.latent_layer(mu, sigma, sample=True)
+                if self.use_latent else encoded
+            )
             hidden = self.generative_layer(
                 z, timeline_mask, key_padding_mask
             )
-            logits = self.prediction_layer(hidden)
-            sample_terms = elbo_terms(
-                logits, targets, weights, mu, sigma, beta, multi_hot,
-                fused=self.fused,
+            return elbo_terms(
+                self.logits(hidden), targets, weights, mu, sigma, beta,
+                multi_hot, fused=self.fused,
             )
-            if terms is None:
-                terms = sample_terms
-            else:
-                terms = ELBOTerms(
-                    reconstruction=(
-                        terms.reconstruction + sample_terms.reconstruction
-                    ),
-                    kl=terms.kl,
-                    beta=beta,
-                )
+
+        terms = sample_terms()
+        if not self.use_latent or self.num_samples == 1:
+            return terms
+        for _ in range(self.num_samples - 1):
+            terms = ELBOTerms(
+                reconstruction=(
+                    terms.reconstruction + sample_terms().reconstruction
+                ),
+                kl=terms.kl,
+                beta=beta,
+            )
         return ELBOTerms(
             reconstruction=terms.reconstruction * (1.0 / self.num_samples),
             kl=terms.kl,

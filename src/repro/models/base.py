@@ -6,9 +6,11 @@ Two tiers:
   and ``score`` a (possibly unseen) user's item history, producing one
   score per item id.  This is all the evaluator needs.
 - :class:`NeuralSequentialRecommender` — the common machinery for the
-  deep sequence models (GRU4Rec, Caser, SVAE, SASRec, VSAN): fixed-length
-  left padding, batched scoring from the last sequence position, and a
-  ``training_loss`` hook consumed by :class:`repro.train.Trainer`.
+  deep sequence models (GRU4Rec, Caser, SVAE, SASRec, VSAN).  A model
+  defines ``encode`` (hidden states) and ``output_head`` (the item-table
+  GEMM); the base derives logits, the training loss consumed by
+  :class:`repro.train.Trainer`, and batched scoring from the last
+  sequence position.
 
 Held-out users come from a strong-generalization split, so models that
 learn per-user parameters (BPR, FPMC, TransRec) implement *fold-in
@@ -22,10 +24,15 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..data.batching import build_training_matrix, pad_left, pad_left_into
+from ..data.batching import (
+    build_training_matrix,
+    pad_left,
+    pad_left_into,
+    shift_targets,
+)
 from ..data.interactions import SequenceCorpus
 from ..nn.module import Module
-from ..tensor import Tensor, get_default_dtype, no_grad
+from ..tensor import Tensor, cross_entropy, get_default_dtype, no_grad
 from ..tensor.compile import record_feed, run_compiled
 
 __all__ = ["Recommender", "NeuralSequentialRecommender"]
@@ -53,102 +60,41 @@ class Recommender(ABC):
         """Score several histories; default loops over :meth:`score`."""
         return np.stack([self.score(history) for history in histories])
 
-    def score_last(
-        self,
-        histories: list[np.ndarray],
-        candidates: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Next-item scores only — the serving hot path.
-
-        :meth:`score_batch` already carries last-position semantics (one
-        score row per history), so the default simply delegates; the
-        neural models override the *implementation* to slice the hidden
-        state to the final position before the output GEMM.
-
-        ``candidates`` restricts scoring to a per-request candidate set:
-        a ``(batch, C)`` integer matrix of item ids (the output of an
-        approximate retrieval stage, see :mod:`repro.retrieval`) for
-        which a ``(batch, C)`` matrix of *exact* scores is returned.
-        The default computes the full row and gathers — always correct;
-        the neural models override to pay only a C-column GEMM.
-        """
-        full = self.score_batch(histories)
-        if candidates is None:
-            return full
-        candidates = np.asarray(candidates, dtype=np.int64)
-        return np.take_along_axis(full, candidates, axis=1)
-
-    # ------------------------------------------------------------------
-    # Approximate-retrieval protocol (opt-in; see repro.retrieval)
-    # ------------------------------------------------------------------
     #: Whether the model factors its last-position scoring as
     #: ``hidden @ W (+ b)`` against a static item lookup table — the
-    #: structure a maximum-inner-product index needs.  Models that set
-    #: this implement :meth:`output_head` and :meth:`hidden_last`.
+    #: structure a maximum-inner-product index needs (see
+    #: :mod:`repro.retrieval`).  Models that set this provide
+    #: ``output_head()`` and ``hidden_last(histories)``, as
+    #: :class:`NeuralSequentialRecommender` does.
     supports_retrieval: bool = False
-
-    def output_head(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The final output GEMM's parameters ``(weights, bias)``.
-
-        ``weights`` has shape ``(hidden_dim, num_items + 1)`` (column
-        ``i`` scores item ``i``, matching :class:`repro.nn.Linear`'s
-        ``y = x @ W + b`` orientation); ``bias`` is ``(num_items + 1,)``
-        or ``None`` for tied-embedding heads.  Returned arrays are live
-        views of the parameters — callers must not mutate them.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose an item lookup table"
-        )
-
-    def hidden_last(self, histories: list[np.ndarray]) -> np.ndarray:
-        """Final-position hidden states ``(batch, hidden_dim)`` — the
-        exact input of the :meth:`output_head` GEMM, so
-        ``hidden_last(h) @ W + b`` reproduces ``score_last(h)`` (up to
-        the padding-slot ``-inf`` sentinel)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not expose last-position hidden "
-            "states"
-        )
-
-    def score_candidates(
-        self, hidden: np.ndarray, candidates: np.ndarray
-    ) -> np.ndarray:
-        """Exact logits of ``candidates`` given :meth:`hidden_last`
-        output — the re-rank half of a two-stage retrieval pipeline.
-
-        Args:
-            hidden: ``(batch, hidden_dim)`` from :meth:`hidden_last`.
-            candidates: ``(batch, C)`` item ids (need not be distinct).
-
-        Returns:
-            ``(batch, C)`` scores; entry ``[b, j]`` equals the
-            ``candidates[b, j]`` column of the full output GEMM.
-        """
-        weights, bias = self.output_head()
-        hidden = np.asarray(hidden)
-        candidates = np.asarray(candidates, dtype=np.int64)
-        # Gather candidate columns as (batch, C, hidden_dim) rows of the
-        # transposed table, then contract against each hidden state: a
-        # C-column GEMM instead of the full |I|-column one.
-        gathered = weights.T[candidates]
-        scores = np.einsum(
-            "bd,bcd->bc", hidden, gathered, optimize=True
-        )
-        if bias is not None:
-            scores = scores + bias[candidates]
-        return scores
 
 
 class NeuralSequentialRecommender(Module, Recommender):
     """Shared padding/scoring logic for the deep sequence models.
 
-    Subclasses implement:
+    The model contract is two hooks:
 
-    - ``forward_scores(padded)``: logits ``(batch, length, num_items+1)``
-      for every position of a padded batch;
-    - ``training_loss(padded)``: scalar loss tensor for a padded batch
-      (consumed by :class:`repro.train.Trainer`).
+    - ``encode(padded)``: hidden states ``(batch, length, dim)`` for
+      every position of a left-padded id batch;
+    - ``output_head()``: the item-table GEMM's ``(weight, bias)``
+      Tensors — ``weight`` is ``(dim, num_items + 1)`` (column ``i``
+      scores item ``i``, matching :class:`repro.nn.Linear`'s
+      ``y = x @ W + b``), ``bias`` is ``(num_items + 1,)`` or ``None``.
+      Tied heads return ``item_embedding.weight.T``.
+
+    Everything else derives from them: :meth:`logits`,
+    :meth:`forward_scores`, the next-item cross-entropy
+    :meth:`training_loss` (VAE models override it with their ELBO),
+    the compiled query vectors of :meth:`hidden_last`, and the dense
+    rows of :meth:`score_batch`.  ``encode_last`` may be overridden
+    when the final position alone is cheaper to encode than the whole
+    window (Caser, SVAE); overrides must agree with
+    ``encode(padded)[:, -1, :]``.
     """
+
+    #: Every model with this contract factors its scores as
+    #: ``hidden @ W (+ b)``, the structure a retrieval index needs.
+    supports_retrieval: bool = True
 
     #: Whether the model's training computation is *right-aligned*: a
     #: left-padded batch column-trimmed to its own longest real sequence
@@ -194,23 +140,43 @@ class NeuralSequentialRecommender(Module, Recommender):
     # ------------------------------------------------------------------
     # Hooks for subclasses
     # ------------------------------------------------------------------
-    def forward_scores(self, padded: np.ndarray) -> Tensor:
+    def encode(self, padded: np.ndarray) -> Tensor:
+        """Hidden states ``(batch, length, dim)`` feeding the head."""
         raise NotImplementedError
 
-    def forward_last(self, padded: np.ndarray) -> Tensor:
-        """Logits for the *final* position only, ``(batch, num_items+1)``.
+    def output_head(self) -> tuple[Tensor, Tensor | None]:
+        """The item-table GEMM's ``(weight, bias)`` parameters."""
+        raise NotImplementedError
 
-        Inference never reads the other positions, so subclasses override
-        this to slice the hidden state to the last position *before* the
-        item-vocabulary GEMM — candidate scoring then costs O(|I|) instead
-        of O(L·|I|) per request.  The default falls back to the full
-        forward pass and slices after, which is always correct (and, on a
-        row-deterministic BLAS, bitwise identical).
+    def encode_last(self, padded: np.ndarray) -> Tensor:
+        """Final-position hidden state ``(batch, dim)``.
+
+        Inference reads only the last position, so scoring pays the
+        ``|I|``-column GEMM once per request rather than ``L`` times.
         """
-        return self.forward_scores(padded)[:, -1, :]
+        return self.encode(padded)[:, -1, :]
+
+    # ------------------------------------------------------------------
+    # Derived from the hooks
+    # ------------------------------------------------------------------
+    def logits(self, hidden: Tensor) -> Tensor:
+        """Item scores for hidden states of any leading shape."""
+        weight, bias = self.output_head()
+        out = hidden @ weight
+        if bias is not None:
+            out = out + bias
+        return out
+
+    def forward_scores(self, padded: np.ndarray) -> Tensor:
+        """Logits ``(batch, length, num_items + 1)`` at every position."""
+        return self.logits(self.encode(padded))
 
     def training_loss(self, padded: np.ndarray) -> Tensor:
-        raise NotImplementedError
+        """Next-item cross-entropy over the non-padded positions."""
+        inputs, targets, weights = shift_targets(padded)
+        return cross_entropy(
+            self.forward_scores(inputs), targets, weights=weights
+        )
 
     # ------------------------------------------------------------------
     # Recommender protocol
@@ -240,8 +206,6 @@ class NeuralSequentialRecommender(Module, Recommender):
         default dtype) lets :func:`repro.data.batching.next_k_multi_hot`
         refill one buffer across batches instead of allocating per step.
         """
-        from ..tensor import get_default_dtype
-
         dtype = get_default_dtype()
         buffer = getattr(self, "_multi_hot_scratch", None)
         if (
@@ -269,85 +233,49 @@ class NeuralSequentialRecommender(Module, Recommender):
             object.__setattr__(self, "_scoring_buffer", buffer)
         return buffer[:batch]
 
-    def _compiled_eval(self, kind: str, fn, padded: np.ndarray) -> Tensor:
-        """Eval-mode ``fn(padded)`` through the compiled replay path.
+    def hidden_last(self, histories: list[np.ndarray]) -> np.ndarray:
+        """Eval-mode, tape-free :meth:`encode_last` over raw histories —
+        the query vectors of a retrieval pipeline and the input of
+        :meth:`score_batch`'s GEMM.
 
-        The first batch of each ``(kind, shape, dtype)`` bucket traces a
-        no-grad eager forward; later batches replay its op program into
-        the retained arena with ``padded`` copied in as the only feed —
-        zero tensor construction, zero arena growth, bitwise-identical
-        logits.  Untraceable forwards pin the key DYNAMIC and stay eager.
+        The first batch of each ``(shape, dtype)`` bucket traces a
+        no-grad eager forward; later batches replay its op program
+        (:mod:`repro.tensor.compile`) with the padded ids as the only
+        feed — zero tensor construction, bitwise-identical results.
+        Untraceable forwards pin the key dynamic and stay eager.
         """
-        if self.training or not self.compile_scoring:
-            return fn(padded)
-        key = (kind, padded.shape, np.dtype(get_default_dtype()))
+        self.eval()
+        padded = self._padded_buffer(len(histories))
+        for row, history in zip(padded, histories):
+            pad_left_into(np.asarray(history, dtype=np.int64), row)
 
         def build():
             record_feed("padded", padded)
-            return fn(padded)
+            return self.encode_last(padded)
 
-        result, _ = run_compiled(
-            self, key, build, feed_values={"padded": padded}
-        )
-        return result
-
-    def score_batch(self, histories: list[np.ndarray]) -> np.ndarray:
-        self.eval()
-        padded = self._padded_buffer(len(histories))
-        for row, history in zip(padded, histories):
-            pad_left_into(np.asarray(history, dtype=np.int64), row)
         with no_grad():
-            logits = self._compiled_eval("last", self.forward_last, padded)
-        scores = logits.numpy().copy()
-        scores[:, 0] = -np.inf
-        return scores
-
-    # ------------------------------------------------------------------
-    # Approximate-retrieval protocol (see Recommender for the contract)
-    # ------------------------------------------------------------------
-    def forward_last_hidden(self, padded: np.ndarray) -> Tensor:
-        """Final-position hidden state ``(batch, hidden_dim)`` feeding
-        the :meth:`output_head` GEMM (eval-mode only).  Implemented by
-        models that declare ``supports_retrieval``."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement forward_last_hidden"
-        )
-
-    def hidden_last(self, histories: list[np.ndarray]) -> np.ndarray:
-        """Padded, tape-free, eval-mode :meth:`forward_last_hidden` over
-        raw histories — the query-vector half of a retrieval pipeline."""
-        self.eval()
-        padded = self._padded_buffer(len(histories))
-        for row, history in zip(padded, histories):
-            pad_left_into(np.asarray(history, dtype=np.int64), row)
-        with no_grad():
-            hidden = self._compiled_eval(
-                "hidden", self.forward_last_hidden, padded
-            )
+            if self.compile_scoring:
+                key = ("hidden", padded.shape, np.dtype(get_default_dtype()))
+                hidden, _ = run_compiled(
+                    self, key, build, feed_values={"padded": padded}
+                )
+            else:
+                hidden = self.encode_last(padded)
         # Copy: a replayed program returns its retained arena tensor,
         # which the next batch will overwrite in place.
         return hidden.numpy().copy()
 
-    def score_last(
-        self,
-        histories: list[np.ndarray],
-        candidates: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Candidate-restricted last-position scoring.
-
-        With ``candidates=None`` this is :meth:`score_batch` (one full
-        score row per history).  With a ``(batch, C)`` candidate matrix
-        and a retrieval-capable model, only the trunk plus a C-column
-        output GEMM run — the exact re-rank path of
-        :class:`repro.retrieval.RetrievalEngine`.
-        """
-        if candidates is None:
-            return self.score_batch(histories)
-        if not self.supports_retrieval:
-            return super().score_last(histories, candidates)
-        return self.score_candidates(
-            self.hidden_last(histories), candidates
-        )
+    def score_batch(self, histories: list[np.ndarray]) -> np.ndarray:
+        """Dense rows ``hidden_last(histories) @ W (+ b)``, with the
+        padding column 0 set to ``-inf``."""
+        hidden = self.hidden_last(histories)
+        with no_grad():
+            weight, bias = self.output_head()
+        scores = hidden @ weight.data
+        if bias is not None:
+            scores += bias.data
+        scores[:, 0] = -np.inf
+        return scores
 
     def padded_training_rows(self, corpus: SequenceCorpus) -> np.ndarray:
         """All training users as one padded matrix (plus one extra column

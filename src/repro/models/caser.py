@@ -89,19 +89,16 @@ class Caser(NeuralSequentialRecommender):
         )
         return self.dropout(self.hidden(features).relu())
 
-    def _window_features(self, windows: np.ndarray) -> Tensor:
-        """Score features for ``(batch, window)`` id windows."""
-        return self.output(self._window_hidden(windows))
-
-    def forward_scores(self, padded: np.ndarray) -> Tensor:
-        """Per-position logits by sliding the window over the sequence.
+    def encode(self, padded: np.ndarray) -> Tensor:
+        """Per-position hidden states by sliding the window over the
+        sequence.
 
         Position ``t`` sees items ``t-window+1 .. t`` (left-padded), so
         evaluation can read the last position exactly like the attention
         models.
         """
         if tracing():
-            mark_dynamic("Caser forward_scores rebuilds sliding windows")
+            mark_dynamic("Caser encode rebuilds sliding windows")
         padded = np.asarray(padded, dtype=np.int64)
         batch, length = padded.shape
         extended = np.concatenate(
@@ -115,27 +112,22 @@ class Caser(NeuralSequentialRecommender):
             [extended[:, t:t + self.window] for t in range(length)], axis=1
         )  # (batch, length, window)
         flat = windows.reshape(batch * length, self.window)
-        logits = self._window_features(flat)
-        return logits.reshape(batch, length, self.num_items + 1)
+        return self._window_hidden(flat).reshape(batch, length, self.dim)
 
-    def forward_last(self, padded: np.ndarray) -> Tensor:
-        """Last-position logits from the final window only.
+    def encode_last(self, padded: np.ndarray) -> Tensor:
+        """The hidden state of the final window only.
 
-        :meth:`forward_scores` slides ``length`` windows over the
-        sequence; inference needs just the one ending at the last item,
-        so this scores a single ``(batch, window)`` slice — an O(L)
-        reduction on top of the output-GEMM saving.  In training mode the
-        full path runs instead so dropout consumes the same RNG stream
-        either way.
+        :meth:`encode` slides ``length`` windows over the sequence;
+        inference needs just the one ending at the last item, an O(L)
+        reduction.  In training mode the full path runs instead so
+        dropout consumes the same RNG stream either way.
         """
         if self.training:
-            return super().forward_last(padded)
-        return self._window_features(self._last_window(padded))
+            return super().encode_last(padded)
+        return self._window_hidden(self._last_window(padded))
 
-    # ------------------------------------------------------------------
-    # Approximate-retrieval hooks (repro.retrieval)
-    # ------------------------------------------------------------------
-    supports_retrieval = True
+    def output_head(self) -> tuple[Tensor, Tensor | None]:
+        return self.output.weight, self.output.bias
 
     def _last_window(self, padded: np.ndarray) -> np.ndarray:
         """The ``(batch, window)`` id slice ending at the final item."""
@@ -165,15 +157,6 @@ class Caser(NeuralSequentialRecommender):
                 record_host(refresh)
         return window
 
-    def forward_last_hidden(self, padded: np.ndarray) -> Tensor:
-        return self._window_hidden(self._last_window(padded))
-
-    def output_head(self) -> tuple[np.ndarray, np.ndarray | None]:
-        bias = (
-            self.output.bias.data if self.output.bias is not None else None
-        )
-        return self.output.weight.data, bias
-
     def training_loss(self, padded: np.ndarray) -> Tensor:
         """Cross-entropy over the valid sliding windows of the batch.
 
@@ -199,5 +182,5 @@ class Caser(NeuralSequentialRecommender):
             [extended[rows, cols + offset] for offset in range(self.window)],
             axis=1,
         )
-        logits = self._window_features(windows)
+        logits = self.logits(self._window_hidden(windows))
         return cross_entropy(logits, targets[rows, cols])

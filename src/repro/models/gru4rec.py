@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.batching import shift_targets
 from ..data.interactions import PAD_ID
 from ..nn import GRU, Dropout, Embedding, Linear
-from ..tensor import Tensor, cross_entropy
+from ..tensor import Tensor
 from ..tensor.random import spawn_rngs
 from .base import NeuralSequentialRecommender
 
@@ -50,37 +49,10 @@ class GRU4Rec(NeuralSequentialRecommender):
         self.gru = GRU(dim, hidden_dim, init_rng, num_layers=num_layers)
         self.output = Linear(hidden_dim, num_items + 1, init_rng)
 
-    def forward_scores(self, padded: np.ndarray) -> Tensor:
+    def encode(self, padded: np.ndarray) -> Tensor:
         embedded = self.dropout(self.item_embedding(padded))
         hidden, _ = self.gru(embedded)
-        return self.output(self.dropout(hidden))
+        return self.dropout(hidden)
 
-    def forward_last(self, padded: np.ndarray) -> Tensor:
-        """Last-position logits: the GRU must still unroll the sequence,
-        but only the final hidden state pays the output GEMM."""
-        if self.training:
-            # Dropout would draw a differently-shaped mask than the full
-            # pass; scoring paths are eval-mode, so only they fast-path.
-            return super().forward_last(padded)
-        return self.output(self.forward_last_hidden(padded))
-
-    # ------------------------------------------------------------------
-    # Approximate-retrieval hooks (repro.retrieval)
-    # ------------------------------------------------------------------
-    supports_retrieval = True
-
-    def forward_last_hidden(self, padded: np.ndarray) -> Tensor:
-        embedded = self.dropout(self.item_embedding(padded))
-        hidden, _ = self.gru(embedded)
-        return self.dropout(hidden[:, -1, :])
-
-    def output_head(self) -> tuple[np.ndarray, np.ndarray | None]:
-        bias = (
-            self.output.bias.data if self.output.bias is not None else None
-        )
-        return self.output.weight.data, bias
-
-    def training_loss(self, padded: np.ndarray) -> Tensor:
-        inputs, targets, weights = shift_targets(padded)
-        logits = self.forward_scores(inputs)
-        return cross_entropy(logits, targets, weights=weights)
+    def output_head(self) -> tuple[Tensor, Tensor | None]:
+        return self.output.weight, self.output.bias

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.batching import shift_targets
 from ..nn import LayerNorm, Linear, SelfAttentionStack
-from ..tensor import Tensor, cross_entropy
+from ..tensor import Tensor
 from ..tensor.random import spawn_rngs
 from .base import NeuralSequentialRecommender
 from .common import SequenceEmbedding
@@ -79,7 +78,7 @@ class SASRec(NeuralSequentialRecommender):
         if not tie_weights:
             self.output = Linear(dim, num_items + 1, init_rng)
 
-    def forward_hidden(self, padded: np.ndarray) -> Tensor:
+    def encode(self, padded: np.ndarray) -> Tensor:
         """Per-position sequence representations ``(batch, n, dim)``."""
         embedded, timeline_mask, key_padding_mask = self.embedding(padded)
         hidden = self.blocks(
@@ -89,37 +88,7 @@ class SASRec(NeuralSequentialRecommender):
         )
         return self.final_norm(hidden)
 
-    def forward_scores(self, padded: np.ndarray) -> Tensor:
-        hidden = self.forward_hidden(padded)
+    def output_head(self) -> tuple[Tensor, Tensor | None]:
         if self.tie_weights:
-            return hidden @ self.embedding.item_embedding.weight.T
-        return self.output(hidden)
-
-    def forward_last(self, padded: np.ndarray) -> Tensor:
-        """Last-position logits: slice the hidden state to the final
-        position before the item-vocabulary GEMM (O(|I|) per request)."""
-        hidden = self.forward_last_hidden(padded)
-        if self.tie_weights:
-            return hidden @ self.embedding.item_embedding.weight.T
-        return self.output(hidden)
-
-    # ------------------------------------------------------------------
-    # Approximate-retrieval hooks (repro.retrieval)
-    # ------------------------------------------------------------------
-    supports_retrieval = True
-
-    def forward_last_hidden(self, padded: np.ndarray) -> Tensor:
-        return self.forward_hidden(padded)[:, -1, :]
-
-    def output_head(self) -> tuple[np.ndarray, np.ndarray | None]:
-        if self.tie_weights:
-            return self.embedding.item_embedding.weight.data.T, None
-        bias = (
-            self.output.bias.data if self.output.bias is not None else None
-        )
-        return self.output.weight.data, bias
-
-    def training_loss(self, padded: np.ndarray) -> Tensor:
-        inputs, targets, weights = shift_targets(padded)
-        logits = self.forward_scores(inputs)
-        return cross_entropy(logits, targets, weights=weights)
+            return self.embedding.item_embedding.weight.T, None
+        return self.output.weight, self.output.bias

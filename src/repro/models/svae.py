@@ -104,9 +104,9 @@ class SVAE(NeuralSequentialRecommender):
         sigma = self.sigma_head(hidden).softplus() + 1e-4
         return mu, sigma
 
-    def decode(self, z: Tensor) -> Tensor:
-        hidden = self.dropout(self.decoder_hidden(z).tanh())
-        return self.decoder_out(hidden)
+    def decode_hidden(self, z: Tensor) -> Tensor:
+        """The decoder MLP up to (not including) the output layer."""
+        return self.dropout(self.decoder_hidden(z).tanh())
 
     def _sample(self, mu: Tensor, sigma: Tensor) -> Tensor:
         rng = self._noise_rng
@@ -119,46 +119,28 @@ class SVAE(NeuralSequentialRecommender):
         return mu + sigma * noise
 
     # ------------------------------------------------------------------
-    # Recommender protocol
+    # Model contract
     # ------------------------------------------------------------------
-    def forward_scores(self, padded: np.ndarray) -> Tensor:
+    def encode(self, padded: np.ndarray) -> Tensor:
+        """Decoder hidden states; sampled ``z`` in training, the
+        posterior mean at evaluation."""
         mu, sigma = self.posterior(padded)
         z = self._sample(mu, sigma) if self.training else mu
-        return self.decode(z)
+        return self.decode_hidden(z)
 
-    def forward_last(self, padded: np.ndarray) -> Tensor:
-        """Last-position logits at the posterior mean.
-
-        The encoder GRU still unrolls the sequence, but only the final
-        hidden state pays the ``mu``-head and decoder GEMMs — the σ-head
-        is skipped entirely (evaluation never samples).
-        """
+    def encode_last(self, padded: np.ndarray) -> Tensor:
+        """At evaluation only the final GRU state pays the ``mu``-head
+        and decoder GEMMs, and the σ-head is skipped (no sampling)."""
         if self.training:
-            # Sampling draws per-position noise; keep the RNG stream of
-            # the full pass.  Scoring paths are eval-mode.
-            return super().forward_last(padded)
-        return self.decoder_out(self.forward_last_hidden(padded))
-
-    # ------------------------------------------------------------------
-    # Approximate-retrieval hooks (repro.retrieval)
-    # ------------------------------------------------------------------
-    supports_retrieval = True
-
-    def forward_last_hidden(self, padded: np.ndarray) -> Tensor:
-        """Decoder hidden state at the posterior mean of the final
-        position — everything in :meth:`decode` before ``decoder_out``."""
+            # Sampling draws per-position noise: keep the full pass so
+            # the RNG stream matches encode().
+            return super().encode_last(padded)
         embedded = self.dropout(self.item_embedding(padded))
         hidden, _ = self.encoder(embedded)
-        z = self.mu_head(hidden[:, -1, :])
-        return self.dropout(self.decoder_hidden(z).tanh())
+        return self.decode_hidden(self.mu_head(hidden[:, -1, :]))
 
-    def output_head(self) -> tuple[np.ndarray, np.ndarray | None]:
-        bias = (
-            self.decoder_out.bias.data
-            if self.decoder_out.bias is not None
-            else None
-        )
-        return self.decoder_out.weight.data, bias
+    def output_head(self) -> tuple[Tensor, Tensor | None]:
+        return self.decoder_out.weight, self.decoder_out.bias
 
     def training_loss(self, padded: np.ndarray) -> Tensor:
         inputs, targets, weights, multi_hot = reconstruction_targets(
@@ -173,7 +155,7 @@ class SVAE(NeuralSequentialRecommender):
         )
         mu, sigma = self.posterior(inputs)
         z = self._sample(mu, sigma)
-        logits = self.decode(z)
+        logits = self.logits(self.decode_hidden(z))
         beta = self.annealing.beta(self._step)
         if self.training:
             self._step += 1

@@ -1,29 +1,22 @@
 """Two-stage scoring: IVF candidate retrieval + exact re-rank.
 
-:class:`RetrievalEngine` replaces a model's dense ``score_batch`` with
+:meth:`RetrievalEngine.score_topk` replaces a model's dense
+``score_batch`` with
 
 1. ``hidden_last`` — the model's final hidden state (unchanged cost),
 2. :meth:`IVFIndex.search` — approximate top-C candidate ids, and
 3. an **exact** re-rank of just those C items against a contiguous
-   copy of the model's output head (arithmetically the model's own
-   ``score_candidates``, laid out for sequential gathers).
+   copy of the model's output head (the same ``hidden @ W (+ b)``
+   arithmetic, laid out for sequential gathers).
 
-Two output contracts are offered:
-
-- :meth:`RetrievalEngine.score_topk` — the **narrow** candidate-native
-  result (:class:`~repro.retrieval.narrow.TopScores`: C packed ids +
-  exact scores per request, ~768 bytes at C=64).  This is what the
-  serving stack consumes end to end since the candidate-native path
-  landed: micro-batcher fan-out, byte-budget score cache, and service
-  ranking all operate on the packed pair, and the ~400 KB-per-row
-  full-width scatter never happens on the hot path.
-- :meth:`RetrievalEngine.score_batch` — the legacy **full-width**
-  ``(B, num_items + 1)`` row with ``-inf`` at every non-candidate
-  position (the "excluded item" sentinel ``rank_items_batch``
-  understands), kept for exact mode, non-retrieval models, and callers
-  that opt out of the narrow path.  The scattered row carries *exactly*
-  the ids/scores of the narrow result, which is what the bitwise
-  equivalence tests pin.
+The result is narrow and candidate-native
+(:class:`~repro.retrieval.narrow.TopScores`: C packed ids + exact
+scores per request, ~768 bytes at C=64).  The serving stack consumes it
+end to end — micro-batcher fan-out, byte-budget score cache, and
+service ranking all operate on the packed pair, and no full-width row
+is built on the hot path.  :meth:`TopScores.to_dense` gives the
+full-width view (``-inf`` outside the candidates) where a test or tool
+needs one.
 
 Bias handling uses the classic MIPS augmentation: an output head
 ``h·w_i + b_i`` becomes a pure inner product by appending ``b_i`` as an
@@ -31,18 +24,17 @@ extra coordinate of every item vector and ``1.0`` to every query — the
 index then ranks by exactly the quantity the model scores with.
 
 **Exact mode** (``nprobe >= nlist``, no quantization, ``candidates``
-covering the catalogue) short-circuits to the model's own
-``score_batch``: bitwise-identical to dense scoring by construction,
-not merely numerically close — slicing the GEMM differently would let
-BLAS blocking perturb low-order bits.
+covering the catalogue) builds no index: callers serve the model's own
+``score_batch`` instead, bitwise-identical to dense scoring by
+construction, not merely numerically close — slicing the GEMM
+differently would let BLAS blocking perturb low-order bits.
 """
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
 
+from ..tensor import no_grad
 from .index import IndexConfig, IVFIndex
 from .narrow import TopScores
 
@@ -53,9 +45,8 @@ class RetrievalEngine:
     """Candidate-retrieval scoring wrapper around one model.
 
     Args:
-        model: a recommender with ``supports_retrieval`` truthy (the
-            hooks ``output_head`` / ``hidden_last`` /
-            ``score_candidates`` must be functional).
+        model: a recommender with ``supports_retrieval`` truthy (its
+            ``output_head`` / ``hidden_last`` hooks must be functional).
         config: see :class:`IndexConfig`.
 
     Raises:
@@ -70,11 +61,10 @@ class RetrievalEngine:
         items, self._has_bias = self._item_table(model)
         self.num_items = items.shape[0]
         # Kept contiguous for the re-rank: gathering C rows per query
-        # from this table touches C·d sequential floats, whereas going
-        # through ``score_candidates`` (which gathers columns of the
-        # live head) strides across the full table per element — at
-        # catalogue scale that one layout difference is most of the
-        # re-rank cost.  Arithmetic is the model's own head either way.
+        # from this table touches C·d sequential floats, whereas
+        # gathering columns of the live (d, |I|) head strides across the
+        # full table per element — at catalogue scale that one layout
+        # difference is most of the re-rank cost.
         self._items = items
         ids = np.arange(1, self.num_items + 1, dtype=np.int64)
         nlist = config.nlist
@@ -87,12 +77,9 @@ class RetrievalEngine:
             and config.quantize is None
             and config.candidates >= self.num_items
         )
-        self.passthroughs = 0
         self.narrow_batches = 0
         self.refreshes = 0
         self.rebuilds = 0
-        self._out_pool: np.ndarray | None = None
-        self._dirty: np.ndarray | None = None
         if self.exact:
             # Dense scoring IS the exact search here; skip the build.
             self.index = None
@@ -115,59 +102,30 @@ class RetrievalEngine:
                 f"{getattr(model, 'name', type(model).__name__)} does not "
                 "support retrieval (supports_retrieval is falsy)"
             )
-        weights, bias = model.output_head()
+        with no_grad():  # a tied head's transpose must not build tape
+            weights, bias = model.output_head()
         # Rows 1..N of the transposed head are the item vectors; index 0
         # is PAD and must never be retrievable.
-        items = np.ascontiguousarray(weights.T[1:], dtype=np.float32)
+        items = np.ascontiguousarray(weights.data.T[1:], dtype=np.float32)
         has_bias = bias is not None
         if has_bias:
             items = np.concatenate(
-                [items, np.asarray(bias, dtype=np.float32)[1:, None]],
+                [items, np.asarray(bias.data, dtype=np.float32)[1:, None]],
                 axis=1,
             )
         return items, has_bias
-
-    def score_batch(self, histories) -> np.ndarray:
-        """Full-width score rows, ``-inf`` outside the candidates.
-
-        The returned array may come from an internal buffer pool: it is
-        yours to read for as long as you hold a reference, but once you
-        release it (and every view into it) the engine may recycle the
-        pages for a later batch.  Do not mutate a row you are about to
-        release — standard practice for pooled numpy results.  Holding
-        on to results is always safe: the pool only reuses a buffer the
-        caller has fully dropped (checked by refcount), paying a fresh
-        allocation otherwise.
-        """
-        if self.exact:
-            self.passthroughs += len(histories)
-            return self._model.score_batch(histories)
-        top = self.score_topk(histories)
-        out = self._rows_buffer(len(top), top.scores.dtype)
-        # Candidate ids are >= 1 and column 0 (PAD) is -inf by contract,
-        # so -1 slots can scatter into column 0 branch-free: the column
-        # is re-masked right after, and un-scattering it is a no-op.
-        safe = np.maximum(top.ids, 0)
-        np.put_along_axis(out, safe, top.scores, axis=1)
-        out[:, 0] = -np.inf
-        self._dirty = safe
-        return out
 
     def score_topk(self, histories) -> TopScores:
         """Narrow candidate-native scores: C packed ids + exact scores
         per request, no full-width materialization.
 
         The returned arrays are freshly allocated (tiny: ``C`` int64 +
-        ``C`` float32 per request) and owned by the caller — unlike
-        :meth:`score_batch` there is no buffer pool to respect.  The
-        scores are exactly what :meth:`score_batch` would scatter into
-        its full-width row: same gather, same GEMV, same dtype — the
-        two contracts are bitwise-consistent by construction.
+        ``C`` float32 per request) and owned by the caller.
 
         Raises:
-            ValueError: in exact mode — exact retrieval short-circuits
-                to the model's dense ``score_batch`` and has no narrow
-                form (callers branch on :attr:`exact`, as
+            ValueError: in exact mode — exact retrieval is the model's
+                dense ``score_batch`` and has no narrow form (callers
+                branch on :attr:`exact`, as
                 :class:`repro.serve.engine.InferenceEngine` does).
         """
         if self.exact:
@@ -188,38 +146,6 @@ class RetrievalEngine:
         scores[cand < 1] = -np.inf
         self.narrow_batches += len(histories)
         return TopScores(cand, scores, self.num_items + 1)
-
-    def _rows_buffer(self, batch: int, dtype) -> np.ndarray:
-        """An all ``-inf`` ``(batch, num_items + 1)`` row block.
-
-        Filling ~25 MB of fresh pages per request costs more than the
-        entire approximate scan, so the engine recycles its previous
-        output when — and only when — the caller has released it
-        (refcount check), resetting just the entries the previous
-        scatter touched instead of the full width.
-        """
-        width = self.num_items + 1
-        pool = self._out_pool
-        # Refcount 3 = the `_out_pool` attribute, the `pool` local, and
-        # getrefcount's own argument — i.e. no caller holds the buffer
-        # or any view into it (views keep their base alive).
-        if (
-            pool is not None
-            and pool.dtype == dtype
-            and pool.shape[0] >= batch
-            and sys.getrefcount(pool) == 3
-        ):
-            if self._dirty is not None:
-                np.put_along_axis(
-                    pool[: len(self._dirty)], self._dirty, -np.inf,
-                    axis=1,
-                )
-                self._dirty = None
-            return pool[:batch]
-        out = np.full((batch, width), -np.inf, dtype=dtype)
-        self._out_pool = out
-        self._dirty = None
-        return out
 
     def augment_queries(self, hidden: np.ndarray) -> np.ndarray:
         """Index-space query vectors for ``(B, d)`` hidden states — a
@@ -312,7 +238,6 @@ class RetrievalEngine:
             "quantize": self.config.quantize,
             "searches": index.searches if index else 0,
             "scanned": index.scanned if index else 0,
-            "passthroughs": self.passthroughs,
             "narrow_batches": self.narrow_batches,
             "staleness": round(index.staleness, 6) if index else 0.0,
             "updates_since_build": (

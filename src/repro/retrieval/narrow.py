@@ -1,7 +1,8 @@
 """Narrow top-K score representation for the candidate-native path.
 
-The legacy serving contract is a full-width ``(B, num_items + 1)`` score
-row with ``-inf`` at every non-candidate position.  At catalogue scale
+The dense scoring contract is a full-width ``(B, num_items + 1)`` score
+row; under retrieval it would carry ``-inf`` at every non-candidate
+position.  At catalogue scale
 that contract is almost entirely padding: retrieval computes C ≈ 64
 exact candidate scores and then touches ~400 KB of ``-inf`` per row just
 so downstream layers can re-extract the same C values.  :class:`TopScores`
@@ -17,10 +18,9 @@ Invariants:
 - ``scores`` at ``-1`` slots are ``-inf`` (never ranked, never cached as
   poison).
 - ``width`` is the full-width row length (``num_items + 1``) so
-  :meth:`to_dense` can always rebuild the legacy contract bit-for-bit:
-  scattering ``scores`` at ``ids`` into a ``-inf`` row reproduces exactly
-  what :meth:`repro.retrieval.RetrievalEngine.score_batch` used to
-  return, which is what the bitwise-equivalence tests pin.
+  :meth:`to_dense` can always rebuild the dense contract bit-for-bit by
+  scattering ``scores`` at ``ids`` into a ``-inf`` row — the reference
+  the bitwise-equivalence tests rank against.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class TopScores:
         )
 
     def to_dense(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The legacy full-width contract: ``(B, width)`` rows, ``-inf``
+        """The full-width view: ``(B, width)`` rows, ``-inf``
         outside the candidates.
 
         Scatters ``scores`` at ``ids`` into a ``-inf`` block — exactly

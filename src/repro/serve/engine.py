@@ -9,9 +9,9 @@ works on top of it unchanged):
 
 - **No-tape, last-position forwards** — every model call runs under
   :class:`repro.tensor.no_grad` (serving allocates no autodiff tape) and
-  the neural models' ``forward_last`` fast path slices the hidden state
-  to the final position *before* the item-vocabulary GEMM, so candidate
-  scoring costs O(|I|) instead of O(L·|I|) per request.
+  the neural models score ``hidden_last(h) @ W (+ b)``: the hidden state
+  is sliced to the final position *before* the item-vocabulary GEMM, so
+  candidate scoring costs O(|I|) instead of O(L·|I|) per request.
 - **:class:`MicroBatcher`** — coalesces queued scoring requests into
   padded batched forwards of up to ``max_batch`` rows.  Flush order is
   deterministic (FIFO submission order, chunked at ``max_batch``), and a
@@ -28,14 +28,14 @@ works on top of it unchanged):
   a narrow entry is ~768 bytes against ~400 KB for a full row, so the
   same memory holds ~500× more users.
 
-When approximate retrieval is configured (``EngineConfig(index=...)``)
-and ``narrow`` is on (the default), the engine serves the candidate-
-native contract end to end: ``score_batch`` returns a ``TopScores``
-batch, the micro-batcher fans narrow rows out to tickets, the cache
-stores the packed pairs, and :class:`repro.serve.RecommendService`
-ranks straight from the candidate list — the full-width ``-inf`` row is
-never materialized on the hot path.  ``narrow=False`` (or exact mode,
-or a model without retrieval hooks) keeps the legacy full-width rows.
+When approximate retrieval is configured (``EngineConfig(index=...)``),
+the engine serves the candidate-native contract end to end:
+``score_batch`` returns a ``TopScores`` batch, the micro-batcher fans
+narrow rows out to tickets, the cache stores the packed pairs, and
+:class:`repro.serve.RecommendService` ranks straight from the candidate
+list — no full-width row is built on the hot path.  Exact mode, no
+index, or a model without retrieval hooks serve the model's own dense
+``score_batch`` rows.
 
 Equivalence is pinned bitwise: for a row-deterministic BLAS the batched
 engine returns exactly the scores of one-at-a-time ``score_batch`` calls
@@ -102,17 +102,10 @@ class EngineConfig:
         index: approximate-retrieval configuration
             (:class:`repro.retrieval.IndexConfig`).  ``None`` keeps
             dense scoring; set it to route ``score_batch`` through the
-            two-stage IVF retrieve + exact re-rank path.  Models without
+            two-stage IVF retrieve + exact re-rank path, which returns
+            narrow :class:`repro.retrieval.TopScores` batches.  Models without
             retrieval hooks fall back to dense scoring silently (the
             fallback is visible in :meth:`InferenceEngine.snapshot`).
-        narrow: serve the candidate-native contract
-            (:class:`repro.retrieval.TopScores`) when approximate
-            retrieval is active — ``score_batch`` returns packed
-            ids/scores, the cache stores narrow entries, and the
-            service ranks from the candidate list.  ``False`` restores
-            the legacy full-width scattered rows (the equivalence
-            reference).  Ignored without an ``index`` (dense models
-            always serve full rows) and in exact mode.
         compile: route the wrapped neural model's scoring forwards
             through the trace-and-replay compiled path
             (:mod:`repro.tensor.compile`): the first flush of each batch
@@ -127,7 +120,6 @@ class EngineConfig:
     cache_capacity_bytes: int | None = None
     max_delay: float = 0.0
     index: IndexConfig | None = None
-    narrow: bool = True
     compile: bool = True
 
     def __post_init__(self):
@@ -398,13 +390,14 @@ class InferenceEngine:
     """Batching, caching, no-tape front-end for one recommender.
 
     Drop-in for the model slot of a :class:`RecommendService` rung: it
-    exposes ``score_batch`` (and ``score``/``score_last``), so breakers,
-    retries, and deadlines compose with batching unchanged.
+    exposes ``score_batch`` (and ``score``), so breakers, retries, and
+    deadlines compose with batching unchanged.
 
     Args:
         model: anything with ``score_batch(histories)``.  Neural models
-            additionally get their ``forward_last`` fast path and
-            preallocated padded buffer through their own ``score_batch``.
+            additionally get their last-position GEMM, compiled
+            forwards and preallocated padded buffer through their own
+            ``score_batch``.
         config: :class:`EngineConfig` knobs.
         clock: monotonic time source for the batcher.
     """
@@ -515,25 +508,19 @@ class InferenceEngine:
     def _score_chunk(self, histories: list[np.ndarray]):
         """One batched forward, guaranteed tape-free.
 
-        Returns a narrow :class:`~repro.retrieval.TopScores` batch on
-        the candidate-native path (approximate retrieval with
-        ``narrow=True``), full-width rows everywhere else — exact mode
-        re-scores the whole catalogue anyway, so there is nothing
-        narrow to return.
+        Returns a narrow :class:`~repro.retrieval.TopScores` batch
+        under approximate retrieval, the model's full-width rows
+        everywhere else — exact mode re-scores the whole catalogue
+        anyway, so there is nothing narrow to return.
         """
         retrieval = self._ensure_retrieval()
         with no_grad():
-            if retrieval is not None:
-                if self.config.narrow and not retrieval.exact:
-                    return retrieval.score_topk(histories)
-                return retrieval.score_batch(histories)
+            if retrieval is not None and not retrieval.exact:
+                return retrieval.score_topk(histories)
             return self._model.score_batch(histories)
 
     def score(self, history: np.ndarray) -> np.ndarray:
         return self.score_batch([history])[0]
-
-    def score_last(self, histories: list[np.ndarray]) -> np.ndarray:
-        return self.score_batch(histories)
 
     def score_batch(self, histories: list[np.ndarray]):
         """Scores for every history — served from cache where possible,
@@ -633,7 +620,6 @@ class InferenceEngine:
                 self._model, "name", type(self._model).__name__
             ),
             "model_version": self.model_version,
-            "narrow": self.config.narrow,
             "dense_fallbacks": self.dense_fallbacks,
             "cache": (
                 self.cache.snapshot() if self.cache is not None else None

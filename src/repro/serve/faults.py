@@ -161,9 +161,6 @@ class FaultyRecommender:
         self.injector.before_call()
         return self.injector.poison(self.inner.hidden_last(histories))
 
-    def score_candidates(self, hidden, candidates) -> np.ndarray:
-        return self.inner.score_candidates(hidden, candidates)
-
 
 # ----------------------------------------------------------------------
 # Checkpoint corruption helpers

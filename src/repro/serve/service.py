@@ -589,7 +589,9 @@ class RecommendService:
         ring: for each rung whose model compiles its scoring forwards
         (:mod:`repro.tensor.compile`), one probe ``score_batch`` runs
         per hot batch size, so the replica's first real flushes *replay*
-        programs instead of paying the trace.  Sizes are translated to
+        programs instead of paying the trace.  Dense and retrieval
+        flushes share one compiled program (``hidden_last``), so the
+        probe warms both.  Sizes are translated to
         the model-level shapes the engine's micro-batcher will actually
         produce (``max_batch`` chunks plus the ragged remainder); probes
         call the model directly, so no score cache or stats counter
@@ -648,7 +650,6 @@ class RecommendService:
                         "cache_capacity_bytes":
                             engine.config.cache_capacity_bytes,
                         "retrieval": engine.config.index is not None,
-                        "narrow": engine.config.narrow,
                     }
                     if engine is not None else None
                 ),

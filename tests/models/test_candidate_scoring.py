@@ -1,16 +1,18 @@
-"""Candidate-restricted ``score_last`` parity across every model.
+"""Candidate scoring from the model contract, across every model.
 
-The re-rank half of the retrieval pipeline must return *exactly* the
-scores dense scoring would (same GEMM inputs, just fewer columns), for
-every retrieval-capable model — and the gather-based default must cover
-models without the hooks.
+The re-rank half of the retrieval pipeline scores candidates from
+``hidden_last`` and the ``output_head`` columns; that must return the
+scores dense scoring would (same GEMM inputs, just fewer columns), and
+the head must rebuild ``score_batch`` exactly.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import VSAN
-from repro.models import POP, Caser, GRU4Rec, SASRec, SVAE
+from repro.models import Caser, GRU4Rec, SASRec, SVAE
+from repro.retrieval import IndexConfig
+from repro.serve import EngineConfig, InferenceEngine
 
 NUM_ITEMS = 40
 MAX_LENGTH = 10
@@ -67,6 +69,17 @@ MODELS = [
 ]
 
 
+def _score_candidates(model, histories, candidates):
+    """Reference re-rank: contract each hidden state against only the
+    candidate columns of the output head."""
+    weights, bias = model.output_head()
+    hidden = model.hidden_last(histories)
+    scores = np.einsum("bd,bcd->bc", hidden, weights.data.T[candidates])
+    if bias is not None:
+        scores = scores + bias.data[candidates]
+    return scores
+
+
 @pytest.mark.parametrize("build", MODELS)
 class TestCandidateParity:
     def test_matches_dense_gather(self, build):
@@ -75,7 +88,7 @@ class TestCandidateParity:
         histories = _histories()
         candidates = _candidates(len(histories))
         dense = model.score_batch(histories)
-        partial = model.score_last(histories, candidates=candidates)
+        partial = _score_candidates(model, histories, candidates)
         gathered = np.take_along_axis(dense, candidates, axis=1)
         np.testing.assert_allclose(
             partial, gathered, rtol=0, atol=1e-5
@@ -88,38 +101,29 @@ class TestCandidateParity:
         histories = _histories()
         weights, bias = model.output_head()
         hidden = model.hidden_last(histories)
-        manual = hidden @ weights
+        manual = hidden @ weights.data
         if bias is not None:
-            manual = manual + bias
+            manual = manual + bias.data
         dense = model.score_batch(histories)
-        np.testing.assert_allclose(
-            manual[:, 1:], dense[:, 1:], rtol=0, atol=1e-5
-        )
+        np.testing.assert_array_equal(manual[:, 1:], dense[:, 1:])
 
     def test_none_candidates_is_score_batch(self, build):
+        # No candidate restriction (exact retrieval covering the whole
+        # catalogue) serves the model's own dense rows, bitwise.
         model = build()
         model.eval()
         histories = _histories(count=3)
-        np.testing.assert_array_equal(
-            model.score_last(histories), model.score_batch(histories)
+        exact = IndexConfig(nlist=1, nprobe=1, candidates=NUM_ITEMS)
+        engine = InferenceEngine(
+            model, EngineConfig(cache_capacity=0, index=exact)
         )
+        np.testing.assert_array_equal(
+            engine.score_batch(histories), model.score_batch(histories)
+        )
+        assert engine.snapshot()["retrieval"]["exact"]
 
 
 def test_vsan_sampling_disables_retrieval(tiny_corpus):
     model = VSAN(NUM_ITEMS, MAX_LENGTH, dim=16, h1=1, h2=1, k=1,
                  sample_at_eval=True, seed=0)
     assert not model.supports_retrieval
-
-
-def test_default_gather_path_for_non_neural(tiny_corpus):
-    pop = POP(tiny_corpus.num_items).fit(tiny_corpus)
-    assert not pop.supports_retrieval
-    histories = tiny_corpus.sequences[:4]
-    candidates = np.tile(
-        np.arange(1, 8, dtype=np.int64), (len(histories), 1)
-    )
-    partial = pop.score_last(histories, candidates=candidates)
-    dense = pop.score_batch(histories)
-    np.testing.assert_array_equal(
-        partial, np.take_along_axis(dense, candidates, axis=1)
-    )

@@ -590,7 +590,7 @@ class TestPerShardEngines:
             engine = described[0]["primary"]["engine"]
             assert engine == {"max_batch": 8, "cache_capacity": 16,
                               "cache_capacity_bytes": None,
-                              "retrieval": False, "narrow": True}
+                              "retrieval": False}
             assert described[0]["pop"]["engine"] == engine
             assert described[1]["primary"]["engine"] is None
             # Heterogeneous shards still serve the same traffic.

@@ -23,7 +23,7 @@ from repro.serve import (
     RecommendService,
     ServiceConfig,
 )
-from repro.tensor import set_default_dtype
+from repro.tensor import Tensor, set_default_dtype
 
 NUM_ITEMS = 60
 MAX_LENGTH = 12
@@ -57,14 +57,29 @@ EXACT = IndexConfig(nlist=1, nprobe=1, candidates=NUM_ITEMS)
 APPROX = IndexConfig(nlist=6, nprobe=2, candidates=16, seed=0)
 
 
+class _ScatteredRows:
+    """Full-width reference: the approximate path's candidates scattered
+    into ``-inf`` rows (``TopScores.to_dense``), served as a plain dense
+    model so a service ranks it through the dense path."""
+
+    name = "scattered"
+    max_length = MAX_LENGTH
+
+    def __init__(self, model, config=APPROX):
+        self._retrieval = RetrievalEngine(model, config)
+
+    def score_batch(self, histories):
+        return self._retrieval.score_topk(histories).to_dense()
+
+
 class TestExactModeBitwise:
     def test_direct_engine(self, model, histories):
         dense = model.score_batch(histories)
-        engine = RetrievalEngine(model, EXACT)
-        assert engine.exact
-        np.testing.assert_array_equal(
-            engine.score_batch(histories), dense
+        assert RetrievalEngine(model, EXACT).exact
+        engine = InferenceEngine(
+            model, EngineConfig(cache_capacity=0, index=EXACT)
         )
+        np.testing.assert_array_equal(engine.score_batch(histories), dense)
 
     def test_under_micro_batcher(self, model, histories):
         plain = InferenceEngine(
@@ -78,7 +93,7 @@ class TestExactModeBitwise:
         b = retrieval.score_batch(histories)
         np.testing.assert_array_equal(a, b)
         snap = retrieval.snapshot()["retrieval"]
-        assert snap["exact"] and snap["passthroughs"] == len(histories)
+        assert snap["exact"]
 
     def test_under_fault_degradation(self, model, histories):
         # Same injector seed on both sides: the fault decision stream
@@ -128,7 +143,7 @@ class TestApproximatePath:
         self, model, histories
     ):
         engine = RetrievalEngine(model, APPROX)
-        rows = engine.score_batch(histories)
+        rows = engine.score_topk(histories).to_dense()
         assert rows.shape == (len(histories), NUM_ITEMS + 1)
         assert np.isneginf(rows[:, 0]).all()
         finite = np.isfinite(rows)
@@ -141,7 +156,7 @@ class TestApproximatePath:
         # GEMM, so equality is to float32 rounding, not bitwise (only
         # exact *mode* promises bitwise identity).
         engine = RetrievalEngine(model, APPROX)
-        rows = engine.score_batch(histories)
+        rows = engine.score_topk(histories).to_dense()
         dense = model.score_batch(histories)
         mask = np.isfinite(rows)
         np.testing.assert_allclose(
@@ -153,7 +168,7 @@ class TestApproximatePath:
             model, FaultInjector(nan_rate=1.0, seed=0)
         )
         engine = RetrievalEngine(faulty, APPROX)
-        rows = engine.score_batch(histories[:3])
+        rows = engine.score_topk(histories[:3]).scores
         # NaN-poisoned hidden states surface as NaN candidate scores —
         # the same non-finite signal the service's guard rejects.
         assert np.isnan(rows).any()
@@ -190,33 +205,38 @@ class TestApproximatePath:
 
 
 class TestNarrowBitwise:
-    """The tentpole guarantee: ranking the narrow candidate list is
-    bitwise-identical to ranking the full-width scattered row, through
-    every serving composition."""
+    """Ranking the narrow candidate list is bitwise-identical to ranking
+    the full-width scattered row, through every serving composition."""
 
-    def _services(self, model, narrow_extra=None, **engine_kwargs):
-        """A narrow-path service and its full-width twin."""
-        def build(narrow, extra):
+    def _services(self, model, narrow_extra=None):
+        """A narrow-path service and its full-width twin, whose rung
+        serves ``score_topk(h).to_dense()`` rows through the dense
+        ranking path."""
+        def build(inner, index):
             return RecommendService(
-                [("primary", extra(model) if extra else model)],
+                [("primary", inner)],
                 num_items=NUM_ITEMS,
                 config=ServiceConfig(deadline=None, top_n=5),
-                engine=EngineConfig(
-                    max_batch=4, index=APPROX, narrow=narrow,
-                    **engine_kwargs,
-                ),
+                engine=EngineConfig(max_batch=4, index=index),
             )
+
+        def inner():
+            return narrow_extra(model) if narrow_extra else model
         return (
-            build(True, narrow_extra), build(False, narrow_extra)
+            build(inner(), APPROX), build(_ScatteredRows(inner()), None)
         )
 
     def test_scatter_of_topk_is_bitwise_score_batch(
         self, model, histories
     ):
+        # The full-width twin every test below ranks against serves
+        # exactly the scatter of the narrow result.
         top = RetrievalEngine(model, APPROX).score_topk(histories)
-        rows = RetrievalEngine(model, APPROX).score_batch(histories)
         assert isinstance(top, TopScores)
-        np.testing.assert_array_equal(top.to_dense(), rows)
+        _, wide = self._services(model)
+        np.testing.assert_array_equal(
+            wide._rungs[0].engine.score_batch(histories), top.to_dense()
+        )
 
     def test_exact_mode_has_no_narrow_form(self, model, histories):
         engine = RetrievalEngine(model, EXACT)
@@ -313,12 +333,8 @@ class TestNarrowBitwise:
                     targets=items[7:].astype(np.int64),
                 )
             )
-        narrow_engine = InferenceEngine(
-            model, EngineConfig(index=APPROX, narrow=True)
-        )
-        wide_engine = InferenceEngine(
-            model, EngineConfig(index=APPROX, narrow=False)
-        )
+        narrow_engine = InferenceEngine(model, EngineConfig(index=APPROX))
+        wide_engine = InferenceEngine(_ScatteredRows(model), EngineConfig())
         a = evaluate_recommender(narrow_engine, users, cutoffs=(5,))
         b = evaluate_recommender(wide_engine, users, cutoffs=(5,))
         assert a.values == b.values
@@ -341,7 +357,7 @@ class _FixedQueryModel:
         self.query = rng.standard_normal(dim).astype(np.float32)
 
     def output_head(self):
-        return self.weights, None
+        return Tensor(self.weights), None
 
     def hidden_last(self, histories):
         return np.tile(self.query, (len(histories), 1))
@@ -401,74 +417,6 @@ class TestNarrowExclusionFallback:
         stats = service.stats()
         assert stats["narrow_ranked"] == 1
         assert stats["dense_fallbacks"] == 0
-
-
-class TestRowsBufferPool:
-    """Satellite: the full-width output pool under adversarial callers.
-
-    The documented contract: results are pooled; holding any reference
-    (including a view) blocks reuse, and a released buffer is recycled
-    with only its previously-scattered entries reset.
-    """
-
-    def test_released_buffer_is_reused(self, model, histories):
-        engine = RetrievalEngine(model, APPROX)
-        first = engine.score_batch(histories[:4])
-        pool_id = id(first)
-        expected = first.copy()
-        del first
-        second = engine.score_batch(histories[:4])
-        assert id(second.base if second.base is not None else second) \
-            == pool_id
-        # Recycling reset exactly the dirty entries: the reused rows
-        # are bitwise what a fresh engine computes.
-        np.testing.assert_array_equal(second, expected)
-
-    def test_caller_holding_a_view_blocks_reuse(self, model, histories):
-        engine = RetrievalEngine(model, APPROX)
-        first = engine.score_batch(histories[:4])
-        view = first[1]
-        snapshot = view.copy()
-        del first  # the view keeps the buffer alive
-        second = engine.score_batch(histories[4:8])
-        assert not np.shares_memory(second, view)
-        np.testing.assert_array_equal(view, snapshot)
-
-    def test_mutate_scattered_cells_then_release(self, model, histories):
-        engine = RetrievalEngine(model, APPROX)
-        first = engine.score_batch(histories[:4])
-        # Adversarial-but-legal caller: scribbles over the finite
-        # (scattered) entries in place, then releases.  The recycler
-        # must reset them from the dirty mask, not trust their values.
-        first[np.isfinite(first)] = 1e9
-        del first
-        second = engine.score_batch(histories[:4])
-        np.testing.assert_array_equal(
-            second, RetrievalEngine(model, APPROX).score_batch(
-                histories[:4]
-            ),
-        )
-
-    def test_dtype_change_mid_stream_reallocates(self, model, histories):
-        engine = RetrievalEngine(model, APPROX)
-        first = engine.score_batch(histories[:2])
-        assert first.dtype == np.float32
-        del first
-        fresh = engine._rows_buffer(2, np.float64)
-        assert fresh.dtype == np.float64
-        assert np.isneginf(fresh).all()
-
-    def test_smaller_batch_reuses_prefix(self, model, histories):
-        engine = RetrievalEngine(model, APPROX)
-        first = engine.score_batch(histories[:6])
-        del first
-        second = engine.score_batch(histories[:3])
-        assert second.shape[0] == 3
-        np.testing.assert_array_equal(
-            second, RetrievalEngine(model, APPROX).score_batch(
-                histories[:3]
-            ),
-        )
 
 
 class TestSnapshotObservability:

@@ -517,6 +517,38 @@ class TestOperations:
             service.reload_rung("primary", bad, {})
         assert service.recommend(np.array([1])).rung == "primary"
 
+    def test_warm_programs_covers_retrieval_flushes(self):
+        # A respawned replica warms before rejoining: with an index
+        # configured, its first full flush must replay, not trace.
+        from repro.models import SASRec
+        from repro.retrieval import IndexConfig
+        from repro.serve import EngineConfig
+        from repro.tensor.compile import programs_for
+
+        num_items, max_batch = 40, 8
+        model = SASRec(num_items, 6, dim=8, num_blocks=1, seed=0,
+                       tie_weights=False)
+        service = RecommendService(
+            [("primary", model)],
+            num_items=num_items,
+            config=ServiceConfig(deadline=None, top_n=3),
+            engine=EngineConfig(
+                max_batch=max_batch,
+                index=IndexConfig(nlist=4, nprobe=2, candidates=16,
+                                  seed=0),
+            ),
+        )
+        assert service.warm_programs([max_batch]) == 1
+        misses = programs_for(model).misses
+        rng = np.random.default_rng(0)
+        histories = [
+            rng.integers(1, num_items + 1, size=3) for _ in range(max_batch)
+        ]
+        results = service.recommend_many(histories)
+        assert all(len(result.items) == 3 for result in results)
+        assert service.stats()["narrow_ranked"] == max_batch
+        assert programs_for(model).misses == misses
+
 
 class TestAcceptance:
     """The ISSUE's acceptance scenario, deterministic end to end."""
