@@ -1,10 +1,10 @@
 """Compiled-execution benchmarks: trace-and-replay vs eager.
 
 The compiled path (:mod:`repro.tensor.compile`) records one eager run of
-a training or scoring step as a flat program over a retained buffer
-arena, then replays it with zero graph construction and zero steady-state
-allocation.  Two scenarios are tracked, each as an eager/compiled
-pytest-benchmark pair plus an in-process speedup gate:
+a training or scoring step as a flat program over its model's shared
+scratch slab, then replays it with zero graph construction and zero
+steady-state allocation.  Two scenarios are tracked, each as an
+eager/compiled pytest-benchmark pair plus an in-process speedup gate:
 
 - **training step** — full VSAN optimizer step (forward + backward +
   clip + Adam) at the substrate-bench shape, under the float64 default
@@ -28,7 +28,7 @@ product buffers) in the *shared* backward code, speeding the in-process
 eager twin by ~10% and eating into the headline ratio.  The hard gate
 therefore sits at 1.15x — low enough not to flake under CI noise, high
 enough that losing the replay win (a retrace per step, per-step graph
-construction, arena churn) still fails loudly."""
+construction, buffer churn) still fails loudly."""
 
 import time
 

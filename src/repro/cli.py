@@ -37,6 +37,7 @@ from .data import (
 from .eval import evaluate_recommender, rank_items
 from .models import SASRec, SVAE, Caser, GRU4Rec
 from .nn import load_checkpoint, save_checkpoint
+from .tensor.compile import programs_for
 from .tensor.random import make_rng
 from .train import Trainer, TrainerConfig
 
@@ -118,6 +119,14 @@ def cmd_train(args) -> int:
         model, split.train, validation=split.validation,
         resume_from=args.resume,
     )
+    if not args.quiet:
+        programs = programs_for(model)
+        lookups = programs.hits + programs.misses
+        print(
+            f"compiled: {len(programs)} programs, {programs.misses} traces, "
+            f"hit ratio {programs.hits / lookups if lookups else 0.0:.3f}, "
+            f"slab {programs.slab_bytes / 2**20:.1f} MB"
+        )
     save_checkpoint(model, args.out, config=config)
     result = evaluate_recommender(model, split.test)
     print(f"saved {args.out} (best epoch {history.best_epoch})")

@@ -44,7 +44,7 @@ from ..models.base import NeuralSequentialRecommender
 from ..models.common import SequenceEmbedding
 from ..nn import LayerNorm, Linear, SelfAttentionStack
 from ..tensor import Tensor
-from ..tensor.compile import record_host, tracing
+from ..tensor.functional import reparameterize
 from ..tensor.random import spawn_rngs
 from ..train.annealing import BetaSchedule, KLAnnealing
 from .elbo import ELBOTerms, elbo_terms, reconstruction_targets
@@ -229,14 +229,7 @@ class VSAN(NeuralSequentialRecommender):
         """Latent Variable Layer (Eq. 13): reparameterized sample or mean."""
         if not sample:
             return mu
-        rng = self._noise_rng
-        noise = Tensor(rng.standard_normal(mu.shape))
-        if tracing():
-            # RNG tap: replay draws from the same generator object, so the
-            # reparameterization stream advances exactly as eager would.
-            buf, shape = noise.data, mu.shape
-            record_host(lambda: np.copyto(buf, rng.standard_normal(shape)))
-        return mu + sigma * noise
+        return reparameterize(mu, sigma, self._noise_rng)
 
     def generative_layer(
         self,

@@ -124,7 +124,7 @@ class NeuralSequentialRecommender(Module, Recommender):
 
     #: Whether eval-mode scoring forwards (``score_batch`` /
     #: ``hidden_last``) replay compiled no-grad programs over the
-    #: preallocated buffer arena.  ``EngineConfig.compile`` and the
+    #: model's shared scratch slab.  ``EngineConfig.compile`` and the
     #: ``--no-compile`` CLI flag toggle this per instance.
     compile_scoring: bool = True
 
@@ -261,8 +261,8 @@ class NeuralSequentialRecommender(Module, Recommender):
                 )
             else:
                 hidden = self.encode_last(padded)
-        # Copy: a replayed program returns its retained arena tensor,
-        # which the next batch will overwrite in place.
+        # Copy: the result lives in the model's shared scratch slab and
+        # is overwritten by the next trace or replay of any program.
         return hidden.numpy().copy()
 
     def score_batch(self, histories: list[np.ndarray]) -> np.ndarray:

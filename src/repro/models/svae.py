@@ -18,7 +18,7 @@ from ..core.elbo import elbo_terms, reconstruction_targets
 from ..data.interactions import PAD_ID
 from ..nn import GRU, Dropout, Embedding, Linear
 from ..tensor import Tensor
-from ..tensor.compile import record_host, tracing
+from ..tensor.functional import reparameterize
 from ..tensor.random import spawn_rngs
 from ..train.annealing import BetaSchedule, KLAnnealing
 from .base import NeuralSequentialRecommender
@@ -109,14 +109,7 @@ class SVAE(NeuralSequentialRecommender):
         return self.dropout(self.decoder_hidden(z).tanh())
 
     def _sample(self, mu: Tensor, sigma: Tensor) -> Tensor:
-        rng = self._noise_rng
-        noise = Tensor(rng.standard_normal(mu.shape))
-        if tracing():
-            # RNG tap: replay draws from the same generator object (see
-            # the matching note in repro.core.vsan.latent_layer).
-            buf, shape = noise.data, mu.shape
-            record_host(lambda: np.copyto(buf, rng.standard_normal(shape)))
-        return mu + sigma * noise
+        return reparameterize(mu, sigma, self._noise_rng)
 
     # ------------------------------------------------------------------
     # Model contract

@@ -110,7 +110,7 @@ class EngineConfig:
             through the trace-and-replay compiled path
             (:mod:`repro.tensor.compile`): the first flush of each batch
             shape traces a no-grad program, later flushes replay it over
-            the preallocated buffer arena.  ``False`` forces eager
+            the model's shared scratch slab.  ``False`` forces eager
             forwards (the ``--no-compile`` CLI flag); non-neural models
             ignore the knob.
     """

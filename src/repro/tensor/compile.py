@@ -11,17 +11,32 @@ module removes the per-step graph construction:
   recorder (``tensor._TRACER``) installed.  Every op reports its output,
   parents, and a *refire* closure — a zero-argument callable that recomputes
   the op's output array **in place** from its parents' current arrays.  The
-  trace-time arrays *are* the buffer arena: they are retained by the
-  closures and refreshed on every replay, so the eager backward closures
-  (also retained, with their captured array references) replay bitwise
-  without modification.  Host-side steps (mask refills, RNG draws for the
-  reparameterization sample, target scatters) are recorded through
-  :func:`record_host` in exec order, and per-step inputs (the padded batch,
-  the KL β) are declared as named *feeds* refreshed via ``np.copyto``.
+  trace-time arrays are retained by the closures and refreshed on every
+  replay, so the eager backward closures (also retained, with their
+  captured array references) replay bitwise without modification.
+  Host-side steps (mask refills, RNG draws for the reparameterization
+  sample, target scatters) are recorded through :func:`record_host` in exec
+  order, and per-step inputs (the padded batch, the KL β) are declared as
+  named *feeds* refreshed via ``np.copyto``.
+
+- **Shared scratch slab.**  Every buffer that a replay fully rewrites
+  before reading it — refired op outputs, closure-cached backward products,
+  fused-kernel temporaries, interior gradient buffers, host-refreshed draw
+  and noise buffers — is copied at trace time into a view of the model's
+  :class:`ProgramCache` slab (``tensor._retain``), keeping the eager
+  array's shape, dtype and strides.  The slab is rewound at the start of
+  every trace, so all programs of a model overlap in one grow-only set of
+  chunks sized to the largest program, not the sum.  What must survive
+  from one replay to the next stays private: trace-time constants (index
+  arrays, mask conditions, averaging coefficients, the backward seed),
+  parameters and their gradient buffers, caller-owned feeds, and module
+  scratch that outlives a trace.  **Lifetime rule:** a replay result, or a
+  parameter ``.grad`` that aliases the slab, is valid until the next trace
+  or replay of *any* key on the same model.
 
 - **Replay.**  :meth:`Program.replay` copies the feeds and runs the flat
   step list — pure numpy, zero :class:`Tensor` construction, zero tape
-  nodes, zero arena growth.  :meth:`Program.replay_backward` reruns the
+  nodes, zero buffer growth.  :meth:`Program.replay_backward` reruns the
   recorded backward closures in the original reverse-topological order;
   gradients land in each node's reusable ``_grad_buf``, so the steady state
   allocates nothing.
@@ -70,6 +85,83 @@ __all__ = [
 # untraceable and runs eager permanently (no retrace attempts).
 DYNAMIC = object()
 
+#: Bytes per slab chunk.  Large enough that the biggest per-step buffers
+#: (the ``(batch·length, |I|)`` softmax products of a catalogue-wide
+#: loss) fit whole, small enough that the unused tail of the last chunk
+#: stays a modest fraction of the slab.  Larger buffers stay private.
+SLAB_CHUNK_BYTES = 16 << 20
+
+# Alignment of every slab view (a cache line; also satisfies every
+# numpy dtype and the BLAS kernels' preferred alignment).
+_ALIGN = 64
+
+
+# ----------------------------------------------------------------------
+# Scratch slab
+# ----------------------------------------------------------------------
+
+def _dense(array: np.ndarray) -> bool:
+    """True when ``array`` tiles exactly ``array.nbytes`` bytes with
+    positive strides (C, Fortran, or any axis permutation of either)."""
+    expected = array.itemsize
+    for stride, dim in sorted(
+        (s, d) for s, d in zip(array.strides, array.shape) if d > 1
+    ):
+        if stride != expected:
+            return False
+        expected *= dim
+    return True
+
+
+class _Slab:
+    """Grow-only chunked bump allocator shared by a model's programs.
+
+    Rewound at the start of every trace; each retained buffer takes the
+    next aligned span of the current chunk, moving on to the next chunk
+    (allocated on first use) when it does not fit.  All chunks
+    have the same size, so a program's layout depends only on its own
+    trace, and the slab ends up as large as the largest program's layout
+    whatever order the keys are traced in.
+    """
+
+    __slots__ = ("chunks", "_index", "_offset")
+
+    def __init__(self):
+        self.chunks: list[np.ndarray] = []
+        self._index = 0
+        self._offset = 0
+
+    @property
+    def nbytes(self) -> int:
+        return len(self.chunks) * SLAB_CHUNK_BYTES
+
+    def rewind(self) -> None:
+        self._index = 0
+        self._offset = 0
+
+    def take(self, array: np.ndarray) -> np.ndarray:
+        """A slab view holding a copy of ``array`` with its exact shape,
+        dtype and strides — or ``array`` itself when it is empty, larger
+        than a chunk, or not densely laid out."""
+        size = array.nbytes
+        if not 0 < size <= SLAB_CHUNK_BYTES or not _dense(array):
+            return array
+        offset = -(-self._offset // _ALIGN) * _ALIGN
+        if offset + size > SLAB_CHUNK_BYTES:
+            self._index += 1
+            offset = 0
+        if self._index == len(self.chunks):
+            raw = np.empty(SLAB_CHUNK_BYTES + _ALIGN, dtype=np.uint8)
+            start = -raw.ctypes.data % _ALIGN
+            self.chunks.append(raw[start:start + SLAB_CHUNK_BYTES])
+        self._offset = offset + size
+        view = np.ndarray(
+            array.shape, dtype=array.dtype, buffer=self.chunks[self._index],
+            offset=offset, strides=array.strides,
+        )
+        np.copyto(view, array)
+        return view
+
 
 # ----------------------------------------------------------------------
 # Recorder
@@ -79,9 +171,10 @@ class _Tracer:
     """Recorder installed as ``tensor._TRACER`` for one eager execution."""
 
     __slots__ = ("steps", "feeds", "dynamic", "reason",
-                 "root", "order", "seed")
+                 "root", "order", "seed", "slab")
 
-    def __init__(self):
+    def __init__(self, slab: _Slab | None = None):
+        self.slab = slab
         self.steps: list = []          # zero-arg callables, exec order
         self.feeds: dict[str, np.ndarray] = {}
         self.dynamic = False
@@ -94,6 +187,16 @@ class _Tracer:
         if not self.dynamic:
             self.dynamic = True
             self.reason = reason
+
+    def retain(self, array: np.ndarray) -> np.ndarray:
+        """``tensor._retain`` under this trace: move a replay-rewritten
+        buffer into the slab.  A bailed trace keeps its arrays private,
+        and numpy scalars stay scalars (their ops bail the trace)."""
+        if self.dynamic or self.slab is None or not isinstance(
+            array, np.ndarray
+        ):
+            return array
+        return self.slab.take(array)
 
     def record_op(self, out: Tensor, parents, forward) -> None:
         """Called by ``Tensor._make`` for every op while tracing."""
@@ -138,21 +241,28 @@ class trace:
 
     ::
 
-        with trace() as tr:
+        with trace(cache) as tr:
             result = step()            # ordinary eager code
         program = build_program(tr, result, require_backward=True)
 
     ``result`` is always valid — the trace *is* an eager run — so callers
     use it directly even when ``build_program`` returns ``None``.
+
+    With a :class:`ProgramCache`, the trace rewinds the cache's slab and
+    places the program's replay-rewritten buffers in it; without one
+    every buffer stays private to the program.
     """
 
-    def __init__(self):
+    def __init__(self, cache: "ProgramCache | None" = None):
+        self.slab = None if cache is None else cache.slab
         self.tracer: _Tracer | None = None
 
     def __enter__(self) -> _Tracer:
         if _tensor_mod._TRACER is not None:
             raise RuntimeError("a tensor trace is already active")
-        self.tracer = _Tracer()
+        if self.slab is not None:
+            self.slab.rewind()
+        self.tracer = _Tracer(self.slab)
         _tensor_mod._TRACER = self.tracer
         return self.tracer
 
@@ -186,7 +296,7 @@ def record_host(fn) -> None:
 
 
 def record_feed(name: str, array: np.ndarray) -> None:
-    """Declare ``array`` as the in-arena target for per-step input ``name``.
+    """Declare ``array`` as the target for per-step input ``name``.
 
     Replay refreshes it with ``np.copyto(array, value)`` before running the
     step list.
@@ -213,7 +323,7 @@ def mark_dynamic(reason: str) -> None:
 # ----------------------------------------------------------------------
 
 class Program:
-    """A replayable flat op program over a retained buffer arena."""
+    """A replayable flat op program over its retained buffers."""
 
     __slots__ = ("steps", "feeds", "result", "root", "order", "seed",
                  "replays")
@@ -250,7 +360,7 @@ class Program:
         return self.result
 
     def replay_backward(self) -> None:
-        """Rerun the recorded backward plan against the refreshed arena.
+        """Rerun the recorded backward plan against the refreshed buffers.
 
         Mirrors ``Tensor.backward`` exactly: seed the root, then run the
         retained closures in the recorded reverse-topological order.
@@ -287,13 +397,20 @@ def build_program(tracer: _Tracer, result, require_backward: bool = False):
 # ----------------------------------------------------------------------
 
 class ProgramCache:
-    """Bounded LRU of compiled programs, keyed on (mode, shape, dtype...)."""
+    """Bounded LRU of compiled programs, keyed on (mode, shape, dtype...),
+    plus the scratch slab all of them share (see :class:`trace`)."""
 
     def __init__(self, capacity: int = 16):
         self.capacity = capacity
         self._programs: OrderedDict = OrderedDict()
+        self.slab = _Slab()
         self.hits = 0
         self.misses = 0
+
+    @property
+    def slab_bytes(self) -> int:
+        """Bytes of scratch slab allocated for this model's programs."""
+        return self.slab.nbytes
 
     def get(self, key):
         entry = self._programs.get(key)
@@ -336,7 +453,7 @@ def programs_for(model) -> ProgramCache:
 
 
 def invalidate(model) -> None:
-    """Drop every compiled program for ``model``.
+    """Drop every compiled program for ``model``, and its slab.
 
     Required after any in-place parameter **rebinding** (e.g. a dtype
     cast that replaces ``param.data`` with a new array) — retained refire
@@ -355,11 +472,12 @@ def run_compiled(model, key, build_fn, feed_values=None):
     """Replay the cached program for ``key``; trace it on first miss.
 
     ``build_fn()`` performs one complete eager execution and returns the
-    object to retain (its tensors' arrays become the arena).  On a cache
+    object to retain (its tensors are refreshed by every replay).  On a cache
     hit the program replays with ``feed_values``; on a bail the key is
     pinned :data:`DYNAMIC` and ``build_fn``'s own (eager) result is used.
 
-    Returns ``(result, replayed)``.
+    Returns ``(result, replayed)``; ``result`` is valid until the next
+    trace or replay of any key on ``model``.
     """
     cache = programs_for(model)
     program = cache.get(key)
@@ -367,7 +485,7 @@ def run_compiled(model, key, build_fn, feed_values=None):
         return build_fn(), False
     if program is not None:
         return program.replay(feed_values), True
-    with trace() as tracer:
+    with trace(cache) as tracer:
         result = build_fn()
     program = build_program(tracer, result)
     cache.put(key, program if program is not None else DYNAMIC)

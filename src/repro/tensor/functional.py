@@ -3,7 +3,8 @@
 These are the numerical workhorses of the attention and VAE math:
 numerically-stable softmax / log-softmax, cross-entropy in one-hot and
 multi-hot (next-``k``) forms per Eq. 20 of the paper, the Gaussian KL
-divergence of Eq. 20, and inverted dropout.
+divergence of Eq. 20, the reparameterized Gaussian sample, and inverted
+dropout.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .compile import mark_dynamic, record_host, tracing
 from .fused import fused_cross_entropy, fused_multi_hot_cross_entropy
-from .tensor import Tensor, get_default_dtype
+from .tensor import Tensor, _retain, get_default_dtype
 
 __all__ = [
     "softmax",
@@ -22,6 +23,7 @@ __all__ = [
     "multi_hot_cross_entropy",
     "multi_hot_cross_entropy_reference",
     "gaussian_kl_standard_normal",
+    "reparameterize",
     "dropout",
     "relu",
     "sigmoid",
@@ -169,6 +171,21 @@ def gaussian_kl_standard_normal(
     return (per_position * weight_leaf).sum() * Tensor(inv)
 
 
+def reparameterize(mu: Tensor, sigma: Tensor,
+                   rng: np.random.Generator) -> Tensor:
+    """Reparameterized sample ``mu + sigma * eps``, ``eps ~ N(0, I)``
+    drawn from ``rng`` in the shape of ``mu``."""
+    shape = mu.shape
+    noise = _retain(
+        np.asarray(rng.standard_normal(shape), dtype=get_default_dtype())
+    )
+    if tracing():
+        # RNG tap: replay draws from the same generator object, so the
+        # sample stream advances exactly as eager would.
+        record_host(lambda: np.copyto(noise, rng.standard_normal(shape)))
+    return mu + sigma * Tensor(noise)
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
             training: bool = True) -> Tensor:
     """Inverted dropout: zero entries with probability ``rate``, rescale.
@@ -181,7 +198,9 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
-    mask_leaf = Tensor(((rng.random(x.shape) < keep) / keep).astype(x.dtype))
+    mask_leaf = Tensor(
+        _retain(((rng.random(x.shape) < keep) / keep).astype(x.dtype))
+    )
     if tracing():
         # Replay must consume the generator exactly as eager would: the
         # closure captures the generator object itself (its state advances
@@ -191,8 +210,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
         # the ufuncs behind ``<`` and ``/``, so replays stay bitwise equal
         # to eager while allocating nothing.
         dst, shape = mask_leaf.data, x.shape
-        draw_buf = np.empty(shape, dtype=np.float64)
-        mask_buf = np.empty(shape, dtype=np.bool_)
+        draw_buf = _retain(np.empty(shape, dtype=np.float64))
+        mask_buf = _retain(np.empty(shape, dtype=np.bool_))
 
         def refresh():
             rng.random(out=draw_buf)

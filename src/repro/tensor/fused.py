@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, _retain
 
 __all__ = [
     "masked_fill_value",
@@ -92,8 +92,8 @@ def fused_attention(
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    weights = scores  # the single retained buffer
-    out = weights @ v
+    weights = _retain(scores)  # the single retained buffer
+    out = _retain(weights @ v)
 
     def forward():
         # ``out=`` forms, not augmented assignment: the latter would
@@ -122,7 +122,7 @@ def fused_attention(
         buf = grad_bufs[slot]
         if buf is not None and buf.shape == a.shape[:-1] + b.shape[-1:]:
             return np.matmul(a, b, out=buf)
-        grad_bufs[slot] = out = a @ b
+        grad_bufs[slot] = out = _retain(a @ b)
         return out
 
     def backward(grad):
@@ -203,12 +203,13 @@ def fused_cross_entropy(
     exps = flat - flat.max(axis=-1, keepdims=True)
     target_shifted = exps[rows, targets]
     np.exp(exps, out=exps)
-    denom = exps.sum(axis=-1, keepdims=True)
+    exps = _retain(exps)
+    denom = _retain(exps.sum(axis=-1, keepdims=True))
     # log softmax at the target entries only.
     picked = target_shifted - np.log(denom[:, 0])
     coeff = _position_scale(weights, flat.shape[0], flat.dtype)
     loss = -float((picked * coeff).sum())
-    out = np.asarray(loss, dtype=logits.dtype)
+    out = _retain(np.asarray(loss, dtype=logits.dtype))
 
     def forward():
         if targets_copied:
@@ -236,7 +237,7 @@ def fused_cross_entropy(
         if buf is not None and buf.shape == exps.shape:
             softmax = np.divide(exps, denom, out=buf)
         else:
-            softmax = grad_bufs[0] = exps / denom
+            softmax = grad_bufs[0] = _retain(exps / denom)
         softmax[rows, targets] -= 1.0
         softmax *= (scalar * coeff)[:, None]
         logits._accumulate_owned(softmax.reshape(logits.shape))
@@ -262,21 +263,24 @@ def fused_multi_hot_cross_entropy(
     target = np.asarray(target_multi_hot, dtype=flat.dtype)
     target = np.broadcast_to(target, logits.shape).reshape(-1, num_classes)
     target_copied = not np.shares_memory(target, target_src)
+    if target_copied:  # refreshed by every replay
+        target = _retain(target)
     # As in fused_cross_entropy, take ``target · shifted`` before the
     # in-place exp so one (positions, vocab) buffer is retained.
     exps = flat - flat.max(axis=-1, keepdims=True)
     target_dot = (target * exps).sum(axis=-1)
     np.exp(exps, out=exps)
-    denom = exps.sum(axis=-1, keepdims=True)
+    exps = _retain(exps)
+    denom = _retain(exps.sum(axis=-1, keepdims=True))
     lse = np.log(denom[:, 0])
-    target_mass = target.sum(axis=-1)
+    target_mass = _retain(target.sum(axis=-1))
     per_position = target_mass * lse - target_dot
     try:
         coeff = _position_scale(weights, flat.shape[0], flat.dtype)
     except ValueError:
         raise ValueError("multi_hot_cross_entropy weights sum to zero")
     loss = float((per_position * coeff).sum())
-    out = np.asarray(loss, dtype=logits.dtype)
+    out = _retain(np.asarray(loss, dtype=logits.dtype))
     logits_shape = logits.shape
 
     def forward():
@@ -306,7 +310,7 @@ def fused_multi_hot_cross_entropy(
         if buf is not None and buf.shape == exps.shape:
             softmax = np.divide(exps, denom, out=buf)
         else:
-            softmax = grad_bufs[0] = exps / denom
+            softmax = grad_bufs[0] = _retain(exps / denom)
         softmax *= target_mass[:, None]
         softmax -= target
         softmax *= (scalar * coeff)[:, None]
@@ -329,11 +333,11 @@ def fused_layer_norm(
     """
     data = x.data
     mean = data.mean(axis=-1, keepdims=True)
-    centered = data - mean
+    centered = _retain(data - mean)
     variance = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(variance + eps)
-    normalized = centered * inv_std  # retained for the backward
-    out = normalized * gamma.data + beta.data
+    inv_std = _retain(1.0 / np.sqrt(variance + eps))
+    normalized = _retain(centered * inv_std)  # retained for the backward
+    out = _retain(normalized * gamma.data + beta.data)
 
     def forward():
         np.subtract(data, data.mean(axis=-1, keepdims=True), out=centered)
@@ -353,7 +357,7 @@ def fused_layer_norm(
         buf = grad_bufs[slot]
         if buf is not None and buf.shape == a.shape:
             return np.multiply(a, b, out=buf)
-        grad_bufs[slot] = out = a * b
+        grad_bufs[slot] = out = _retain(a * b)
         return out
 
     def backward(grad):

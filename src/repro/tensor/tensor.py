@@ -108,6 +108,21 @@ _TAPE_NODES = 0
 _TRACER = None
 
 
+def _retain(array: np.ndarray) -> np.ndarray:
+    """Route a buffer that every replay rewrites before reading it into
+    the active trace's scratch slab (see :mod:`repro.tensor.compile`).
+
+    Returns a slab view with ``array``'s exact shape, dtype and strides
+    holding a copy of it, or ``array`` itself outside a trace.  Callers
+    pass only freshly allocated arrays, never views of live data, and
+    never anything a replay reads before writing: trace-time constants,
+    parameters, or buffers that outlive one trace.
+    """
+    if _TRACER is None:
+        return array
+    return _TRACER.retain(array)
+
+
 def tape_node_count() -> int:
     """Total graph nodes (tensors carrying a backward closure) allocated
     since interpreter start.
@@ -176,7 +191,7 @@ def _cached_product(bufs, a, b):
         return np.multiply(a, b, out=buf)
     out = a * b
     if isinstance(out, np.ndarray):  # 0-d products are numpy scalars
-        bufs[0] = out
+        bufs[0] = out = _retain(out)
     return out
 
 
@@ -191,7 +206,7 @@ def _zeroed(bufs, like: np.ndarray) -> np.ndarray:
     """
     buf = bufs[0]
     if buf is None:
-        bufs[0] = buf = np.zeros_like(like)
+        bufs[0] = buf = _retain(np.zeros_like(like))
     else:
         buf.fill(0)
     return buf
@@ -325,8 +340,8 @@ class Tensor:
                     np.copyto(buf, grad)
                     self.grad = buf
                 else:
-                    self.grad = self._grad_buf = np.array(
-                        grad, dtype=self.data.dtype, copy=True
+                    self.grad = self._grad_buf = self._new_grad_buf(
+                        np.array(grad, dtype=self.data.dtype, copy=True)
                     )
                 return
             if (
@@ -337,8 +352,16 @@ class Tensor:
                 buf[...] = 0.0
                 self.grad = buf
             else:
-                self.grad = self._grad_buf = np.zeros_like(self.data)
+                self.grad = self._grad_buf = self._new_grad_buf(
+                    np.zeros_like(self.data)
+                )
         self.grad += grad
+
+    def _new_grad_buf(self, buf: np.ndarray) -> np.ndarray:
+        # Interior nodes rewrite their buffer on every backward pass, so
+        # it may live in the slab; leaves (parameters) keep their
+        # gradients across steps and stay private.
+        return _retain(buf) if self._parents else buf
 
     def _accumulate_owned(self, grad: np.ndarray) -> None:
         """:meth:`_accumulate` for a contribution whose buffer this tensor
@@ -412,7 +435,7 @@ class Tensor:
 
         # Under an active trace the closures and topology are retained —
         # they become the program's backward plan, replayed in this exact
-        # order against the refreshed arena (see repro.tensor.compile).
+        # order against the refreshed buffers (see repro.tensor.compile).
         capture = _TRACER is not None and _TRACER.capture_backward(
             self, order, default_seed
         )
@@ -441,7 +464,7 @@ class Tensor:
         sa, oa = self.data, other.data
         # np.asarray: 0-d results come back as numpy scalars; the refire
         # closure must capture the very ndarray the node will own.
-        data = np.asarray(sa + oa)
+        data = _retain(np.asarray(sa + oa))
 
         def backward(grad):
             # Only one operand may take ``grad`` by reference (see
@@ -458,7 +481,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         sa = self.data
-        data = np.asarray(-sa)
+        data = _retain(np.asarray(-sa))
 
         def backward(grad):
             self._accumulate_owned(-grad)
@@ -477,7 +500,7 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = self._coerce(other)
         sa, oa = self.data, other.data
-        data = np.asarray(sa * oa)
+        data = _retain(np.asarray(sa * oa))
 
         # As with matmul, cache the grad-product buffers so replayed
         # backward passes rewrite them in place instead of allocating.
@@ -489,7 +512,7 @@ class Tensor:
                 return np.multiply(grad, operand, out=buf)
             out = grad * operand
             if isinstance(out, np.ndarray):  # 0-d products come back as
-                prod_bufs[slot] = out        # numpy scalars: don't cache
+                prod_bufs[slot] = out = _retain(out)  # numpy scalars
             return out
 
         def backward(grad):
@@ -514,7 +537,7 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = self._coerce(other)
         sa, oa = self.data, other.data
-        data = np.asarray(sa / oa)
+        data = _retain(np.asarray(sa / oa))
 
         def backward(grad):
             self._accumulate_owned(_unbroadcast(grad / other.data, self.shape))
@@ -534,7 +557,7 @@ class Tensor:
         if isinstance(exponent, Tensor):
             raise TypeError("tensor exponents are not supported; use exp/log")
         sa = self.data
-        data = np.asarray(sa**exponent)
+        data = _retain(np.asarray(sa**exponent))
 
         def backward(grad):
             self._accumulate_owned(grad * exponent * self.data ** (exponent - 1))
@@ -546,7 +569,7 @@ class Tensor:
 
     def __matmul__(self, other) -> "Tensor":
         other = self._coerce(other)
-        data = self.data @ other.data
+        data = _retain(self.data @ other.data)
         # Numpy promotes 1-D operands: a vector on the left acts as a row,
         # on the right as a column.  The backward pass mirrors that
         # promotion so one general rule covers every arity.
@@ -565,7 +588,7 @@ class Tensor:
             buf = prod_bufs[slot]
             if buf is not None and buf.shape == a.shape[:-1] + b.shape[-1:]:
                 return np.matmul(a, b, out=buf)
-            prod_bufs[slot] = out = a @ b
+            prod_bufs[slot] = out = _retain(a @ b)
             return out
 
         if other.data.ndim == 2 and self.data.ndim >= 2:
@@ -628,7 +651,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         sa = self.data
-        data = np.exp(sa)
+        data = _retain(np.exp(sa))
 
         bufs = [None]
 
@@ -642,7 +665,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         sa = self.data
-        data = np.log(sa)
+        data = _retain(np.log(sa))
 
         def backward(grad):
             self._accumulate_owned(grad / self.data)
@@ -654,7 +677,7 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         sa = self.data
-        data = np.sqrt(sa)
+        data = _retain(np.sqrt(sa))
 
         def backward(grad):
             self._accumulate_owned(grad * 0.5 / data)
@@ -666,7 +689,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         sa = self.data
-        data = np.tanh(sa)
+        data = _retain(np.tanh(sa))
 
         bufs = [None]
 
@@ -681,7 +704,7 @@ class Tensor:
     def sigmoid(self) -> "Tensor":
         # Numerically stable logistic via tanh.
         sa = self.data
-        data = 0.5 * (np.tanh(0.5 * sa) + 1.0)
+        data = _retain(0.5 * (np.tanh(0.5 * sa) + 1.0))
 
         bufs = [None]
 
@@ -700,8 +723,8 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         sa = self.data
-        mask = sa > 0
-        data = np.where(mask, sa, 0.0)
+        mask = _retain(sa > 0)
+        data = _retain(np.where(mask, sa, 0.0))
 
         bufs = [None]
 
@@ -720,7 +743,7 @@ class Tensor:
     def softplus(self) -> "Tensor":
         # log(1 + exp(x)) computed stably.
         sa = self.data
-        data = np.logaddexp(0.0, sa)
+        data = _retain(np.logaddexp(0.0, sa))
 
         def backward(grad):
             self._accumulate_owned(grad * 0.5 * (np.tanh(0.5 * self.data) + 1.0))
@@ -732,7 +755,7 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         sa = self.data
-        data = np.abs(sa)
+        data = _retain(np.abs(sa))
 
         def backward(grad):
             self._accumulate_owned(grad * np.sign(self.data))
@@ -745,12 +768,13 @@ class Tensor:
     def clip(self, low: float | None, high: float | None) -> "Tensor":
         """Clamp values; gradient flows only through unclamped entries."""
         sa = self.data
-        data = np.clip(sa, low, high)
+        data = _retain(np.clip(sa, low, high))
         mask = np.ones_like(sa, dtype=bool)
         if low is not None:
             mask &= sa >= low
         if high is not None:
             mask &= sa <= high
+        mask = _retain(mask)
 
         bufs = [None]
 
@@ -772,7 +796,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         sa = self.data
-        data = np.asarray(sa.sum(axis=axis, keepdims=keepdims))
+        data = _retain(np.asarray(sa.sum(axis=axis, keepdims=keepdims)))
         bufs = [None]
 
         def backward(grad):
@@ -784,7 +808,7 @@ class Tensor:
                 np.copyto(buf, g)
                 self._accumulate_owned(buf)
             else:
-                bufs[0] = out = np.broadcast_to(g, self.shape).copy()
+                bufs[0] = out = _retain(np.broadcast_to(g, self.shape).copy())
                 self._accumulate_owned(out)
 
         def forward():
@@ -807,7 +831,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         sa = self.data
-        data = np.asarray(sa.max(axis=axis, keepdims=keepdims))
+        data = _retain(np.asarray(sa.max(axis=axis, keepdims=keepdims)))
 
         def forward():
             data[...] = sa.max(axis=axis, keepdims=keepdims)
@@ -840,6 +864,8 @@ class Tensor:
             shape = tuple(shape[0])
         sa = self.data
         data = sa.reshape(shape)
+        if not np.may_share_memory(data, sa):  # the reshape copied
+            data = _retain(data)
 
         def forward():
             data[...] = sa.reshape(shape)
@@ -904,7 +930,7 @@ class Tensor:
 
     def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
         sa = self.data
-        data = np.broadcast_to(sa, shape).copy()
+        data = _retain(np.broadcast_to(sa, shape).copy())
 
         def forward():
             np.copyto(data, sa)
@@ -919,6 +945,8 @@ class Tensor:
             index = index.data.astype(np.int64)
         sa = self.data
         data = np.asarray(sa[index])
+        if not np.may_share_memory(data, sa):  # advanced indexing copied
+            data = _retain(data)
 
         def forward():
             data[...] = sa[index]
@@ -940,7 +968,7 @@ class Tensor:
         """
         indices = np.asarray(indices, dtype=np.int64)
         sa = self.data
-        data = sa[indices]
+        data = _retain(sa[indices])
 
         def forward():
             data[...] = sa[indices]
@@ -960,7 +988,7 @@ class Tensor:
         flows through filled positions)."""
         mask = np.asarray(mask, dtype=bool)
         sa = self.data
-        data = np.where(mask, value, sa)
+        data = _retain(np.where(mask, value, sa))
 
         def forward():
             np.copyto(data, sa)
@@ -1013,7 +1041,7 @@ def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient splitting."""
     tensors = [Tensor._coerce(t) for t in tensors]
     arrays = [t.data for t in tensors]
-    data = np.concatenate(arrays, axis=axis)
+    data = _retain(np.concatenate(arrays, axis=axis))
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
 
@@ -1033,7 +1061,7 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient unstacking."""
     tensors = [Tensor._coerce(t) for t in tensors]
     arrays = [t.data for t in tensors]
-    data = np.stack(arrays, axis=axis)
+    data = _retain(np.stack(arrays, axis=axis))
 
     def forward():
         data[...] = np.stack(arrays, axis=axis)
@@ -1053,7 +1081,7 @@ def where(condition: np.ndarray, a, b) -> Tensor:
     )
     a = Tensor._coerce(a)
     b = Tensor._coerce(b)
-    data = np.where(condition, a.data, b.data)
+    data = _retain(np.where(condition, a.data, b.data))
 
     def forward():
         np.copyto(data, b.data)
@@ -1070,8 +1098,8 @@ def where(condition: np.ndarray, a, b) -> Tensor:
 def _extremum(a, b, compare) -> Tensor:
     a = Tensor._coerce(a)
     b = Tensor._coerce(b)
-    take_a = compare(a.data, b.data)
-    data = np.where(take_a, a.data, b.data)
+    take_a = _retain(compare(a.data, b.data))
+    data = _retain(np.where(take_a, a.data, b.data))
 
     def forward():
         compare(a.data, b.data, out=take_a)

@@ -180,7 +180,7 @@ def training_step_values(
             # python-float β needs to catch up for the history record.
             terms.beta = feeds.get("beta", terms.beta)
         return stats(loss_value, terms)
-    with trace() as tracer:
+    with trace(cache) as tracer:
         record_feed("rows", rows)
         loss, terms, loss_value = eager_step()
     program = build_program(tracer, loss, require_backward=True)

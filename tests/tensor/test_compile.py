@@ -1,14 +1,19 @@
 """Trace-and-replay compiled execution: bitwise parity with eager.
 
 The compiled path (``repro.tensor.compile``) records one instrumented
-eager run into a flat program over a retained buffer arena and replays
-it for every later step with the same shape bucket.  The acceptance bar
-is *bitwise* identity — loss, every gradient, every RNG stream — so the
+eager run into a flat program and replays it for every later step with
+the same cache key.  Every program of a model keeps its replay-rewritten
+buffers in one shared scratch slab, so the acceptance bar is *bitwise*
+identity — loss, every gradient, every RNG stream — even when the slab
+is poisoned between calls and keys of different shapes interleave.  The
 tests below compare twin models (same seed) stepped eagerly vs. through
-``training_step_values(compile_enabled=True)``, and full ``Trainer.fit``
-runs with ``compile=True`` vs. ``compile=False``.
+``training_step_values(compile_enabled=True)``, full ``Trainer.fit``
+runs with ``compile=True`` vs. ``compile=False``, and check that the
+slab is sized to the largest program rather than the sum of all.
 """
 
+import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,9 +25,10 @@ from repro.models import Caser, GRU4Rec, SASRec
 from repro.models.svae import SVAE
 from repro.optim import Adam, clip_grad_norm
 from repro.tensor import default_dtype, tape_node_count
+from repro.tensor import compile as compile_module
 from repro.tensor.compile import DYNAMIC, programs_for
 from repro.train import Trainer, TrainerConfig
-from repro.train.annealing import KLAnnealing
+from repro.train.annealing import ConstantBeta, KLAnnealing
 from repro.train.trainer import _training_key, training_step_values
 
 NUM_ITEMS = 50
@@ -153,7 +159,7 @@ class TestTrainingStepParity:
             training_step_values(model, rows)
         assert program.replays == 4
         # Replay refreshes the same retained buffers in place; it never
-        # swaps in fresh arrays (grow-only arena, zero per-step graphs).
+        # swaps in fresh arrays (no per-step buffers, zero per-step graphs).
         assert program.result.data is result_buf
         assert [id(node.data) for node in program.order] == arena_ids
 
@@ -203,7 +209,7 @@ class TestEvalCompiled:
 
     def test_steady_state_memory_is_flat(self):
         """After the trace, repeated forwards allocate only the returned
-        score matrix — the arena is reused, nothing accumulates."""
+        score matrix — the slab is reused, nothing accumulates."""
         model = MODEL_FACTORIES["sasrec"]()
         model.eval()
         for _ in range(3):  # warm: trace + settle allocator pools
@@ -325,3 +331,152 @@ class TestFullFitParity:
         assert got.losses == base.losses
         assert got.grad_norms == base.grad_norms
         assert_same_weights(eager, compiled)
+
+
+# ----------------------------------------------------------------------
+# The shared scratch slab
+# ----------------------------------------------------------------------
+
+def _annealed_vsan(**kwargs):
+    return VSAN(
+        NUM_ITEMS, WIDTH, dim=16, seed=3,
+        annealing=KLAnnealing(target=0.2, warmup_steps=2, anneal_steps=4),
+        **kwargs,
+    )
+
+
+SLAB_FACTORIES = dict(
+    MODEL_FACTORIES,
+    vsan_k2=lambda: _annealed_vsan(k=2),
+    vsan_tied=lambda: _annealed_vsan(tie_weights=True),
+)
+
+# (batch, width) of the alternating training batches: three cache keys
+# per beta phase, all drawing from the one slab.
+SLAB_SHAPES = [(8, WIDTH + 1), (5, 9), (7, 11)]
+HISTORY_SETS = [
+    [np.arange(1, 6), np.arange(3, 12), np.arange(2, 4)],
+    [np.arange(4, 9), np.arange(1, 3)],
+]
+
+
+def poison(model):
+    """Fill every slab chunk with 0xFF bytes (NaN in either float dtype):
+    any replay that reads a slab byte before writing it shows up."""
+    for chunk in programs_for(model).slab.chunks:
+        chunk.fill(0xFF)
+
+
+class TestPoisonedSlabParity:
+    @pytest.mark.parametrize("name", sorted(SLAB_FACTORIES))
+    def test_bitwise_parity_with_poisoned_slab(self, name):
+        eager = SLAB_FACTORIES[name]()
+        compiled = SLAB_FACTORIES[name]()
+        eager.compile_scoring = False
+        opt_e = Adam(eager.parameters(), lr=1e-3)
+        opt_c = Adam(compiled.parameters(), lr=1e-3)
+        shapes = itertools.islice(itertools.cycle(SLAB_SHAPES), 9)
+        for i, (batch, width) in enumerate(shapes):
+            rows = make_batches(NUM_ITEMS, width, batch, 1, seed=i)[0]
+            for model in (eager, compiled):
+                model.train()
+            opt_e.zero_grad()
+            opt_c.zero_grad()
+            ve = training_step_values(eager, rows, compile_enabled=False)
+            poison(compiled)
+            vc = training_step_values(compiled, rows, compile_enabled=True)
+            assert ve == vc, (name, i, ve, vc)
+            assert_same_grads(grads_of(eager), grads_of(compiled), (name, i))
+            for opt, model in ((opt_e, eager), (opt_c, compiled)):
+                clip_grad_norm(model.parameters(), 5.0)
+                opt.step()
+            assert_same_weights(eager, compiled)
+
+            # Scoring programs share the slab with the training programs.
+            histories = HISTORY_SETS[i % 2]
+            poison(compiled)
+            hidden = compiled.hidden_last(histories)
+            assert hidden.tobytes() == eager.hidden_last(histories).tobytes()
+            poison(compiled)
+            scores = compiled.score_batch(histories)
+            assert scores.tobytes() == eager.score_batch(histories).tobytes()
+
+        cache = programs_for(compiled)
+        train_keys = [k for k in cache.keys() if k[0] == "train"]
+        # Three shapes before and after the beta=0 crossing (where the
+        # model has one).
+        beta_phases = 2 if hasattr(compiled, "compile_beta_zero") else 1
+        assert len(train_keys) == 3 * beta_phases, cache.keys()
+        assert not any(cache._programs[k] is DYNAMIC for k in cache.keys())
+        assert cache.hits >= 9, cache.hits
+
+
+def make_slab_vsan():
+    # A constant beta: every key is one program shape, whatever the order.
+    return VSAN(300, 16, dim=32, seed=3, annealing=ConstantBeta(0.2))
+
+
+# Largest first; every batch is one cache key.
+MEMORY_SHAPES = [(32, 17), (24, 15), (16, 13), (8, 11)]
+
+
+def trace_shapes(model, shapes):
+    model.train()
+    for batch, width in shapes:
+        rows = make_batches(300, width, batch, 1)[0]
+        training_step_values(model, rows, compile_enabled=True)
+    return programs_for(model)
+
+
+def retained_bytes(shapes):
+    """Bytes still allocated after tracing one program per shape."""
+    model = make_slab_vsan()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        cache = trace_shapes(model, shapes)
+        gc.collect()
+        now, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cache) == len(shapes)
+    return now - base
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Chunks a fraction of one program, so the tests below measure the
+    layout rather than the default chunk size's rounding."""
+    monkeypatch.setattr(compile_module, "SLAB_CHUNK_BYTES", 1 << 20,
+                        raising=False)
+
+
+class TestSharedSlab:
+    def test_retained_bytes_sized_to_largest_program(self, small_chunks):
+        largest = retained_bytes(MEMORY_SHAPES[:1])
+        every = retained_bytes(MEMORY_SHAPES)
+        # Separate per-program buffers would retain about the sum.
+        assert every <= 1.3 * largest, (every, largest)
+
+    def test_programs_share_slab_memory(self):
+        cache = trace_shapes(make_slab_vsan(), MEMORY_SHAPES[:2])
+        (first, _), (second, _) = (cache._programs[k] for k in cache.keys())
+        assert any(
+            np.shares_memory(a.data, b.data)
+            for a in first.order for b in second.order
+        )
+
+    def test_slab_size_independent_of_trace_order(self, small_chunks):
+        ascending = trace_shapes(make_slab_vsan(), MEMORY_SHAPES[::-1])
+        descending = trace_shapes(make_slab_vsan(), MEMORY_SHAPES)
+        assert ascending.slab_bytes == descending.slab_bytes
+        assert ascending.slab_bytes > compile_module.SLAB_CHUNK_BYTES
+
+    def test_invalidate_drops_the_slab(self):
+        from repro.tensor.compile import invalidate
+
+        model = make_slab_vsan()
+        assert trace_shapes(model, MEMORY_SHAPES[-1:]).slab_bytes > 0
+        invalidate(model)
+        assert programs_for(model).slab_bytes == 0

@@ -44,6 +44,29 @@ def test_train_prints_results(checkpoint, capsys):
     assert checkpoint.stat().st_size > 0
 
 
+def test_train_reports_compiled_programs(csv_path, tmp_path, capsys):
+    out = tmp_path / "model.npz"
+    base = [
+        "train", "--data", str(csv_path), "--model", "VSAN",
+        "--max-length", "10", "--dim", "16", "--epochs", "2",
+        "--heldout", "6", "--out", str(out),
+    ]
+    assert main(base) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("compiled:")]
+    assert len(lines) == 1, lines
+    # e.g. "compiled: 5 programs, 5 traces, hit ratio 0.500, slab 16.0 MB"
+    words = lines[0].replace(",", "").split()
+    programs, traces = int(words[1]), int(words[3])
+    hit_ratio, slab_mb = float(words[7]), float(words[9])
+    assert programs >= 1 and traces >= programs
+    assert 0.0 < hit_ratio < 1.0
+    assert slab_mb > 0.0
+
+    assert main(base + ["--quiet"]) == 0
+    assert "compiled:" not in capsys.readouterr().out
+
+
 def test_evaluate_outputs_json(csv_path, checkpoint, capsys):
     exit_code = main(
         [
