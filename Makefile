@@ -29,9 +29,9 @@ bench-serve:
 		-k speedup_gate -q -s
 	python benchmarks/compare_bench.py BENCH_serve.json
 
-# Training-path benchmarks: epoch wall times for serial/parallel x
-# full/trimmed on a long-tail corpus, the >= 2x workers+trimming
-# speedup gate, and the <= 1% NDCG@10 parity gate (both skipped under
+# Training-path benchmarks: epoch wall times for full/trimmed on a
+# long-tail corpus, the >= 2x trimming+bucketing speedup gate, and the
+# <= 1% NDCG@10 trimming parity gate (both skipped under
 # --benchmark-only, so they run second).
 bench-train:
 	PYTHONPATH=src pytest benchmarks/test_train_throughput.py \

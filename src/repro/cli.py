@@ -106,10 +106,8 @@ def cmd_train(args) -> int:
         eval_every=2,
         seed=args.seed,
         verbose=not args.quiet,
-        num_workers=args.num_workers,
         trim_batches=not args.no_trim,
         bucket_by_length=args.bucket_by_length,
-        bucket_epochs=args.bucket_epochs,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         keep_last=args.keep_last,
@@ -256,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--patience", type=int, default=5)
     train.add_argument("--quiet", action="store_true")
     train.add_argument(
-        "--num-workers", type=int, default=1,
-        help="gradient-worker processes (>1 = deterministic data-parallel "
-             "training; the worker count is a runtime choice, checkpoints "
-             "resume under any value)")
-    train.add_argument(
         "--no-trim", action="store_true",
         help="disable per-batch column trimming (on by default for the "
              "attention models; trimming is loss-exact)")
@@ -271,11 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
              "trimming pays on long-tail corpora (on by default; "
              "--no-bucket-by-length restores the uniform shuffle for "
              "step-for-step comparable runs)")
-    train.add_argument(
-        "--bucket-epochs", type=int, default=None,
-        help="with --bucket-by-length: bucket only the first N epochs, "
-             "then fall back to the uniform shuffle (cheap early "
-             "epochs, unbiased batch mixing late)")
     train.add_argument("--out", required=True, help="checkpoint path (.npz)")
     train.add_argument(
         "--checkpoint-dir", default=None,

@@ -1,12 +1,11 @@
-"""Forked persistent-worker pool shared by training and serving.
+"""Forked persistent-worker pool behind the serving cluster.
 
-:class:`ForkedWorkerPool` packages the process-management pattern that
-:class:`repro.train.parallel.ParallelTrainer` pioneered — ``fork``
-start-method workers that inherit live numpy models with zero pickling,
-one duplex pipe per worker, poll-with-timeout receives that surface
-worker tracebacks as typed :class:`WorkerError`\\ s instead of hangs —
-so the serving cluster (:mod:`repro.serve.cluster`) can reuse it for
-shard processes.
+:class:`ForkedWorkerPool` packages the process management that the
+serving cluster (:mod:`repro.serve.cluster`) runs its shard processes
+on: ``fork`` start-method workers that inherit live numpy models with
+zero pickling, one duplex pipe per worker, and poll-with-timeout
+receives that surface worker tracebacks as typed
+:class:`WorkerError`\\ s instead of hangs.
 
 Teardown semantics (the part worth centralizing): ``stop()`` signals
 **all** workers first and only then joins them against one *shared*
@@ -34,8 +33,8 @@ class ForkedWorkerPool:
     """N forked persistent workers, one duplex pipe each.
 
     Args:
-        role: noun used in error messages (e.g. ``"gradient worker"``,
-            ``"shard worker"``) so a traceback names the subsystem.
+        role: noun used in error messages (e.g. ``"shard worker"``) so
+            a traceback names the subsystem.
         stop_message: message broadcast by :meth:`stop` asking workers
             to exit their loop.
         join_timeout: shared budget (seconds) for each escalation stage

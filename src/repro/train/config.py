@@ -25,19 +25,6 @@ class TrainerConfig:
     eval_every: int = 1
     eval_metric: str = "ndcg@10"
     verbose: bool = False
-    num_workers: int = 1
-    """Gradient-worker processes for :class:`repro.train.ParallelTrainer`.
-
-    ``1`` (the default) trains in-process.  ``> 1`` forks that many
-    persistent worker processes, each holding a lock-step model replica;
-    every minibatch is sharded across them, gradients are reduced in the
-    parent in a fixed order with float64 accumulation, and one identical
-    Adam update is applied everywhere — so a run is deterministic for a
-    given ``(seed, num_workers)``.  The worker count is a *runtime*
-    choice: checkpoints carry no worker state and resume under any
-    ``num_workers`` (serial included).  Requires an OS with the
-    ``fork`` start method (Linux/macOS)."""
-
     trim_batches: bool = True
     """Column-trim each training batch to its own longest real sequence
     (plus the leading-pad target column) before the forward pass.
@@ -61,15 +48,6 @@ class TrainerConfig:
     Checkpoints carry no batching state, so either setting resumes the
     other's checkpoints."""
 
-    bucket_epochs: int | None = None
-    """Scheduled bucket mixing: with ``bucket_by_length``, only epochs
-    ``1..bucket_epochs`` draw bucketed batches; later epochs use the
-    uniform shuffle.  Early epochs (where the loss moves most and the
-    O(L²) trimming savings matter most) stay cheap, while late epochs
-    regain fully mixed batch composition.  ``None`` buckets every epoch.
-    Requires ``bucket_by_length=True``; the epoch count — not wall time —
-    drives the switch, so resumed runs schedule identically."""
-
     compile: bool = True
     """Route training steps through the trace-and-replay compiled path
     (:mod:`repro.tensor.compile`).  The first step of each shape bucket
@@ -79,12 +57,6 @@ class TrainerConfig:
     cannot be traced (data-dependent shapes, e.g. Caser) fall back to
     eager automatically; ``False`` forces eager everywhere (the
     ``--no-compile`` CLI flag)."""
-
-    worker_timeout: float = 120.0
-    """Seconds the parent waits on a gradient worker before declaring it
-    dead (only used with ``num_workers > 1``).  A killed or hung worker
-    then raises a :class:`repro.train.parallel.WorkerError` instead of
-    blocking forever."""
 
     compute_dtype: str | None = None
     """Floating dtype for the whole training run (``"float32"`` /
@@ -127,17 +99,6 @@ class TrainerConfig:
                 "compute_dtype must be 'float32', 'float64', or None; "
                 f"got {self.compute_dtype!r}"
             )
-        if self.bucket_epochs is not None:
-            if not self.bucket_by_length:
-                raise ValueError(
-                    "bucket_epochs requires bucket_by_length=True"
-                )
-            if self.bucket_epochs < 1:
-                raise ValueError("bucket_epochs must be >= 1 when set")
-        if self.num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if self.worker_timeout <= 0:
-            raise ValueError("worker_timeout must be positive")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.keep_last is not None and self.keep_last < 1:

@@ -8,8 +8,7 @@ when ``TrainerConfig.checkpoint_dir`` is set — crash-safe full-state
 checkpoints that :meth:`Trainer.fit` can resume bit-for-bit (see
 :mod:`repro.train.checkpoint`).
 
-Two hot-path features are shared with the data-parallel trainer
-(:mod:`repro.train.parallel`):
+Two hot-path features keep the O(L²) attention cheap:
 
 - **length-aware trimming** (``TrainerConfig.trim_batches``): each batch
   is column-trimmed to its own longest real sequence before the forward
@@ -20,10 +19,6 @@ Two hot-path features are shared with the data-parallel trainer
   mix only rows within a 2× length band, which is what makes trimming
   bite when batch composition would otherwise be dominated by one long
   straggler.
-
-``TrainerConfig.num_workers > 1`` transparently dispatches ``fit`` to
-:class:`repro.train.parallel.ParallelTrainer`, which shards every batch
-across forked gradient workers while keeping the run deterministic.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ __all__ = ["Trainer"]
 
 @dataclass
 class _EpochTotals:
-    """Per-epoch accumulators shared by the serial and parallel loops."""
+    """Per-epoch loss / ELBO-term accumulators of the training loop."""
 
     loss: float = 0.0
     reconstruction: float = 0.0
@@ -191,11 +186,6 @@ def training_step_values(
 class Trainer:
     """Epoch/minibatch driver around Adam (the paper's optimizer)."""
 
-    #: Overridden by :class:`repro.train.parallel.ParallelTrainer`;
-    #: guards the ``num_workers`` dispatch in :meth:`fit` against
-    #: re-dispatching from the parallel subclass itself.
-    _parallel = False
-
     def __init__(self, config: TrainerConfig | None = None):
         self.config = config or TrainerConfig()
 
@@ -222,18 +212,7 @@ class Trainer:
         streams, the β-annealing step, history, and early-stopping
         state — is restored from the checkpoint, so the resumed run
         produces the same numbers as one that never stopped.
-
-        With ``config.num_workers > 1`` the call is dispatched to
-        :class:`repro.train.parallel.ParallelTrainer` (same contract,
-        sharded gradient computation).
         """
-        if self.config.num_workers > 1 and not self._parallel:
-            from .parallel import ParallelTrainer
-
-            return ParallelTrainer(self.config).fit(
-                model, corpus, validation=validation,
-                resume_from=resume_from,
-            )
         config = self.config
         if config.compute_dtype is not None:
             # Cast parameters once, then run the whole fit (activations,
@@ -248,23 +227,6 @@ class Trainer:
             with default_dtype(target):
                 return self._fit(model, corpus, validation, resume_from)
         return self._fit(model, corpus, validation, resume_from)
-
-    # ------------------------------------------------------------------
-    # Hooks the data-parallel trainer overrides
-    # ------------------------------------------------------------------
-    def _start_workers(self, model, optimizer, padded: np.ndarray) -> None:
-        """Bring up the gradient workers (serial: nothing to do)."""
-
-    def _stop_workers(self) -> None:
-        """Tear the workers down; must be idempotent (serial: no-op)."""
-
-    def _begin_epoch(self, epoch: int) -> None:
-        """Per-epoch worker bookkeeping (serial: nothing to do)."""
-
-    def _sync_master(self, model) -> None:
-        """Pull worker-held training state (the β-annealing step) into
-        the master model before it is evaluated or checkpointed.
-        Serial training mutates the master directly, so: no-op."""
 
     def _train_step(
         self,
@@ -309,27 +271,10 @@ class Trainer:
             loss_value, len(rows), reconstruction, kl, beta
         )
 
-    # ------------------------------------------------------------------
-    # Shared batching helpers
-    # ------------------------------------------------------------------
-    def _epoch_batches(
-        self, num_rows: int, rng: np.random.Generator, epoch: int = 1
-    ):
-        """Minibatch index arrays for one epoch.
-
-        With ``bucket_by_length``, epochs up to ``bucket_epochs`` draw
-        length-bucketed batches and later epochs switch to the uniform
-        shuffle (scheduled mixing; ``bucket_epochs=None`` buckets every
-        epoch).  Both branches consume the same per-epoch ``rng``, so
-        the schedule stays deterministic for a given seed — including
-        across checkpoint resumes, where the epoch number (not elapsed
-        work) decides the branch.
-        """
-        bucketed = self.config.bucket_by_length and (
-            self.config.bucket_epochs is None
-            or epoch <= self.config.bucket_epochs
-        )
-        if bucketed:
+    def _epoch_batches(self, num_rows: int, rng: np.random.Generator):
+        """Minibatch index arrays for one epoch: length-bucketed with
+        ``bucket_by_length``, else a uniform shuffle."""
+        if self.config.bucket_by_length:
             return bucketed_minibatch_indices(
                 self._lengths, self.config.batch_size, rng
             )
@@ -343,9 +288,6 @@ class Trainer:
             )
         return rows
 
-    # ------------------------------------------------------------------
-    # The epoch scaffold (shared serial/parallel)
-    # ------------------------------------------------------------------
     def _fit(
         self,
         model,
@@ -384,7 +326,7 @@ class Trainer:
                     model.load_state_dict(best_state)
                 model.eval()
                 return history
-        self._tracks_elbo = hasattr(model, "training_elbo")
+        tracks_elbo = hasattr(model, "training_elbo")
         self._lengths = effective_lengths(padded)
         self._trim_enabled = config.trim_batches and getattr(
             model, "supports_trimming", False
@@ -397,95 +339,87 @@ class Trainer:
         )
 
         stop = False
-        try:
-            self._start_workers(model, optimizer, padded)
-            for epoch in range(start_epoch, config.epochs + 1):
-                model.train()
-                self._begin_epoch(epoch)
-                totals = _EpochTotals()
-                for batch in self._epoch_batches(len(padded), rng, epoch):
-                    self._train_step(
-                        model, optimizer, padded, batch, totals,
-                        history, epoch,
-                    )
-                denominator = max(totals.examples, 1)
-                mean_loss = totals.loss / denominator
-                if not np.isfinite(mean_loss):
-                    # Every per-batch loss passed the finite check above,
-                    # so this is the accumulator itself overflowing (huge
-                    # but finite batch losses summing to inf).
-                    raise RuntimeError(
-                        f"non-finite epoch loss ({mean_loss}) at epoch "
-                        f"{epoch}: per-batch losses were finite but their "
-                        "sum overflowed — the loss scale has diverged; "
-                        "lower the learning rate or inspect recent batches"
-                    )
-                history.losses.append(mean_loss)
-                if self._tracks_elbo:
-                    history.reconstruction_losses.append(
-                        totals.reconstruction / denominator
-                    )
-                    history.kl_values.append(totals.kl / denominator)
-                    history.betas.append(
-                        totals.beta if totals.beta is not None else 0.0
-                    )
-                if config.verbose:
-                    print(f"epoch {epoch:3d}  loss {mean_loss:.4f}")
-
-                # Periodic evaluation runs whenever validation users
-                # exist; early stopping additionally requires patience.
-                should_eval = (
-                    validation is not None
-                    and epoch % config.eval_every == 0
+        for epoch in range(start_epoch, config.epochs + 1):
+            model.train()
+            totals = _EpochTotals()
+            for batch in self._epoch_batches(len(padded), rng):
+                self._train_step(
+                    model, optimizer, padded, batch, totals, history, epoch
                 )
-                if should_eval:
-                    result = evaluate_recommender(model, validation)
-                    score = result[config.eval_metric]
-                    history.validation_scores.append((epoch, score))
-                    if config.verbose:
-                        print(
-                            f"epoch {epoch:3d}  "
-                            f"{config.eval_metric} {100 * score:.3f}%"
-                        )
-                    if score > best_score:
-                        best_score = score
-                        history.best_epoch = epoch
-                        misses = 0
-                        if config.patience is not None:
-                            best_state = model.state_dict()
-                    elif config.patience is not None:
-                        misses += 1
-                        if misses >= config.patience:
-                            history.stopped_early = True
-                            stop = True
+            denominator = max(totals.examples, 1)
+            mean_loss = totals.loss / denominator
+            if not np.isfinite(mean_loss):
+                # Every per-batch loss passed the finite check above, so
+                # this is the accumulator itself overflowing (huge but
+                # finite batch losses summing to inf).
+                raise RuntimeError(
+                    f"non-finite epoch loss ({mean_loss}) at epoch "
+                    f"{epoch}: per-batch losses were finite but their "
+                    "sum overflowed — the loss scale has diverged; "
+                    "lower the learning rate or inspect recent batches"
+                )
+            history.losses.append(mean_loss)
+            if tracks_elbo:
+                history.reconstruction_losses.append(
+                    totals.reconstruction / denominator
+                )
+                history.kl_values.append(totals.kl / denominator)
+                history.betas.append(
+                    totals.beta if totals.beta is not None else 0.0
+                )
+            if config.verbose:
+                print(f"epoch {epoch:3d}  loss {mean_loss:.4f}")
 
-                if checkpoint_dir is not None and (
-                    epoch % config.checkpoint_every == 0
-                    or epoch == config.epochs
-                    or stop
-                ):
-                    self._sync_master(model)
-                    save_training_checkpoint(
-                        TrainingCheckpoint(
-                            epoch=epoch,
-                            model_state=model.state_dict(),
-                            optimizer_state=optimizer.state_dict(),
-                            trainer_rng_state=rng.bit_generator.state,
-                            model_rng_state=model.rng_state(),
-                            model_extra_state=model.extra_state(),
-                            history=history,
-                            best_score=best_score,
-                            best_state=best_state,
-                            misses=misses,
-                        ),
-                        checkpoint_path(checkpoint_dir, epoch),
+            # Periodic evaluation runs whenever validation users exist;
+            # early stopping additionally requires patience.
+            should_eval = (
+                validation is not None
+                and epoch % config.eval_every == 0
+            )
+            if should_eval:
+                result = evaluate_recommender(model, validation)
+                score = result[config.eval_metric]
+                history.validation_scores.append((epoch, score))
+                if config.verbose:
+                    print(
+                        f"epoch {epoch:3d}  "
+                        f"{config.eval_metric} {100 * score:.3f}%"
                     )
-                    prune_checkpoints(checkpoint_dir, config.keep_last)
-                if stop:
-                    break
-            self._sync_master(model)
-        finally:
-            self._stop_workers()
+                if score > best_score:
+                    best_score = score
+                    history.best_epoch = epoch
+                    misses = 0
+                    if config.patience is not None:
+                        best_state = model.state_dict()
+                elif config.patience is not None:
+                    misses += 1
+                    if misses >= config.patience:
+                        history.stopped_early = True
+                        stop = True
+
+            if checkpoint_dir is not None and (
+                epoch % config.checkpoint_every == 0
+                or epoch == config.epochs
+                or stop
+            ):
+                save_training_checkpoint(
+                    TrainingCheckpoint(
+                        epoch=epoch,
+                        model_state=model.state_dict(),
+                        optimizer_state=optimizer.state_dict(),
+                        trainer_rng_state=rng.bit_generator.state,
+                        model_rng_state=model.rng_state(),
+                        model_extra_state=model.extra_state(),
+                        history=history,
+                        best_score=best_score,
+                        best_state=best_state,
+                        misses=misses,
+                    ),
+                    checkpoint_path(checkpoint_dir, epoch),
+                )
+                prune_checkpoints(checkpoint_dir, config.keep_last)
+            if stop:
+                break
 
         if best_state is not None:
             model.load_state_dict(best_state)

@@ -319,11 +319,19 @@ class TestFullFitParity:
         assert resumed.grad_norms == full.grad_norms
         assert_same_weights(straight, resumed_model)
 
-    def test_bucket_epochs_transition_matches_eager(self):
-        corpus = make_corpus()
-        kwargs = dict(
-            epochs=4, bucket_by_length=True, bucket_epochs=2
+    def test_uniform_shuffle_matches_eager(self):
+        """Uniformly shuffled batches of ragged rows trim to many
+        distinct widths, so the compiled fit retraces across shapes."""
+        rng = np.random.default_rng(4)
+        # Long tail: four in five rows hold two items, the rest 3-6.
+        lengths = np.where(
+            rng.random(80) < 0.8, 2, rng.integers(3, 7, size=80)
         )
+        corpus = SequenceCorpus(
+            sequences=[rng.integers(1, 11, size=n) for n in lengths],
+            num_items=10,
+        )
+        kwargs = dict(epochs=4, bucket_by_length=False)
         eager = make_fit_vsan()
         base = self.fit(eager, corpus, compile=False, **kwargs)
         compiled = make_fit_vsan()
@@ -331,6 +339,11 @@ class TestFullFitParity:
         assert got.losses == base.losses
         assert got.grad_norms == base.grad_norms
         assert_same_weights(eager, compiled)
+        widths = {
+            key[1][1] for key in programs_for(compiled).keys()
+            if key[0] == "train"
+        }
+        assert len(widths) > 2, widths
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""ForkedWorkerPool: the forked persistent-worker machinery shared by
-the parallel trainer and the serving cluster — spawn/message round
-trips, typed failure surfacing (death, hang, worker exception), the
-SIGKILL drill hook, and the signal-all-then-join-once teardown."""
+"""ForkedWorkerPool: the forked persistent-worker machinery behind the
+serving cluster — spawn/message round trips, typed failure surfacing
+(death, hang, worker exception), the SIGKILL drill hook, and the
+signal-all-then-join-once teardown."""
 
 import multiprocessing
 import time

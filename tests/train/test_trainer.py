@@ -1,10 +1,12 @@
 """Trainer mechanics: epochs, early stopping, best-weight restoration,
-determinism, and config validation."""
+determinism, length bucketing, and config validation."""
 
 import numpy as np
 import pytest
 
-from repro.data import SequenceCorpus
+import repro.train.trainer as trainer_module
+from repro.core.vsan import VSAN
+from repro.data import SequenceCorpus, trim_batch
 from repro.models import SASRec
 from repro.train import Trainer, TrainerConfig
 
@@ -18,6 +20,17 @@ def corpus():
         sequences.append(
             np.array([(start + o - 1) % 10 + 1 for o in range(6)])
         )
+    return SequenceCorpus(sequences=sequences, num_items=10)
+
+
+@pytest.fixture(scope="module")
+def ragged_corpus():
+    """Histories of 2-8 items, so batches differ in real length."""
+    rng = np.random.default_rng(11)
+    sequences = [
+        rng.integers(1, 11, size=int(rng.integers(2, 9))).astype(np.int64)
+        for _ in range(40)
+    ]
     return SequenceCorpus(sequences=sequences, num_items=10)
 
 
@@ -61,21 +74,62 @@ class TestTraining:
         Trainer(TrainerConfig(epochs=1)).fit(model, corpus)
         assert not model.training
 
-    def test_deterministic_given_seeds(self, corpus):
-        histories = []
-        for _ in range(2):
-            model = make_model(seed=3)
-            history = Trainer(
-                TrainerConfig(epochs=3, batch_size=8, seed=9)
-            ).fit(model, corpus)
-            histories.append(history.losses)
-        np.testing.assert_allclose(histories[0], histories[1])
+    def test_deterministic_given_seeds(self, corpus, ragged_corpus):
+        """Two seeded fits end on bitwise-equal weights, including the
+        stochastic VSAN (dropout draws and reparameterization noise)."""
+        cases = [
+            (lambda: make_model(seed=3), corpus),
+            (lambda: VSAN(10, 8, dim=12, k=2, dropout_rate=0.3, seed=3),
+             ragged_corpus),
+        ]
+        for build, data in cases:
+            runs = []
+            for _ in range(2):
+                model = build()
+                history = Trainer(
+                    TrainerConfig(epochs=3, batch_size=8, seed=9)
+                ).fit(model, data)
+                runs.append((history.losses, model.state_dict()))
+            (losses_a, state_a), (losses_b, state_b) = runs
+            assert losses_a == losses_b
+            assert state_a.keys() == state_b.keys()
+            for name in state_a:
+                np.testing.assert_array_equal(
+                    state_a[name], state_b[name], err_msg=name
+                )
 
     def test_empty_history_final_loss_raises(self):
         from repro.train.config import TrainingHistory
 
         with pytest.raises(ValueError):
             TrainingHistory().final_loss
+
+
+class TestLengthBucketing:
+    def test_bucketing_is_the_default(self):
+        assert TrainerConfig().bucket_by_length is True
+
+    @pytest.mark.parametrize("bucketed", [True, False])
+    def test_batches_stay_in_one_length_band(
+        self, ragged_corpus, monkeypatch, bucketed
+    ):
+        """Every bucketed batch mixes only rows within a 2x length band;
+        the uniform shuffle of the same corpus does not."""
+        batch_lengths = []
+
+        def recording_trim(rows, lengths=None, margin=1):
+            batch_lengths.append(lengths)
+            return trim_batch(rows, lengths, margin=margin)
+
+        monkeypatch.setattr(trainer_module, "trim_batch", recording_trim)
+        Trainer(
+            TrainerConfig(epochs=2, batch_size=8, bucket_by_length=bucketed)
+        ).fit(SASRec(10, 8, dim=12, num_blocks=1, seed=0), ragged_corpus)
+        assert batch_lengths
+        spreads = [
+            lengths.max() / max(lengths.min(), 1) for lengths in batch_lengths
+        ]
+        assert (max(spreads) <= 2.0) == bucketed, spreads
 
 
 class TestEarlyStopping:
