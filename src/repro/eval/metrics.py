@@ -190,6 +190,9 @@ def rank_top_scores(
         is never a real recommendation — callers strip or ignore it,
         exactly as they strip the dense path's ``-inf`` tail).
     """
+    top_n = int(top_n)
+    if top_n < 1:
+        raise ValueError(f"top_n must be >= 1, got {top_n}")
     ids = top.ids
     num_rows = ids.shape[0]
     valid = ids >= 1
@@ -210,18 +213,32 @@ def rank_top_scores(
                 f"need one exclude list per request: {len(exclude)} != "
                 f"{num_rows}"
             )
-        for row, items in enumerate(exclude):
-            if len(items):
-                scores[row, np.isin(ids[row], items)] = -np.inf
+        lengths = [len(items) for items in exclude]
+        if any(lengths):
+            items = np.concatenate(
+                [np.asarray(items, dtype=np.int64) for items in exclude]
+            )
+            rows = np.repeat(np.arange(num_rows), lengths)
+            # Ids below 1 name no rankable candidate.
+            keep = items >= 1
+            items, rows = items[keep], rows[keep]
+            if items.size:
+                # One membership test for every row, over the keys
+                # ``row * stride + id``.  The stride exceeds every id by
+                # two or more (``width + 1`` in the usual case), so no
+                # key of one row, -1 slots included, equals another's.
+                stride = max(top.width, int(ids.max(initial=0)) + 1,
+                             int(items.max()) + 1) + 1
+                keys = np.sort(rows * stride + items)
+                cand = np.arange(num_rows)[:, None] * stride + ids
+                found = np.minimum(np.searchsorted(keys, cand), keys.size - 1)
+                scores[keys[found] == cand] = -np.inf
     # Primary key: descending score; secondary: ascending item id.  -1
     # padding and exclusions sit at -inf and sink to the back, where the
     # 0-fill below marks them unrankable.
     order = np.lexsort((ids, -scores))
     ranked = np.take_along_axis(ids, order, axis=1)
     ranked[np.take_along_axis(scores, order, axis=1) == -np.inf] = 0
-    top_n = int(top_n)
-    if top_n < 1:
-        raise ValueError(f"top_n must be >= 1, got {top_n}")
     if ranked.shape[1] >= top_n:
         return np.ascontiguousarray(ranked[:, :top_n])
     padded = np.zeros((num_rows, top_n), dtype=np.int64)

@@ -48,6 +48,9 @@ from ..tensor.topk import top_k_indices
 
 __all__ = ["IndexConfig", "IVFIndex", "kmeans"]
 
+#: Bytes of the affinity matrix :func:`_assign` holds per chunk of rows.
+ASSIGN_CHUNK_BYTES = 32 << 20
+
 
 @dataclass(frozen=True)
 class IndexConfig:
@@ -120,12 +123,17 @@ def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     ``argmin ||x - c||²`` = ``argmax x·c - ||c||²/2`` — one GEMM plus a
     per-centroid scalar.  Chunked over rows so the affinity matrix stays
-    ~128 MB no matter how large ``n * nlist`` grows (at catalogue scale
-    the full matrix would be gigabytes).
+    within ``ASSIGN_CHUNK_BYTES`` (32 MB) no matter how large
+    ``n * nlist`` grows (at catalogue scale the full matrix would be
+    gigabytes, and even 128 MB chunks set the serving process's peak
+    memory during index builds).
     """
     offset = -0.5 * np.einsum("cd,cd->c", centroids, centroids)
     n = vectors.shape[0]
-    chunk = max(1024, 33_554_432 // max(1, centroids.shape[0]))
+    row_bytes = max(1, centroids.shape[0]) * np.result_type(
+        vectors, centroids
+    ).itemsize
+    chunk = max(1, ASSIGN_CHUNK_BYTES // row_bytes)
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)

@@ -197,6 +197,20 @@ class ScoreCache:
         self.hits += 1
         return self._clone(entry)
 
+    def peek(self, key):
+        """The stored entry for ``key`` or ``None``, moving and counting
+        nothing.  Not a copy: callers must not write to it."""
+        return self._entries.get(key)
+
+    def touch(self, key) -> bool:
+        """Book a hit on ``key`` like :meth:`get`, without the copy;
+        ``False`` (nothing counted) when ``key`` is not cached."""
+        if key not in self._entries:
+            return False
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return True
+
     def put(self, key, entry) -> None:
         """Insert or **refresh** the entry for ``key``.
 
@@ -577,6 +591,35 @@ class InferenceEngine:
         ]
         with no_grad():
             return np.asarray(self._model.score_batch(histories))
+
+    def cached_rows(self, histories: list[np.ndarray]):
+        """Read the rows the cache already holds for ``histories``.
+
+        Returns ``(keys, hits, rows)``: every history's cache key, the
+        indices of the histories whose row is cached, and those rows
+        stacked (a :class:`~repro.retrieval.TopScores` batch or a
+        full-width matrix; ``None`` without hits).  Read-only: nothing
+        is scored or submitted to the batcher, and no counter or LRU
+        position moves.  A caller that serves a row from this read
+        books the lookup when it serves it, with
+        :meth:`ScoreCache.touch` on the row's key.
+        """
+        keys = [
+            self._key(np.asarray(history, dtype=np.int64))
+            for history in histories
+        ]
+        if self.cache is None:
+            return keys, [], None
+        found = [self.cache.peek(key) for key in keys]
+        hits = [
+            index for index, entry in enumerate(found) if entry is not None
+        ]
+        if not hits:
+            return keys, hits, None
+        rows = [found[index] for index in hits]
+        if isinstance(rows[0], TopScores):
+            return keys, hits, TopScores.stack(rows)
+        return keys, hits, np.stack(rows)
 
     def prefetch(self, histories: list[np.ndarray]) -> int:
         """Warm the cache with one coalesced pass over ``histories``.

@@ -217,6 +217,14 @@ class RecommendService:
         except InvalidRequest:
             self._stats.rejected += 1
             raise
+        return self._serve(history, top_n, budget)
+
+    def _serve(self, history, top_n, budget, ready=None) -> Recommendation:
+        """Walk the fallback chain for one validated request.
+
+        ``ready`` is a window-ranked ``(cache key, ranked, narrow)``
+        entry for the first rung (see :meth:`recommend_many`).
+        """
         start = self._clock()
         causes: dict[str, str] = {}
         for index, rung in enumerate(self._rungs):
@@ -225,7 +233,7 @@ class RecommendService:
                 causes[rung.name] = "breaker open"
                 continue
             ranked = self._attempt(rung, history, top_n, start, budget,
-                                   causes)
+                                   causes, ready if index == 0 else None)
             if ranked is not None:
                 if index > 0:
                     self._stats.fallbacks += 1
@@ -257,62 +265,107 @@ class RecommendService:
         top_n: int | None = None,
         deadline=_UNSET,
     ) -> list:
-        """Serve a batch of requests with one coalesced forward.
+        """Serve a window of requests as a batch.
 
-        The valid histories are first pushed through the highest
-        non-open rung's engine in micro-batches (one padded forward per
-        ``max_batch`` chunk, warming the score cache); each request then
-        flows through :meth:`recommend` unchanged — same validation,
-        breaker, retry, and deadline semantics — and picks its row up
-        from the cache instead of paying its own forward pass.  Rankings
-        are therefore bitwise-identical to calling :meth:`recommend` in
-        a loop; batch-coalescing time is attributed to the batch (the
-        per-request latency stats measure the serve itself).
+        The valid histories are pushed through the first rung's engine
+        in micro-batches (one padded forward per ``max_batch`` chunk,
+        warming the score cache) unless its breaker is open.  The rows
+        the cache then holds are ranked in one call, and each of those
+        requests walks the same fallback chain as :meth:`recommend`,
+        in window order, taking its window-ranked list in place of a
+        fresh cache lookup and ranking while its row is still cached.
+
+        Every other request goes through :meth:`recommend` unchanged:
+        invalid ones, cache misses, lists that need the slow path (a
+        short narrow list that densifies, or an empty dense one), the
+        whole window when its ranking raised, and every request when
+        the first rung's breaker is open or there is no engine.
+        Breaker, retry, deadline and stats bookings happen per request
+        in window order, so rankings, provenance and every counter
+        (latency values aside) equal those of prefetching and then
+        calling :meth:`recommend` in a loop.  Prefetch and window
+        ranking are attributed to the batch; the per-request latency
+        stats measure the serve itself.
 
         Returns a list aligned with ``histories`` whose elements are
         :class:`Recommendation` on success and the raised
         :class:`~repro.serve.errors.ServeError` on failure — errors are
         returned, not raised, so one bad request cannot fail the batch.
-        Requires the service to be built with ``engine=`` for the
-        speedup; without one this degrades to the sequential loop.
         """
         histories = list(histories)
-        valid = []
-        for history in histories:
+        budget = self.config.deadline if deadline is _UNSET else deadline
+        valid = {}
+        for position, history in enumerate(histories):
             try:
-                validated, _ = self._validate(history, top_n)
+                valid[position] = self._validate(history, top_n)
             except InvalidRequest:
                 continue  # recommend() below re-raises and accounts it
-            valid.append(validated)
-        if valid:
-            for rung in self._rungs:
-                engine = rung.engine
-                if engine is None:
-                    continue
-                # Only the highest healthy rung is warmed: lower rungs
-                # see traffic only when requests degrade, and an open
-                # breaker means "stop hammering this model" — prefetch
-                # must respect that too.
-                if rung.breaker.allow():
-                    engine.prefetch(valid)
-                break
+        ready = self._rank_window(valid)
         results = []
-        for history in histories:
+        for position, history in enumerate(histories):
             try:
-                results.append(
-                    self.recommend(history, top_n=top_n, deadline=deadline)
-                )
+                if position in ready:
+                    self._stats.requests += 1
+                    results.append(self._serve(
+                        *valid[position], budget, ready[position]
+                    ))
+                else:
+                    results.append(self.recommend(
+                        history, top_n=top_n, deadline=deadline
+                    ))
             except ServeError as error:
                 results.append(error)
         return results
 
+    def _rank_window(self, valid: dict) -> dict:
+        """Prefetch a window's validated requests (``{position:
+        (history, top_n)}``) through the first rung's engine and rank
+        the rows its cache then holds in one call.
+
+        Returns ``{position: (cache key, ranked, narrow)}`` for the
+        requests whose list needs no slow path.
+        """
+        rung = self._rungs[0]
+        engine = rung.engine
+        # Only the first rung is warmed: lower rungs see traffic only
+        # when requests degrade.  An open breaker means "stop hammering
+        # this model": prefetch respects it, and the window then serves
+        # request by request.
+        if not valid or engine is None or not rung.breaker.allow():
+            return {}
+        positions = list(valid)
+        histories = [valid[position][0] for position in positions]
+        top_n = valid[positions[0]][1]
+        engine.prefetch(histories)
+        keys, hits, rows = engine.cached_rows(histories)
+        if not hits:
+            return {}
+        picked = [histories[index] for index in hits]
+        narrow = isinstance(rows, TopScores)
+        try:
+            if narrow:
+                lists, slow = self._rank_narrow(rows, picked, top_n)
+            else:
+                lists, slow = self._rank(rows, picked, top_n)
+        except (NonFiniteScoresError, ValueError):
+            return {}
+        return {
+            positions[index]: (keys[index], ranked, narrow)
+            for index, ranked, needs_slow_path in zip(hits, lists, slow)
+            if not needs_slow_path
+        }
+
     def _attempt(
         self, rung: _Rung, history, top_n, start, budget, causes,
+        ready=None,
     ) -> np.ndarray | None:
         """Try one rung, retrying transient failures in place.
 
         Returns the ranking, or ``None`` (with breaker/stats updated and
-        ``causes[rung]`` set) to fall through to the next rung.
+        ``causes[rung]`` set) to fall through to the next rung.  A
+        ``ready`` window entry stands in for the scoring call and the
+        ranking while its row is still cached; touching the row books
+        the cache hit that the lookup would have booked.
         """
         rstats = self._stats.rungs[rung.name]
         for attempt in range(self.retry.max_attempts):
@@ -324,19 +377,23 @@ class RecommendService:
             remaining = (
                 None if budget is None else budget - (called_at - start)
             )
-            try:
-                scores = rung.model.score_batch([history])
-            except Exception as error:  # noqa: BLE001 — rung isolation
-                rung.breaker.record_failure()
-                rstats.failures["error"] += 1
-                causes[rung.name] = f"error: {error}"
-                if (
-                    isinstance(error, TransientError)
-                    and attempt < self.retry.max_attempts - 1
-                    and self._pause_within_budget(attempt, start, budget)
-                ):
-                    continue
-                return None
+            outcome = None
+            if ready is not None and rung.engine.cache.touch(ready[0]):
+                outcome = ready[1:]
+            else:
+                try:
+                    scores = rung.model.score_batch([history])
+                except Exception as error:  # noqa: BLE001 — rung isolation
+                    rung.breaker.record_failure()
+                    rstats.failures["error"] += 1
+                    causes[rung.name] = f"error: {error}"
+                    if (
+                        isinstance(error, TransientError)
+                        and attempt < self.retry.max_attempts - 1
+                        and self._pause_within_budget(attempt, start, budget)
+                    ):
+                        continue
+                    return None
             elapsed = self._clock() - called_at
             if budget is not None and elapsed > max(remaining, 0.0):
                 # The call returned, but outran what was left of the
@@ -351,19 +408,20 @@ class RecommendService:
                     f"budget left)"
                 )
                 return None
-            try:
-                if isinstance(scores, TopScores):
-                    ranked = self._rank_narrow(rung, scores, history, top_n)
-                else:
-                    ranked = self._rank(scores, history, top_n)
-            except (NonFiniteScoresError, ValueError) as error:
-                rung.breaker.record_failure()
-                rstats.failures["non_finite"] += 1
-                causes[rung.name] = f"invalid scores: {error}"
-                return None
+            if outcome is None:
+                try:
+                    outcome = self._rank_one(rung, scores, history, top_n)
+                except (NonFiniteScoresError, ValueError) as error:
+                    rung.breaker.record_failure()
+                    rstats.failures["non_finite"] += 1
+                    causes[rung.name] = f"invalid scores: {error}"
+                    return None
+            ranked, narrow = outcome
             rung.breaker.record_success()
             rstats.successes += 1
             rstats.latency.add(elapsed)
+            if narrow:
+                self._stats.narrow_ranked += 1
             return ranked
         return None
 
@@ -430,79 +488,103 @@ class RecommendService:
             array = array[-self.config.max_history:]
         return array, top_n
 
+    def _rank_one(
+        self, rung: _Rung, scores, history: np.ndarray, top_n: int
+    ) -> tuple[np.ndarray, bool]:
+        """Rank one request's scores; returns ``(ranked, narrow)``.
+
+        A narrow list that needs the slow path falls back to one true
+        dense forward through the rung's engine (``score_batch_dense``):
+        the full catalogue can still be ranked, it just costs the
+        allocation the narrow path normally avoids.  A rung without that
+        hatch serves a short list as it is and fails an empty one.
+        Raises ``ValueError`` when nothing is rankable.
+        """
+        if isinstance(scores, TopScores):
+            lists, slow = self._rank_narrow(scores, [history], top_n)
+            dense = getattr(rung.model, "score_batch_dense", None)
+            if not slow[0] or (dense is None and lists[0].size):
+                return lists[0], True
+            if dense is None:
+                raise ValueError(
+                    "no rankable candidates after exclusions and the "
+                    "rung has no dense fallback"
+                )
+            self._stats.dense_fallbacks += 1
+            scores = dense([history])
+        lists, empty = self._rank(scores, [history], top_n)
+        if empty[0]:
+            raise ValueError("no rankable items after exclusions")
+        return lists[0], False
+
     def _rank(
-        self, scores, history: np.ndarray, top_n: int
-    ) -> np.ndarray:
+        self, scores, histories, top_n: int
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Rank full-width rows, one per history.
+
+        Returns the per-row lists and a per-row mask of empty lists (no
+        rankable item left), which need the slow path.
+        """
         scores = np.asarray(scores, dtype=np.float64)
-        expected = (1, self.num_items + 1)
+        expected = (len(histories), self.num_items + 1)
         if scores.shape != expected:
             raise ValueError(
                 f"expected scores of shape {expected}, got {scores.shape}"
             )
-        exclude = [history] if self.config.exclude_history else None
+        exclude = histories if self.config.exclude_history else None
         ranked = rank_items_batch(
             scores, top_n, exclude=exclude, check_finite=True
-        )[0]
+        )
         # Drop the -inf sentinel tail: when fewer than top_n items are
         # rankable the batch kernel pads the list with excluded/padding
         # ids, which a service must never actually recommend.
-        masked = scores[0].copy()
-        masked[0] = -np.inf
+        masked = scores.copy()
+        masked[:, 0] = -np.inf
         if exclude is not None:
-            masked[history] = -np.inf
-        ranked = ranked[masked[ranked] > -np.inf]
-        if ranked.size == 0:
-            raise ValueError("no rankable items after exclusions")
-        return ranked
+            for row, history in enumerate(exclude):
+                masked[row, history] = -np.inf
+        keep = np.take_along_axis(masked, ranked, axis=1) > -np.inf
+        lists = [row[mask] for row, mask in zip(ranked, keep)]
+        return lists, ~keep.any(axis=1)
 
     def _rank_narrow(
-        self, rung: _Rung, top: TopScores, history: np.ndarray, top_n: int
-    ) -> np.ndarray:
-        """Rank a candidate-native response without densifying it.
+        self, top: TopScores, histories, top_n: int
+    ) -> tuple[list[np.ndarray], np.ndarray]:
+        """Rank candidate-native responses without densifying them.
 
-        The narrow twin of :meth:`_rank`: O(C log C) over the packed
-        candidate list instead of O(|I|) over a scattered row, with the
-        same exclusion semantics (history ids masked out, the 0-pad tail
-        stripped exactly like the dense path's ``-inf`` tail).  When the
-        list comes out shorter than ``top_n`` although the catalogue could
-        fill more of it — thin probed lists, or exclusions swallowing the
-        candidates — the request falls back to one true dense forward
-        through the rung's engine (``score_batch_dense``): the full
-        catalogue can still be ranked, it just costs the allocation the
-        narrow path normally avoids.  A retrieval width ``C < top_n``
-        asks for short lists, so there only an empty list densifies.
-        Both outcomes are counted in the service stats
-        (``narrow_ranked`` / ``dense_fallbacks``).
+        The narrow twin of :meth:`_rank`: O(C log C) per row over the
+        packed candidate lists instead of O(|I|) over scattered rows,
+        with the same exclusion semantics (history ids masked out, the
+        0-pad tail stripped exactly like the dense path's ``-inf``
+        tail).  Returns the per-row lists and a per-row mask of lists
+        that need the slow path: empty ones, and ones shorter than
+        ``top_n`` although the catalogue could fill more of them (thin
+        probed lists, or exclusions swallowing the candidates).  A
+        retrieval width ``C < top_n`` asks for short lists, so there
+        only an empty list needs it.
         """
-        if len(top) != 1:
+        if len(top) != len(histories):
             raise ValueError(
-                f"expected a 1-row narrow response, got {len(top)} rows"
+                f"expected a {len(histories)}-row narrow response, got "
+                f"{len(top)} rows"
             )
         if top.width != self.num_items + 1:
             raise ValueError(
                 f"narrow width {top.width} does not match the service "
                 f"vocabulary ({self.num_items + 1})"
             )
-        exclude = [history] if self.config.exclude_history else None
+        exclude = histories if self.config.exclude_history else None
         ranked = rank_top_scores(
             top, top_n, exclude=exclude, check_finite=True
-        )[0]
-        ranked = ranked[ranked != 0]
-        if ranked.size == 0 or (
-            ranked.size < top_n <= top.candidates
-            and ranked.size < self._rankable(history)
-        ):
-            dense = getattr(rung.model, "score_batch_dense", None)
-            if dense is not None:
-                self._stats.dense_fallbacks += 1
-                return self._rank(dense([history]), history, top_n)
-            if ranked.size == 0:
-                raise ValueError(
-                    "no rankable candidates after exclusions and the "
-                    "rung has no dense fallback"
-                )
-        self._stats.narrow_ranked += 1
-        return ranked
+        )
+        # Unrankable slots are 0 and sink to the end of each row.
+        counts = np.count_nonzero(ranked, axis=1)
+        lists = [row[:count] for row, count in zip(ranked, counts)]
+        slow = counts == 0
+        if top_n <= top.candidates:
+            for row in np.flatnonzero((counts < top_n) & ~slow):
+                slow[row] = counts[row] < self._rankable(histories[row])
+        return lists, slow
 
     def _rankable(self, history: np.ndarray) -> int:
         """Items the dense path can rank: the catalogue minus the

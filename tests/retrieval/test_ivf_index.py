@@ -94,6 +94,27 @@ class TestKMeans:
         assert np.isfinite(small).all()
 
 
+class TestAssign:
+    def test_chunked_equals_one_unchunked_argmax(self, vectors, monkeypatch):
+        from repro.retrieval import index as index_module
+
+        centroids = kmeans(vectors, 8, make_rng(0))
+        want = np.argmax(
+            vectors @ centroids.T
+            - 0.5 * np.einsum("cd,cd->c", centroids, centroids),
+            axis=1,
+        )
+        # 3 rows of 8 float32 affinities per chunk: 200 chunks.
+        monkeypatch.setattr(index_module, "ASSIGN_CHUNK_BYTES", 3 * 8 * 4)
+        np.testing.assert_array_equal(
+            index_module._assign(vectors, centroids), want
+        )
+        monkeypatch.setattr(index_module, "ASSIGN_CHUNK_BYTES", 1)
+        np.testing.assert_array_equal(
+            index_module._assign(vectors, centroids), want
+        )
+
+
 class TestIndexBuild:
     def test_partitions_cover_all_ids(self, vectors, ids):
         index = IVFIndex.build(vectors, ids, IndexConfig(nlist=8))

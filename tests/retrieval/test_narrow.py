@@ -185,3 +185,88 @@ class TestRankTopScores:
         )
         with pytest.raises(ValueError, match="top_n"):
             rank_top_scores(top, 0)
+
+
+class TestBatchedExclusion:
+    """A batch of rows ranks exactly like one call per row."""
+
+    @staticmethod
+    def _per_row(top, top_n, exclude):
+        return np.concatenate([
+            rank_top_scores(top.row(row), top_n, exclude=[exclude[row]])
+            for row in range(len(top))
+        ])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batch_equals_per_row_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        top = make_batch(rng, batch=9, cand=12, pad_rate=0.3)
+        exclude = [
+            rng.choice(np.arange(1, WIDTH), size=int(size), replace=False)
+            for size in rng.integers(0, 20, size=len(top))
+        ]
+        # Exclude real candidates too, not only random ids.
+        for row in range(0, len(top), 2):
+            real = top.ids[row][top.ids[row] >= 1]
+            exclude[row] = np.concatenate([exclude[row], real[:3]])
+        for top_n in (1, 5, 15):
+            np.testing.assert_array_equal(
+                rank_top_scores(top, top_n, exclude=exclude),
+                self._per_row(top, top_n, exclude),
+            )
+
+    def test_padding_next_to_history_holding_the_last_item(self):
+        # Row 1's -1 slots sit right after row 0 in key space; row 0's
+        # history holds item num_items (= WIDTH - 1).  A stride of
+        # ``width`` would alias them; neither may affect the other.
+        last = WIDTH - 1
+        top = TopScores(
+            np.array([[last, 7, 3], [-1, 5, -1], [4, last, -1]]),
+            np.array([[3.0, 2.0, 1.0], [-np.inf, 0.5, -np.inf],
+                      [1.0, 2.0, -np.inf]]),
+            WIDTH,
+        )
+        exclude = [
+            np.array([last, 9]), np.array([last]), np.array([], np.int64)
+        ]
+        ranked = rank_top_scores(top, 3, exclude=exclude)
+        np.testing.assert_array_equal(
+            ranked, [[7, 3, 0], [5, 0, 0], [last, 4, 0]]
+        )
+        np.testing.assert_array_equal(
+            ranked, self._per_row(top, 3, exclude)
+        )
+
+    def test_row_with_every_candidate_excluded(self):
+        rng = np.random.default_rng(3)
+        top = make_batch(rng, batch=3, cand=6, pad_rate=0.2)
+        exclude = [np.array([1]), top.ids[1][top.ids[1] >= 1],
+                   np.array([2, 3])]
+        ranked = rank_top_scores(top, 4, exclude=exclude)
+        assert (ranked[1] == 0).all()
+        np.testing.assert_array_equal(
+            ranked, self._per_row(top, 4, exclude)
+        )
+
+    def test_out_of_range_exclusions_are_ignored(self):
+        # Ids outside the catalogue can never name a candidate; they
+        # must not alias into a neighbouring row's key range either.
+        top = TopScores(
+            np.array([[1, 2], [3, 4]]), np.array([[2.0, 1.0], [2.0, 1.0]]),
+            WIDTH,
+        )
+        for exclude in (
+            # Row 1's -WIDTH would land on row 0's item 1.
+            [np.array([0, -1]), np.array([-WIDTH, 0])],
+            [np.array([WIDTH + 2, 10 * WIDTH]), np.array([WIDTH])],
+        ):
+            np.testing.assert_array_equal(
+                rank_top_scores(top, 2, exclude=exclude), [[1, 2], [3, 4]]
+            )
+
+    def test_bad_top_n_rejected_before_any_work(self):
+        # NaN scores would fail the finite check; the top_n check comes
+        # first, so the error names top_n.
+        top = TopScores(np.array([[2]]), np.array([[np.nan]]), WIDTH)
+        with pytest.raises(ValueError, match="top_n"):
+            rank_top_scores(top, 0)

@@ -24,7 +24,12 @@ from repro.serve import (
 )
 from repro.tensor import tape_node_count
 
-from .conftest import NUM_ITEMS, FakeClock, StubModel
+from .conftest import (
+    NUM_ITEMS,
+    FakeClock,
+    StubModel,
+    assert_window_parity,
+)
 
 # ----------------------------------------------------------------------
 # ScoreCache
@@ -62,6 +67,26 @@ class TestScoreCache:
         cache.put("a", np.zeros(1))
         assert "a" in cache and "b" not in cache
         assert cache.hits == 0 and cache.misses == 0
+
+    def test_peek_moves_and_counts_nothing(self):
+        cache = ScoreCache(capacity=2)
+        cache.put("a", np.zeros(1))
+        cache.put("b", np.ones(1))
+        assert np.array_equal(cache.peek("a"), np.zeros(1))
+        assert cache.peek("z") is None
+        cache.put("c", np.full(1, 2.0))  # 'a' is still the LRU entry
+        assert "a" not in cache
+        assert cache.hits == 0 and cache.misses == 0
+
+    def test_touch_books_a_hit_like_get(self):
+        cache = ScoreCache(capacity=2)
+        cache.put("a", np.zeros(1))
+        cache.put("b", np.ones(1))
+        assert cache.touch("a")
+        assert not cache.touch("z")
+        assert cache.hits == 1 and cache.misses == 0
+        cache.put("c", np.full(1, 2.0))  # 'a' was touched: 'b' goes
+        assert "a" in cache and "b" not in cache
 
     def test_zero_capacity_disables(self):
         cache = ScoreCache(capacity=0)
@@ -517,6 +542,112 @@ class TestBatchedSequentialEquivalence:
         for one, result in zip(loop, many):
             assert isinstance(result, Recommendation)
             assert np.array_equal(one.items, result.items)
+
+
+class TestWindowParity:
+    """``recommend_many`` ranks a window in one call, yet every result
+    and counter equals prefetch + a ``recommend`` loop (dense rows)."""
+
+    @staticmethod
+    def _build(sasrec, engine=None, clock=None, faulty=None, **config):
+        def build():
+            primary = sasrec
+            if faulty is not None:
+                primary = FaultyRecommender(sasrec, faulty())
+            kwargs = {} if clock is None else {"clock": clock()}
+            return RecommendService(
+                [("primary", primary),
+                 ("fallback", StubModel(NUM_REAL_ITEMS))],
+                num_items=NUM_REAL_ITEMS,
+                config=ServiceConfig(top_n=10, deadline=None, **config),
+                retry=RetryPolicy(max_attempts=2, base_delay=0.0),
+                engine=engine or EngineConfig(max_batch=8),
+                **kwargs,
+            )
+        return build
+
+    def test_dense_rows_with_duplicates(self, sasrec):
+        histories = ragged_histories(seed=4)
+        assert assert_window_parity(self._build(sasrec), histories) == 0
+
+    def test_invalid_requests_interleaved(self, sasrec):
+        histories = ragged_histories(seed=5, count=9)
+        histories[1:1] = [np.array([], dtype=np.int64)]
+        histories[4:4] = [np.array([1, NUM_REAL_ITEMS + 3])]
+        histories[7:7] = [np.array([[1, 2]])]
+        histories.append(np.array([0.5, 2.0]))
+        assert_window_parity(self._build(sasrec), histories)
+
+    def test_invalid_top_n_rejects_every_request(self, sasrec):
+        assert_window_parity(
+            self._build(sasrec), ragged_histories(seed=6, count=4), top_n=0
+        )
+
+    def test_rows_with_nothing_rankable_take_the_slow_path(self, sasrec):
+        # max_history=NUM_REAL_ITEMS lets a history exclude the whole
+        # catalogue: its dense list is empty, so that request is ranked
+        # again on its own, fails, and the fallback rung ranks it too.
+        everything = np.arange(1, NUM_REAL_ITEMS + 1)
+        histories = ragged_histories(seed=7, count=6)
+        histories[2:2] = [everything]
+        assert assert_window_parity(
+            self._build(sasrec, max_history=NUM_REAL_ITEMS), histories
+        ) == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nan_faults_same_injector_seed(self, sasrec, seed):
+        assert_window_parity(
+            self._build(
+                sasrec,
+                faulty=lambda: FaultInjector(nan_rate=0.3, seed=seed),
+            ),
+            ragged_histories(seed=8 + seed, count=15),
+        )
+
+    def test_half_open_primary_breaker(self, sasrec):
+        def half_open(service):
+            breaker = service.breaker("primary")
+            for _ in range(breaker.min_calls):
+                breaker.record_failure()
+            assert breaker.state == "open"
+            service._clock.advance(breaker.cooldown)
+            assert breaker.state == "half_open"
+
+        assert_window_parity(
+            self._build(sasrec, clock=FakeClock),
+            ragged_histories(seed=11, count=10),
+            prepare=half_open,
+        )
+
+    def test_open_primary_breaker(self, sasrec):
+        def trip(service):
+            breaker = service.breaker("primary")
+            for _ in range(breaker.min_calls):
+                breaker.record_failure()
+
+        assert_window_parity(
+            self._build(sasrec, clock=FakeClock),
+            ragged_histories(seed=12, count=10),
+            prepare=trip,
+        )
+
+    def test_cache_disabled(self, sasrec):
+        assert_window_parity(
+            self._build(sasrec, engine=EngineConfig(cache_capacity=0)),
+            ragged_histories(seed=13, count=10),
+        )
+
+    def test_cache_smaller_than_the_window(self, sasrec):
+        # Misses put rows that evict rows the window read as cached;
+        # those requests must miss at their turn, as in the loop.
+        assert_window_parity(
+            self._build(
+                sasrec,
+                engine=EngineConfig(max_batch=4, cache_capacity=3),
+                faulty=lambda: FaultInjector(nan_rate=0.5, seed=4),
+            ),
+            ragged_histories(seed=14, count=12),
+        )
 
 
 _PROPERTY_MODEL = None

@@ -25,6 +25,8 @@ from repro.serve import (
 )
 from repro.tensor import Tensor, set_default_dtype
 
+from .conftest import FakeClock, StubModel, assert_window_parity
+
 NUM_ITEMS = 60
 MAX_LENGTH = 12
 
@@ -417,6 +419,94 @@ class TestNarrowExclusionFallback:
         stats = service.stats()
         assert stats["narrow_ranked"] == 1
         assert stats["dense_fallbacks"] == 0
+
+
+class TestWindowParity:
+    """``recommend_many`` ranks a window's narrow rows in one call, yet
+    every result and counter equals prefetch + a ``recommend`` loop."""
+
+    @staticmethod
+    def _build(inner, index=APPROX, engine=None, faulty=None, clock=None,
+               top_n=5):
+        def build():
+            primary = inner()
+            if faulty is not None:
+                primary = FaultyRecommender(primary, faulty())
+            kwargs = {} if clock is None else {"clock": clock()}
+            return RecommendService(
+                [("primary", primary), ("fallback", StubModel(NUM_ITEMS))],
+                num_items=NUM_ITEMS,
+                config=ServiceConfig(deadline=None, top_n=top_n),
+                engine=engine or EngineConfig(max_batch=4, index=index),
+                **kwargs,
+            )
+        return build
+
+    def test_narrow_rows_with_duplicates_and_invalid(self, model, histories):
+        window = list(histories) + [histories[0], histories[3]]
+        window[2:2] = [np.array([0, 1])]
+        window[6:6] = [np.array([], dtype=np.int64)]
+        assert assert_window_parity(
+            self._build(lambda: model), window
+        ) == 0
+
+    def test_exact_index_serves_dense_rows(self, model, histories):
+        assert assert_window_parity(
+            self._build(lambda: model, index=EXACT), histories
+        ) == 0
+
+    def test_row_needing_the_dense_fallback(self):
+        fixed = _FixedQueryModel()
+        candidates = np.argsort(
+            -(fixed.query @ fixed.weights)[1:]
+        )[:4] + 1
+        window = [
+            np.array([50, 51]),
+            candidates.astype(np.int64),
+            np.array([7, 8, 9]),
+            candidates[:2].astype(np.int64),
+        ]
+        build = self._build(
+            _FixedQueryModel, index=TestNarrowExclusionFallback.CONFIG
+        )
+        # Only the request whose history swallows every candidate is
+        # ranked on its own (narrow, then dense).
+        assert assert_window_parity(build, window) == 1
+        service = build()
+        service.recommend_many(window)
+        assert service.stats()["dense_fallbacks"] == 1
+
+    @pytest.mark.parametrize("seed", [13, 14])
+    def test_nan_faults_same_injector_seed(self, model, histories, seed):
+        assert_window_parity(
+            self._build(
+                lambda: model,
+                faulty=lambda: FaultInjector(nan_rate=0.4, seed=seed),
+            ),
+            list(histories) * 2,
+        )
+
+    def test_half_open_primary_breaker(self, model, histories):
+        def half_open(service):
+            breaker = service.breaker("primary")
+            for _ in range(breaker.min_calls):
+                breaker.record_failure()
+            service._clock.advance(breaker.cooldown)
+            assert breaker.state == "half_open"
+
+        assert_window_parity(
+            self._build(lambda: model, clock=FakeClock), histories,
+            prepare=half_open,
+        )
+
+    def test_cache_disabled(self, model, histories):
+        assert_window_parity(
+            self._build(
+                lambda: model,
+                engine=EngineConfig(cache_capacity=0, index=APPROX),
+            ),
+            histories,
+        )
 
 
 class TestSnapshotObservability:
