@@ -8,7 +8,9 @@ where the reconstruction term is a softmax cross-entropy against the
 next item (one-hot) or the next ``k`` items (multi-hot, Eq. 18), averaged
 over the non-padded sequence positions; the KL term is the closed-form
 Gaussian divergence summed over latent dimensions and averaged over the
-same positions.
+same positions.  The one-hot form fuses the output-head GEMM into the
+loss (:func:`repro.tensor.linear_cross_entropy`), so a padded position
+is never scored.
 
 :func:`elbo_terms` returns the pieces separately so callers can log the
 reconstruction/KL trade-off (and so tests can check each in isolation).
@@ -23,10 +25,10 @@ import numpy as np
 from ..data.batching import next_k_multi_hot, shift_targets
 from ..tensor import (
     Tensor,
-    cross_entropy,
     cross_entropy_reference,
     gaussian_kl_standard_normal,
     get_default_dtype,
+    linear_cross_entropy,
     multi_hot_cross_entropy,
     multi_hot_cross_entropy_reference,
 )
@@ -93,7 +95,8 @@ def reconstruction_targets(
 
 
 def elbo_terms(
-    logits: Tensor,
+    hidden: Tensor,
+    head: tuple[Tensor, Tensor | None],
     targets: np.ndarray,
     weights: np.ndarray,
     mu: Tensor | None,
@@ -105,7 +108,9 @@ def elbo_terms(
     """Assemble Eq. 20 from model outputs.
 
     Args:
-        logits: ``(batch, length, num_items + 1)`` prediction scores.
+        hidden: ``(batch, length, dim)`` hidden states feeding the head.
+        head: the output head's ``(weight, bias)`` (see
+            ``NeuralSequentialRecommender.output_head``).
         targets: integer next-item ids, or a multi-hot array when
             ``multi_hot`` is True.
         weights: per-position supervision weights (0 at padding).
@@ -114,18 +119,28 @@ def elbo_terms(
         beta: the KL weight in force (from a
             :class:`repro.train.annealing.BetaSchedule`).
         multi_hot: selects the reconstruction form.
-        fused: compute the reconstruction term with the fused
-            log-sum-exp kernel (default) or the composed reference.
+        fused: compute the reconstruction term with the fused kernels
+            (default: :func:`linear_cross_entropy` for one-hot targets)
+            or with composed logits and the reference loss.
     """
-    if multi_hot:
-        reconstruct = (
-            multi_hot_cross_entropy
-            if fused
-            else multi_hot_cross_entropy_reference
-        )
+    weight, bias = head
+    if multi_hot or not fused:
+        logits = hidden @ weight
+        if bias is not None:
+            logits = logits + bias
+        if multi_hot:
+            reconstruct = (
+                multi_hot_cross_entropy
+                if fused
+                else multi_hot_cross_entropy_reference
+            )
+        else:
+            reconstruct = cross_entropy_reference
+        reconstruction = reconstruct(logits, targets, weights=weights)
     else:
-        reconstruct = cross_entropy if fused else cross_entropy_reference
-    reconstruction = reconstruct(logits, targets, weights=weights)
+        reconstruction = linear_cross_entropy(
+            hidden, weight, bias, targets, weights=weights
+        )
     if (mu is None) != (sigma is None):
         raise ValueError("mu and sigma must both be given or both None")
     kl = (

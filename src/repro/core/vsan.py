@@ -314,8 +314,8 @@ class VSAN(NeuralSequentialRecommender):
                 z, timeline_mask, key_padding_mask
             )
             return elbo_terms(
-                self.logits(hidden), targets, weights, mu, sigma, beta,
-                multi_hot, fused=self.fused,
+                hidden, self.output_head(), targets, weights, mu, sigma,
+                beta, multi_hot, fused=self.fused,
             )
 
         terms = sample_terms()

@@ -32,7 +32,12 @@ from ..data.batching import (
 )
 from ..data.interactions import SequenceCorpus
 from ..nn.module import Module
-from ..tensor import Tensor, cross_entropy, get_default_dtype, no_grad
+from ..tensor import (
+    Tensor,
+    get_default_dtype,
+    linear_cross_entropy,
+    no_grad,
+)
 from ..tensor.compile import record_feed, run_compiled
 
 __all__ = ["Recommender", "NeuralSequentialRecommender"]
@@ -172,10 +177,13 @@ class NeuralSequentialRecommender(Module, Recommender):
         return self.logits(self.encode(padded))
 
     def training_loss(self, padded: np.ndarray) -> Tensor:
-        """Next-item cross-entropy over the non-padded positions."""
+        """Next-item cross-entropy over the non-padded positions; the
+        head is applied to those positions only."""
         inputs, targets, weights = shift_targets(padded)
-        return cross_entropy(
-            self.forward_scores(inputs), targets, weights=weights
+        hidden = self.encode(inputs)
+        weight, bias = self.output_head()
+        return linear_cross_entropy(
+            hidden, weight, bias, targets, weights=weights
         )
 
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ from ..nn import (
     Linear,
     VerticalConvolution,
 )
-from ..tensor import Tensor, concatenate, cross_entropy
+from ..tensor import Tensor, concatenate, linear_cross_entropy
 from ..tensor.compile import mark_dynamic, record_host, tracing
 from ..tensor.random import spawn_rngs
 from .base import NeuralSequentialRecommender
@@ -182,5 +182,7 @@ class Caser(NeuralSequentialRecommender):
             [extended[rows, cols + offset] for offset in range(self.window)],
             axis=1,
         )
-        logits = self.logits(self._window_hidden(windows))
-        return cross_entropy(logits, targets[rows, cols])
+        weight, bias = self.output_head()
+        return linear_cross_entropy(
+            self._window_hidden(windows), weight, bias, targets[rows, cols]
+        )

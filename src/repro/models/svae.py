@@ -148,12 +148,13 @@ class SVAE(NeuralSequentialRecommender):
         )
         mu, sigma = self.posterior(inputs)
         z = self._sample(mu, sigma)
-        logits = self.logits(self.decode_hidden(z))
+        hidden = self.decode_hidden(z)
         beta = self.annealing.beta(self._step)
         if self.training:
             self._step += 1
         return elbo_terms(
-            logits, targets, weights, mu, sigma, beta, multi_hot
+            hidden, self.output_head(), targets, weights, mu, sigma, beta,
+            multi_hot,
         ).loss
 
     # ------------------------------------------------------------------

@@ -40,6 +40,11 @@ from .narrow import TopScores
 
 __all__ = ["RetrievalEngine"]
 
+# Items per block when :meth:`RetrievalEngine.refresh` diffs a new head
+# against the indexed table: a block of both layouts stays in cache,
+# where one strided compare over the whole table does not.
+_DIFF_BLOCK = 1024
+
 
 class RetrievalEngine:
     """Candidate-retrieval scoring wrapper around one model.
@@ -87,9 +92,9 @@ class RetrievalEngine:
             self.index = IVFIndex.build(items, ids, config)
 
     @staticmethod
-    def _item_table(model) -> tuple[np.ndarray, bool]:
-        """The (bias-augmented) item-vector table of ``model``'s output
-        head — what the index partitions and the re-rank gathers from.
+    def _head(model) -> tuple[np.ndarray, np.ndarray | None]:
+        """``model``'s output head as arrays: the ``(d, |I|+1)`` weight
+        and the ``(|I|+1,)`` bias (or ``None``).
 
         Raises:
             ValueError: if the model lacks the retrieval hooks (callers
@@ -104,13 +109,20 @@ class RetrievalEngine:
             )
         with no_grad():  # a tied head's transpose must not build tape
             weights, bias = model.output_head()
+        return weights.data, None if bias is None else bias.data
+
+    @classmethod
+    def _item_table(cls, model) -> tuple[np.ndarray, bool]:
+        """The (bias-augmented) item-vector table of ``model``'s output
+        head — what the index partitions and the re-rank gathers from."""
+        weights, bias = cls._head(model)
         # Rows 1..N of the transposed head are the item vectors; index 0
         # is PAD and must never be retrievable.
-        items = np.ascontiguousarray(weights.data.T[1:], dtype=np.float32)
+        items = np.ascontiguousarray(weights.T[1:], dtype=np.float32)
         has_bias = bias is not None
         if has_bias:
             items = np.concatenate(
-                [items, np.asarray(bias.data, dtype=np.float32)[1:, None]],
+                [items, np.asarray(bias, dtype=np.float32)[1:, None]],
                 axis=1,
             )
         return items, has_bias
@@ -161,9 +173,11 @@ class RetrievalEngine:
     def refresh(self, model) -> dict:
         """Adopt a hot-swapped model without a full index rebuild.
 
-        Pulls the new model's output head, diffs it row-by-row against
-        the table currently indexed, and reassigns only the changed item
-        vectors to their nearest existing centroids
+        Diffs the new model's output head, in its native ``(d, |I|+1)``
+        layout and in blocks of items, against the table currently
+        indexed, patches only the changed rows of that table, and
+        reassigns only the changed item vectors to their nearest existing
+        centroids
         (:meth:`IVFIndex.update`) — a rollout at catalogue scale pays
         O(changed) assignment work instead of a k-means re-run.  Once
         cumulative churn since the last build reaches
@@ -188,38 +202,70 @@ class RetrievalEngine:
                 fresh engine (as :meth:`InferenceEngine.set_model`
                 does).
         """
-        items, has_bias = self._item_table(model)
-        if has_bias != self._has_bias:
+        weights, bias = self._head(model)
+        if (bias is not None) != self._has_bias:
             raise ValueError(
                 "output head bias structure changed across the swap; "
                 "a fresh index build is required"
             )
-        if items.shape != self._items.shape:
+        shape = (weights.shape[1] - 1, weights.shape[0] + self._has_bias)
+        if shape != self._items.shape:
             raise ValueError(
                 f"item table changed shape across the swap "
-                f"({self._items.shape} -> {items.shape}); a fresh "
+                f"({self._items.shape} -> {shape}); a fresh "
                 "index build is required"
             )
+        changed = self._patch_items(weights, bias)
+        self._model = model
         if self.exact:
             # No index to patch: exact mode always scores through the
             # live model, so adopting it is the whole refresh.
-            self._model = model
-            self._items = items
             return {"mode": "exact", "changed": 0}
-        changed = np.flatnonzero(np.any(items != self._items, axis=1))
-        self._model = model
-        self._items = items
         if changed.size == 0:
             return {"mode": "noop", "changed": 0}
         projected = self.index.updates_since_build + changed.size
         if projected >= self.config.rebuild_threshold * self.num_items:
             ids = np.arange(1, self.num_items + 1, dtype=np.int64)
-            self.index = IVFIndex.build(items, ids, self.config)
+            self.index = IVFIndex.build(self._items, ids, self.config)
             self.rebuilds += 1
             return {"mode": "rebuild", "changed": int(changed.size)}
-        self.index.update(items[changed], changed + 1)
+        self.index.update(self._items[changed], changed + 1)
         self.refreshes += 1
         return {"mode": "update", "changed": int(changed.size)}
+
+    def _patch_items(
+        self, weights: np.ndarray, bias: np.ndarray | None
+    ) -> np.ndarray:
+        """Bring ``_items`` up to the head ``(weights, bias)`` and return
+        the (0-based) rows that changed.
+
+        Compares in float32, the table's dtype, block by block, without
+        building the transposed copy of the whole head.  The table is
+        patched in place when the engine owns its memory; when it is a
+        view of a model's weights (a float32 tied head needs no copy at
+        build time), the patched table is a new copy instead.
+        """
+        items = self._items
+        dim = weights.shape[0]
+        blocks = []
+        for start in range(0, self.num_items, _DIFF_BLOCK):
+            stop = min(start + _DIFF_BLOCK, self.num_items)
+            block = np.asarray(
+                weights[:, start + 1:stop + 1], dtype=np.float32
+            )
+            differs = np.not_equal(block, items[start:stop, :dim].T)
+            blocks.append(np.flatnonzero(differs.any(axis=0)) + start)
+        changed = np.concatenate(blocks)
+        if bias is not None:
+            moved = np.asarray(bias[1:], dtype=np.float32) != items[:, dim]
+            changed = np.union1d(changed, np.flatnonzero(moved))
+        if changed.size:
+            if not items.flags.owndata:
+                items = self._items = items.copy()
+            items[changed, :dim] = weights[:, changed + 1].T
+            if bias is not None:
+                items[changed, dim] = bias[changed + 1]
+        return changed
 
     def snapshot(self) -> dict:
         """Counters + *effective* configuration for observability.

@@ -114,30 +114,30 @@ def _dense(array: np.ndarray) -> bool:
 
 
 class _Slab:
-    """Grow-only chunked bump allocator shared by a model's programs.
+    """Grow-only chunked first-fit allocator shared by a model's programs.
 
     Rewound at the start of every trace; each retained buffer takes the
-    next aligned span of the current chunk, moving on to the next chunk
-    (allocated on first use) when it does not fit.  All chunks
-    have the same size, so a program's layout depends only on its own
-    trace, and the slab ends up as large as the largest program's layout
-    whatever order the keys are traced in.
+    next aligned span of the first chunk with room for it, opening the
+    next chunk (allocated on first use) when none has.  A buffer that
+    skips the tail of a chunk therefore leaves it to later, smaller
+    buffers instead of wasting it.  All chunks have the same size, so a
+    program's layout depends only on its own trace, and the slab ends up
+    as large as the largest program's layout whatever order the keys are
+    traced in.
     """
 
-    __slots__ = ("chunks", "_index", "_offset")
+    __slots__ = ("chunks", "_used")
 
     def __init__(self):
         self.chunks: list[np.ndarray] = []
-        self._index = 0
-        self._offset = 0
+        self._used: list[int] = []  # bytes taken per chunk in this trace
 
     @property
     def nbytes(self) -> int:
         return len(self.chunks) * SLAB_CHUNK_BYTES
 
     def rewind(self) -> None:
-        self._index = 0
-        self._offset = 0
+        self._used = []
 
     def take(self, array: np.ndarray) -> np.ndarray:
         """A slab view holding a copy of ``array`` with its exact shape,
@@ -146,17 +146,20 @@ class _Slab:
         size = array.nbytes
         if not 0 < size <= SLAB_CHUNK_BYTES or not _dense(array):
             return array
-        offset = -(-self._offset // _ALIGN) * _ALIGN
-        if offset + size > SLAB_CHUNK_BYTES:
-            self._index += 1
-            offset = 0
-        if self._index == len(self.chunks):
+        for index, used in enumerate(self._used):
+            offset = -(-used // _ALIGN) * _ALIGN
+            if offset + size <= SLAB_CHUNK_BYTES:
+                break
+        else:
+            index, offset = len(self._used), 0
+            self._used.append(0)
+        if index == len(self.chunks):
             raw = np.empty(SLAB_CHUNK_BYTES + _ALIGN, dtype=np.uint8)
             start = -raw.ctypes.data % _ALIGN
             self.chunks.append(raw[start:start + SLAB_CHUNK_BYTES])
-        self._offset = offset + size
+        self._used[index] = offset + size
         view = np.ndarray(
-            array.shape, dtype=array.dtype, buffer=self.chunks[self._index],
+            array.shape, dtype=array.dtype, buffer=self.chunks[index],
             offset=offset, strides=array.strides,
         )
         np.copyto(view, array)

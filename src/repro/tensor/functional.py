@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compile import mark_dynamic, record_host, tracing
-from .fused import fused_cross_entropy, fused_multi_hot_cross_entropy
+from .fused import fused_multi_hot_cross_entropy
 from .tensor import Tensor, _retain, get_default_dtype
 
 __all__ = [
@@ -52,10 +52,11 @@ def cross_entropy(
 ) -> Tensor:
     """Mean negative log-likelihood of integer ``targets`` under ``logits``.
 
-    Dispatches to the fused log-sum-exp kernel
-    (:func:`repro.tensor.fused.fused_cross_entropy`); the composed
-    implementation is kept as :func:`cross_entropy_reference` and the two
-    are held in parity by the gradcheck suite.
+    Composed from primitives (:func:`cross_entropy_reference`).  Training
+    losses never build the full logits: they call
+    :func:`repro.tensor.fused.linear_cross_entropy`, which fuses the
+    output-head GEMM into the loss over the supervised rows only and is
+    held in parity with this function by the gradcheck suite.
 
     Args:
         logits: shape ``(..., num_classes)``.
@@ -68,7 +69,7 @@ def cross_entropy(
     Returns:
         Scalar tensor.
     """
-    return fused_cross_entropy(logits, targets, weights=weights)
+    return cross_entropy_reference(logits, targets, weights=weights)
 
 
 def cross_entropy_reference(

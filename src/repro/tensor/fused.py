@@ -5,13 +5,15 @@ operation from primitive tape nodes.  That is ideal for correctness (each
 primitive is finite-difference checked in isolation) but the hot paths —
 causal attention, softmax cross-entropy, layer normalization — then pay
 for a dozen Python closures and O(batch·length·length) intermediates per
-op.  Each function here collapses one such hot path into a *single* tape
+op, and the output head builds a ``(batch·length, |I|)`` logit matrix
+for every position, padding included.  Each function here collapses one such hot path into a *single* tape
 node: the forward runs as a handful of in-place numpy calls holding one
 scratch buffer, and the backward applies the closed-form gradient instead
 of replaying the primitive chain.
 
 Every fused kernel has a composed reference implementation elsewhere in
-the repository (``repro.tensor.functional`` for the losses, the
+the repository (``repro.tensor.functional`` for the losses — composed
+``hidden @ W + b`` logits for :func:`linear_cross_entropy` — the
 ``fused=False`` paths of :class:`repro.nn.attention.CausalSelfAttention`
 and :class:`repro.nn.normalization.LayerNorm` for the rest);
 ``tests/tensor/test_fused.py`` pins forward parity to 1e-10 in float64
@@ -29,6 +31,13 @@ Derivations (all standard):
   ``nll = lse(x) − x_target`` and ``d nll/dx = softmax(x) − onehot``;
   the multi-hot form replaces ``onehot`` with the target vector ``y``
   and scales the softmax by ``sum(y)``.
+- **Linear cross-entropy** ``loss = Σ_p c_p · nll(h_p W + b)`` over the
+  ``P`` supervised rows ``H_P`` only (``c_p = w_p / Σw``; padded rows
+  have ``w = 0`` and drop out of the sum).  With ``G`` the ``(P, |I|)``
+  matrix of rows ``c_p · (softmax(x_p) − onehot_p)``, the chain rule
+  through ``X = H_P W + b`` gives ``dH_P = G Wᵀ`` (scattered back into
+  the full row set, zero at padded rows), ``dW = H_Pᵀ G`` and
+  ``db = Σ_p G_p``.  ``G`` overwrites the one logit buffer in place.
 - **Layer norm** ``y = γ x̂ + β`` with ``x̂ = (x − μ) / √(σ² + ε)``:
   ``dx = (dx̂ − mean(dx̂) − x̂ · mean(dx̂ ∘ x̂)) / √(σ² + ε)`` where
   ``dx̂ = dy ∘ γ``, plus the usual reductions for ``dγ`` / ``dβ``.
@@ -43,7 +52,7 @@ from .tensor import Tensor, _retain
 __all__ = [
     "masked_fill_value",
     "fused_attention",
-    "fused_cross_entropy",
+    "linear_cross_entropy",
     "fused_multi_hot_cross_entropy",
     "fused_layer_norm",
 ]
@@ -179,70 +188,128 @@ def _refresh_coeff(weights_src, coeff, dtype, message: str) -> None:
     np.divide(flat, total, out=coeff)
 
 
-def fused_cross_entropy(
-    logits: Tensor,
+def linear_cross_entropy(
+    hidden: Tensor,
+    weight: Tensor,
+    bias: Tensor | None,
     targets: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> Tensor:
-    """Mean NLL of integer ``targets`` under ``logits`` as one tape node.
+    """``cross_entropy(hidden @ weight + bias, targets, weights)`` as one
+    tape node that scores the supervised rows only.
 
-    Forward is a log-sum-exp over the class axis; backward is the
-    closed-form ``softmax − onehot`` scaled by the per-position averaging
-    weights.  Matches :func:`repro.tensor.functional.cross_entropy`
-    (the composed reference) to float64 round-off.
+    ``hidden`` is ``(..., dim)``, ``weight`` ``(dim, num_classes)``,
+    ``bias`` ``(num_classes,)`` or ``None``; ``targets`` and ``weights``
+    match ``hidden``'s leading shape.  Rows with weight 0 (padding) never
+    reach the head: their logits are not computed, they add nothing to
+    the loss, and their ``hidden`` gradient is exactly zero.  With
+    ``weights=None`` every row is supervised with weight 1.
+
+    All buffers are sized for every row, and each call (and each replay
+    of a compiled program) uses their leading ``P`` rows, where ``P`` is
+    this batch's count of supervised rows: one ``(rows, num_classes)``
+    buffer holds the logits, then the exps, then the logit gradient.
+    Matches :func:`repro.tensor.functional.cross_entropy_reference` over
+    composed logits to float64 round-off.
     """
+    dim = hidden.shape[-1]
+    num_rows = hidden.size // dim
+    num_classes = weight.shape[-1]
+    dtype = hidden.dtype
     targets_src = targets
     weights_src = weights
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
     targets_copied = not np.shares_memory(targets, targets_src)
-    flat, num_classes = _flatten_logits(logits)
-    rows = np.arange(flat.shape[0])
-    # Gather the target entries before exponentiating in place: the one
-    # (positions, vocab) buffer holds the shifted logits, then the exps
-    # retained for the backward softmax.
-    exps = flat - flat.max(axis=-1, keepdims=True)
-    target_shifted = exps[rows, targets]
-    np.exp(exps, out=exps)
-    exps = _retain(exps)
-    denom = _retain(exps.sum(axis=-1, keepdims=True))
-    # log softmax at the target entries only.
-    picked = target_shifted - np.log(denom[:, 0])
-    coeff = _position_scale(weights, flat.shape[0], flat.dtype)
-    loss = -float((picked * coeff).sum())
-    out = _retain(np.asarray(loss, dtype=logits.dtype))
+    all_rows = np.arange(num_rows)
+    # Replay rewrites the leading rows of these before reading them.
+    gathered = _retain(np.empty((num_rows, dim), dtype=dtype))
+    logits = _retain(np.empty((num_rows, num_classes), dtype=dtype))
+    row_max = _retain(np.empty(num_rows, dtype=dtype))
+    sum_exp = _retain(np.empty(num_rows, dtype=dtype))
+    out = _retain(np.zeros((), dtype=dtype))
+    # Averaging coefficients of the supervised rows, recomputed by every
+    # forward from the (host-refreshed) weights.
+    coeff = np.full(num_rows, 1.0 / num_rows, dtype=dtype)
+    index = all_rows  # supervised rows, and their targets: set by
+    picked_targets = None  # every forward, read by the backward
 
     def forward():
+        nonlocal index, picked_targets
         if targets_copied:
             targets[...] = np.asarray(
                 targets_src, dtype=np.int64
             ).reshape(-1)
-        np.subtract(flat, flat.max(axis=-1, keepdims=True), out=exps)
-        target_shifted = exps[rows, targets]
-        np.exp(exps, out=exps)
-        np.sum(exps, axis=-1, keepdims=True, out=denom)
         if weights_src is not None:
-            _refresh_coeff(weights_src, coeff, flat.dtype,
-                           "cross_entropy weights sum to zero")
-        picked = target_shifted - np.log(denom[:, 0])
-        out[...] = -((picked * coeff).sum())
+            flat = np.asarray(weights_src, dtype=dtype).reshape(-1)
+            total = float(flat.sum())
+            if total <= 0:
+                raise ValueError("cross_entropy weights sum to zero")
+            index = np.flatnonzero(flat)
+            np.divide(flat[index], total, out=coeff[:index.size])
+        count = index.size
+        picked_targets = targets[index]
+        rows = gathered[:count]
+        # mode="clip" (the indices are in range) writes ``out`` directly;
+        # the default "raise" would go through a temporary.
+        np.take(hidden.data.reshape(-1, dim), index, axis=0, out=rows,
+                mode="clip")
+        scores = logits[:count]
+        np.matmul(rows, weight.data, out=scores)
+        if bias is not None:
+            np.add(scores, bias.data, out=scores)
+        shift = row_max[:count]
+        np.max(scores, axis=1, out=shift)
+        np.subtract(scores, shift[:, None], out=scores)
+        # Gather the target entries before the in-place exp turns the
+        # shifted logits into the exps the backward normalizes.
+        target_shifted = scores[all_rows[:count], picked_targets]
+        np.exp(scores, out=scores)
+        total_exp = sum_exp[:count]
+        np.sum(scores, axis=1, out=total_exp)
+        nll = np.log(total_exp) - target_shifted
+        out[...] = (nll * coeff[:count]).sum()
 
-    # The softmax grad matrix is (batch*positions, vocab) — by far the
-    # largest backward temporary.  Cache it on the closure so replayed
-    # programs rewrite it in place instead of re-allocating every step.
-    grad_bufs = [None]
+    forward()
+    # Backward buffers, allocated by the first backward (eager, or the
+    # traced step) and rewritten in place by every replay.
+    d_weight = d_bias = d_hidden = None
 
     def backward(grad):
-        scalar = float(np.asarray(grad))
-        buf = grad_bufs[0]
-        if buf is not None and buf.shape == exps.shape:
-            softmax = np.divide(exps, denom, out=buf)
-        else:
-            softmax = grad_bufs[0] = _retain(exps / denom)
-        softmax[rows, targets] -= 1.0
-        softmax *= (scalar * coeff)[:, None]
-        logits._accumulate_owned(softmax.reshape(logits.shape))
+        nonlocal d_weight, d_bias, d_hidden
+        count = index.size
+        rows = gathered[:count]
+        # G = (softmax − onehot) · grad · coeff, in place over the exps.
+        scores = logits[:count]
+        np.divide(scores, sum_exp[:count, None], out=scores)
+        scores[all_rows[:count], picked_targets] -= 1.0
+        scores *= (float(np.asarray(grad)) * coeff[:count])[:, None]
+        # dW and db are copied into the parameters' own gradient
+        # buffers, so no parameter .grad aliases these scratch buffers.
+        if weight.requires_grad:
+            if d_weight is None:
+                d_weight = _retain(rows.T @ scores)
+            else:
+                np.matmul(rows.T, scores, out=d_weight)
+            weight._accumulate(d_weight)
+        if bias is not None and bias.requires_grad:
+            if d_bias is None:
+                d_bias = _retain(scores.sum(axis=0))
+            else:
+                np.sum(scores, axis=0, out=d_bias)
+            bias._accumulate(d_bias)
+        if hidden.requires_grad:
+            # dW has read H_P, so its buffer takes G Wᵀ; the padded rows
+            # of the scattered gradient stay exactly zero.
+            np.matmul(scores, weight.data.T, out=rows)
+            if d_hidden is None:
+                d_hidden = _retain(np.zeros((num_rows, dim), dtype=dtype))
+            else:
+                d_hidden.fill(0)
+            d_hidden[index] = rows
+            hidden._accumulate_owned(d_hidden.reshape(hidden.shape))
 
-    return Tensor._make(out, (logits,), backward, forward)
+    parents = (hidden, weight) if bias is None else (hidden, weight, bias)
+    return Tensor._make(out, parents, backward, forward)
 
 
 def fused_multi_hot_cross_entropy(
@@ -265,8 +332,8 @@ def fused_multi_hot_cross_entropy(
     target_copied = not np.shares_memory(target, target_src)
     if target_copied:  # refreshed by every replay
         target = _retain(target)
-    # As in fused_cross_entropy, take ``target · shifted`` before the
-    # in-place exp so one (positions, vocab) buffer is retained.
+    # Take ``target · shifted`` before the in-place exp so one
+    # (positions, vocab) buffer is retained.
     exps = flat - flat.max(axis=-1, keepdims=True)
     target_dot = (target * exps).sum(axis=-1)
     np.exp(exps, out=exps)
@@ -300,8 +367,8 @@ def fused_multi_hot_cross_entropy(
                            "multi_hot_cross_entropy weights sum to zero")
         out[...] = (per_position * coeff).sum()
 
-    # Same buffer-caching as fused_cross_entropy: the softmax grad matrix
-    # dominates backward allocations on replayed programs.
+    # The softmax grad matrix dominates backward allocations on replayed
+    # programs: cache it on the closure and rewrite it in place.
     grad_bufs = [None]
 
     def backward(grad):

@@ -60,17 +60,19 @@ class TestELBOTerms:
         assert terms.loss is reconstruction
 
     def test_assembly_matches_manual(self, rng):
-        logits = Tensor(rng.normal(size=(2, 3, 6)))
+        hidden = Tensor(rng.normal(size=(2, 3, 4)))
+        head = (Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=6)))
         _, targets, weights, _ = reconstruction_targets(
             padded_batch(), 1, 5
         )
         mu = Tensor(rng.normal(size=(2, 3, 4)))
         sigma = Tensor(np.abs(rng.normal(size=(2, 3, 4))) + 0.3)
         terms = elbo_terms(
-            logits, targets, weights, mu, sigma, beta=0.7, multi_hot=False
+            hidden, head, targets, weights, mu, sigma, beta=0.7,
+            multi_hot=False,
         )
         manual_reconstruction = cross_entropy(
-            logits, targets, weights=weights
+            hidden @ head[0] + head[1], targets, weights=weights
         ).item()
         np.testing.assert_allclose(
             terms.reconstruction_value, manual_reconstruction
@@ -81,13 +83,14 @@ class TestELBOTerms:
         )
 
     def test_inconsistent_mu_sigma_raises(self, rng):
-        logits = Tensor(rng.normal(size=(2, 3, 6)))
+        hidden = Tensor(rng.normal(size=(2, 3, 4)))
+        head = (Tensor(rng.normal(size=(4, 6))), None)
         _, targets, weights, _ = reconstruction_targets(
             padded_batch(), 1, 5
         )
         with pytest.raises(ValueError, match="mu and sigma"):
             elbo_terms(
-                logits, targets, weights,
+                hidden, head, targets, weights,
                 Tensor(np.zeros((2, 3, 4))), None, 0.5, False,
             )
 

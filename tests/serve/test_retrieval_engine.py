@@ -611,6 +611,39 @@ class TestVersionCoupling:
             rtol=0, atol=1e-5,
         )
 
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("config", [APPROX, EXACT],
+                             ids=["approx", "exact"])
+    def test_refresh_patches_table_to_new_head(self, tied, config):
+        """The diffed, patched table is bitwise the one a fresh build
+        would take from the new model, and ``changed`` counts exactly
+        the items whose vector or bias moved."""
+        def make():
+            return SASRec(
+                NUM_ITEMS, MAX_LENGTH, dim=16, num_blocks=1, seed=1,
+                tie_weights=tied,
+            )
+
+        retrieval = RetrievalEngine(make(), config)
+        replacement = make()
+        if tied:
+            replacement.embedding.item_embedding.weight.data[[3, 40]] += 0.5
+            moved = 2
+        else:
+            replacement.output.weight.data[:, [3, 40]] += 0.5
+            replacement.output.bias.data[[40, 59]] -= 0.25  # 40 twice
+            moved = 3
+        report = retrieval.refresh(replacement)
+        want, _ = RetrievalEngine._item_table(replacement)
+        assert retrieval._items.tobytes() == want.tobytes()
+        if config is EXACT:
+            assert report == {"mode": "exact", "changed": 0}
+        else:
+            assert report == {"mode": "update", "changed": moved}
+            assert retrieval.refresh(replacement) == {
+                "mode": "noop", "changed": 0,
+            }
+
     def test_swap_resets_unsupported_flag(self, histories):
         class Dense:
             name = "dense-only"

@@ -24,9 +24,20 @@ from repro.data import SequenceCorpus
 from repro.models import Caser, GRU4Rec, SASRec
 from repro.models.svae import SVAE
 from repro.optim import Adam, clip_grad_norm
-from repro.tensor import default_dtype, tape_node_count
+from repro.tensor import (
+    Tensor,
+    default_dtype,
+    linear_cross_entropy,
+    tape_node_count,
+)
 from repro.tensor import compile as compile_module
-from repro.tensor.compile import DYNAMIC, programs_for
+from repro.tensor.compile import (
+    DYNAMIC,
+    ProgramCache,
+    build_program,
+    programs_for,
+    trace,
+)
 from repro.train import Trainer, TrainerConfig
 from repro.train.annealing import ConstantBeta, KLAnnealing
 from repro.train.trainer import _training_key, training_step_values
@@ -362,6 +373,10 @@ SLAB_FACTORIES = dict(
     MODEL_FACTORIES,
     vsan_k2=lambda: _annealed_vsan(k=2),
     vsan_tied=lambda: _annealed_vsan(tie_weights=True),
+    svae_k1=lambda: SVAE(
+        NUM_ITEMS, WIDTH, dim=16, k=1, seed=3,
+        annealing=KLAnnealing(target=0.2, warmup_steps=2, anneal_steps=4),
+    ),
 )
 
 # (batch, width) of the alternating training batches: three cache keys
@@ -486,6 +501,26 @@ class TestSharedSlab:
         assert ascending.slab_bytes == descending.slab_bytes
         assert ascending.slab_bytes > compile_module.SLAB_CHUNK_BYTES
 
+    def test_buffers_fill_tails_that_larger_ones_skipped(
+        self, small_chunks
+    ):
+        """First fit: a buffer too large for the rest of a chunk opens
+        the next one, and a later smaller buffer takes the tail it left
+        instead of opening a third chunk."""
+        chunk = compile_module.SLAB_CHUNK_BYTES
+        slab = compile_module._Slab()
+        sizes = (chunk // 2, 3 * chunk // 4, 2 * chunk // 5)
+        views = [slab.take(np.ones(size, dtype=np.uint8)) for size in sizes]
+        assert len(slab.chunks) == 2
+        assert np.shares_memory(views[2], slab.chunks[0])
+        assert not any(
+            np.shares_memory(a, b)
+            for a, b in itertools.combinations(views, 2)
+        )
+        slab.rewind()
+        again = slab.take(np.ones(sizes[0], dtype=np.uint8))
+        assert again.ctypes.data == views[0].ctypes.data
+
     def test_invalidate_drops_the_slab(self):
         from repro.tensor.compile import invalidate
 
@@ -493,3 +528,127 @@ class TestSharedSlab:
         assert trace_shapes(model, MEMORY_SHAPES[-1:]).slab_bytes > 0
         invalidate(model)
         assert programs_for(model).slab_bytes == 0
+
+
+# ----------------------------------------------------------------------
+# The fused output head + loss over supervised rows
+# ----------------------------------------------------------------------
+
+def rows_with_lengths(lengths, width, seed):
+    """One left-padded batch; row ``r`` holds ``lengths[r]`` real items."""
+    rng = np.random.default_rng(seed)
+    rows = np.zeros((len(lengths), width), dtype=np.int64)
+    for r, length in enumerate(lengths):
+        rows[r, width - length:] = rng.integers(
+            1, NUM_ITEMS + 1, size=length
+        )
+    return rows
+
+
+class TestLinearCrossEntropyReplay:
+    """The supervised row count P changes from batch to batch under one
+    program key: buffers are sized for every row and each replay uses
+    their leading P rows."""
+
+    def test_kernel_replays_more_and_fewer_supervised_rows(self):
+        rng = np.random.default_rng(0)
+        batch, length, dim, classes = 4, 6, 5, 9
+        hidden = rng.normal(size=(batch, length, dim))
+        weight = rng.normal(size=(dim, classes))
+        bias = rng.normal(size=classes)
+        targets = rng.integers(0, classes, size=(batch, length))
+        weights = np.zeros((batch, length))
+        weights[:, 3:] = 1.0  # traced with 12 of 24 rows supervised
+        leaves = [
+            Tensor(a, requires_grad=True) for a in (hidden, weight, bias)
+        ]
+        cache = ProgramCache()
+        with trace(cache) as tracer:
+            loss = linear_cross_entropy(*leaves, targets, weights)
+            loss.backward()
+        program = build_program(tracer, loss, require_backward=True)
+        assert program is not None
+        for supervised in (20, 5, 24, 1):
+            hidden[...] = rng.normal(size=hidden.shape)
+            targets[...] = rng.integers(0, classes, size=targets.shape)
+            weights[...] = 0.0
+            weights.reshape(-1)[
+                rng.choice(weights.size, supervised, replace=False)
+            ] = rng.uniform(0.5, 2.0, size=supervised)
+            for chunk in cache.slab.chunks:
+                chunk.fill(0xFF)
+            program.replay()
+            program.replay_backward()
+            twins = [
+                Tensor(a.copy(), requires_grad=True)
+                for a in (hidden, weight, bias)
+            ]
+            want = linear_cross_entropy(
+                *twins, targets.copy(), weights.copy()
+            )
+            want.backward()
+            assert loss.data.tobytes() == want.data.tobytes(), supervised
+            for got, ref in zip(leaves, twins):
+                assert got.grad.tobytes() == ref.grad.tobytes(), supervised
+
+    def test_training_replays_across_supervised_counts(self):
+        def make():
+            return VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3,
+                        annealing=ConstantBeta(0.2))
+
+        eager, compiled = make(), make()
+        opt_e = Adam(eager.parameters(), lr=1e-3)
+        opt_c = Adam(compiled.parameters(), lr=1e-3)
+        width = WIDTH + 1
+        batches = [
+            [6] * 8,                          # traced: half the rows
+            [width] * 8,                      # no padding at all
+            [2] * 8,                          # one supervised row each
+            [3, width, 2, 9, 4, width, 2, 7],
+        ]
+        for i, lengths in enumerate(batches):
+            rows = rows_with_lengths(lengths, width, seed=i)
+            for model in (eager, compiled):
+                model.train()
+            opt_e.zero_grad()
+            opt_c.zero_grad()
+            ve = training_step_values(eager, rows, compile_enabled=False)
+            poison(compiled)
+            vc = training_step_values(compiled, rows, compile_enabled=True)
+            assert ve == vc, (i, ve, vc)
+            assert_same_grads(grads_of(eager), grads_of(compiled), i)
+            for opt, model in ((opt_e, eager), (opt_c, compiled)):
+                clip_grad_norm(model.parameters(), 5.0)
+                opt.step()
+        cache = programs_for(compiled)
+        assert len(cache.keys()) == 1, cache.keys()
+        assert cache.hits == len(batches) - 1
+
+    def test_vsan_program_retains_one_vocabulary_wide_buffer(
+        self, monkeypatch
+    ):
+        """Re-materialised logits (a GEMM output, a ``+bias`` output, CE
+        exps, a softmax grad) would each add a ``(B·L, |I|+1)`` buffer
+        to the program's slab layout."""
+        taken = []
+        take = compile_module._Slab.take
+
+        def spy(slab, array):
+            taken.append(array.shape)
+            return take(slab, array)
+
+        monkeypatch.setattr(compile_module._Slab, "take", spy)
+        model = VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3,
+                     annealing=ConstantBeta(0.2))
+        model.train()
+        batch, width = 8, WIDTH + 1
+        rows = make_batches(NUM_ITEMS, width, batch, 1)[0]
+        training_step_values(model, rows, compile_enabled=True)
+        cache = programs_for(model)
+        assert cache.get(_training_key(model, rows)) is not DYNAMIC
+        positions = batch * (width - 1)
+        wide = [
+            shape for shape in taken
+            if int(np.prod(shape)) >= positions * (NUM_ITEMS + 1)
+        ]
+        assert wide == [(positions, NUM_ITEMS + 1)], wide

@@ -17,6 +17,7 @@ from repro.tensor import (
     fused_layer_norm,
     get_default_dtype,
     gradcheck,
+    linear_cross_entropy,
     masked_fill_value,
     multi_hot_cross_entropy,
     multi_hot_cross_entropy_reference,
@@ -135,6 +136,146 @@ class TestFusedCrossEntropyParity:
         with pytest.raises(ValueError):
             multi_hot_cross_entropy(logits, np.ones((2, 3)),
                                     weights=np.zeros(2))
+
+
+def composed_linear_ce(hidden, weight, bias, targets, weights):
+    logits = hidden @ weight
+    if bias is not None:
+        logits = logits + bias
+    return cross_entropy_reference(logits, targets, weights=weights)
+
+
+def linear_ce_grads(fn, hidden, weight, bias, targets, weights):
+    """Loss and the hidden / weight / bias gradients of ``fn``, each
+    with fresh leaves."""
+    leaves = [Tensor(a, requires_grad=True) for a in (hidden, weight)]
+    if bias is not None:
+        leaves.append(Tensor(bias, requires_grad=True))
+    loss = fn(leaves[0], leaves[1], leaves[2] if bias is not None else None,
+              targets, weights)
+    loss.backward()
+    return loss.item(), [leaf.grad for leaf in leaves]
+
+
+class TestLinearCrossEntropy:
+    """The fused head + loss against composed ``hidden @ W + b`` logits
+    and the reference loss, over the supervised rows only."""
+
+    @staticmethod
+    def case(rng, batch=3, length=5, dim=4, classes=7):
+        hidden = rng.normal(size=(batch, length, dim))
+        weight = rng.normal(size=(dim, classes))
+        bias = rng.normal(size=classes)
+        targets = rng.integers(0, classes, size=(batch, length))
+        weights = (rng.random((batch, length)) > 0.3).astype(float)
+        weights[0] = 0.0  # one fully padded row
+        return hidden, weight, bias, targets, weights
+
+    def assert_parity(self, hidden, weight, bias, targets, weights):
+        got_loss, got = linear_ce_grads(
+            linear_cross_entropy, hidden, weight, bias, targets, weights
+        )
+        want_loss, want = linear_ce_grads(
+            composed_linear_ce, hidden, weight, bias, targets, weights
+        )
+        assert abs(got_loss - want_loss) < 1e-10
+        for name, g, w in zip(("hidden", "weight", "bias"), got, want):
+            np.testing.assert_allclose(g, w, atol=1e-10, err_msg=name)
+
+    @pytest.mark.parametrize("variant", [
+        "weighted", "no_bias", "no_weights", "fractional",
+    ])
+    def test_parity_and_gradcheck(self, rng, variant):
+        hidden, weight, bias, targets, weights = self.case(rng)
+        if variant == "no_bias":
+            bias = None
+        elif variant == "no_weights":
+            weights = None
+        elif variant == "fractional":
+            weights = weights * rng.uniform(0.1, 2.0, size=weights.shape)
+        self.assert_parity(hidden, weight, bias, targets, weights)
+        leaves = [Tensor(a, requires_grad=True) for a in (hidden, weight)]
+        if bias is not None:
+            leaves.append(Tensor(bias, requires_grad=True))
+        gradcheck(
+            lambda h, w, *b: linear_cross_entropy(
+                h, w, b[0] if b else None, targets, weights
+            ),
+            leaves,
+        )
+
+    def test_tied_head_parity_and_gradcheck(self, rng):
+        """A tied head passes ``item_embedding.weight.T``: a non-leaf
+        view whose gradient flows back to the embedding table."""
+        hidden, weight, _, targets, weights = self.case(rng)
+        table = weight.T.copy()
+        grads, losses = [], []
+        for fn in (linear_cross_entropy, composed_linear_ce):
+            h = Tensor(hidden, requires_grad=True)
+            emb = Tensor(table, requires_grad=True)
+            loss = fn(h, emb.T, None, targets, weights)
+            loss.backward()
+            losses.append(loss.item())
+            grads.append((h.grad, emb.grad))
+        assert abs(losses[0] - losses[1]) < 1e-10
+        for got, want in zip(*grads):
+            np.testing.assert_allclose(got, want, atol=1e-10)
+        gradcheck(
+            lambda h, e: linear_cross_entropy(h, e.T, None, targets, weights),
+            [Tensor(hidden, requires_grad=True),
+             Tensor(table, requires_grad=True)],
+        )
+
+    def test_padded_rows_get_exact_zero_gradient(self, rng):
+        hidden, weight, bias, targets, weights = self.case(rng)
+        _, (d_hidden, _, _) = linear_ce_grads(
+            linear_cross_entropy, hidden, weight, bias, targets, weights
+        )
+        assert (d_hidden[weights == 0] == 0.0).all()
+        assert (d_hidden[weights != 0] != 0.0).any(axis=-1).all()
+
+    def test_non_finite_only_at_padding_is_ignored(self, rng):
+        """Padded positions never reach the head, so a NaN there no
+        longer poisons the loss; one at a supervised position still
+        does."""
+        hidden, weight, bias, targets, weights = self.case(rng)
+        padded_nan = hidden.copy()
+        padded_nan[weights == 0] = np.nan
+        loss, grads = linear_ce_grads(
+            linear_cross_entropy, padded_nan, weight, bias, targets, weights
+        )
+        clean_loss, _ = linear_ce_grads(
+            linear_cross_entropy, hidden, weight, bias, targets, weights
+        )
+        assert loss == clean_loss
+        assert all(np.isfinite(g).all() for g in grads)
+        supervised_nan = hidden.copy()
+        supervised_nan[1, -1] = np.nan
+        weights[1, -1] = 1.0
+        loss, _ = linear_ce_grads(
+            linear_cross_entropy, supervised_nan, weight, bias, targets,
+            weights,
+        )
+        assert np.isnan(loss)
+
+    def test_zero_weights_raise(self, rng):
+        hidden, weight, bias, targets, _ = self.case(rng)
+        with pytest.raises(ValueError, match="weights sum to zero"):
+            linear_cross_entropy(
+                Tensor(hidden), Tensor(weight), Tensor(bias), targets,
+                weights=np.zeros(targets.shape),
+            )
+
+    def test_float32_matches_reference(self, rng):
+        hidden, weight, bias, targets, weights = self.case(rng)
+        with default_dtype(np.float32):
+            got, _ = linear_ce_grads(
+                linear_cross_entropy, hidden, weight, bias, targets, weights
+            )
+            want, _ = linear_ce_grads(
+                composed_linear_ce, hidden, weight, bias, targets, weights
+            )
+        assert abs(got - want) < 1e-5
 
 
 class TestFusedLayerNormParity:

@@ -291,6 +291,28 @@ class TestAnomalyDetection:
         with pytest.raises(RuntimeError, match="non-finite"):
             Trainer(TrainerConfig(epochs=1, batch_size=8)).fit(model, corpus)
 
+    @pytest.mark.parametrize("compile_enabled", [True, False])
+    def test_nan_at_supervised_position_raises(self, corpus,
+                                               compile_enabled):
+        """The head skips padded positions only: a NaN hidden state at
+        the last position, which always has a real target, still makes
+        the loss non-finite, eager or compiled."""
+
+        class NaNAtLastPosition(SASRec):
+            def encode(self, padded):
+                from repro.tensor import Tensor
+
+                hidden = super().encode(padded)
+                poison = np.ones(hidden.shape)
+                poison[:, -1, :] = np.nan
+                return hidden * Tensor(poison)
+
+        model = NaNAtLastPosition(10, 6, dim=12, num_blocks=1, seed=0)
+        config = TrainerConfig(epochs=1, batch_size=8,
+                               compile=compile_enabled)
+        with pytest.raises(RuntimeError, match="non-finite training loss"):
+            Trainer(config).fit(model, corpus)
+
     def test_epoch_sum_overflow_aborts(self, corpus):
         """Every per-batch loss is finite but huge, so only their sum
         overflows — the per-batch guard passes and the epoch-level guard
