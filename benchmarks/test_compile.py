@@ -13,6 +13,10 @@ eager/compiled pytest-benchmark pair plus an in-process speedup gate:
   :class:`repro.serve.InferenceEngine` under the production float32
   serving dtype.
 
+Production code has no eager switch, so the eager arms are built here:
+the train step runs the taped forward and backward inline, and the cold
+forward's model scores through an uncompiled ``hidden_last``.
+
 The gate tests time eager and compiled steps *interleaved* (alternating
 best-of pairs) because sequential A-then-B runs drift by tens of percent
 on a busy single-core CI runner.  Recorded means are also compared
@@ -36,9 +40,10 @@ import numpy as np
 import pytest
 
 from repro.core import VSAN
+from repro.data.batching import pad_left_into
 from repro.optim import Adam, clip_grad_norm
 from repro.serve import EngineConfig, InferenceEngine
-from repro.tensor import default_dtype
+from repro.tensor import default_dtype, no_grad
 from repro.train.trainer import training_step_values
 
 NUM_ITEMS = 500
@@ -51,7 +56,30 @@ TRAIN_GATE = 1.15
 COLD_FORWARD_GATE = 1.3
 
 
-def make_train_step(compile_enabled):
+def eager_step_values(model, padded):
+    """The uncompiled twin of ``training_step_values``: one taped
+    forward and backward."""
+    terms = model.training_elbo(padded)
+    loss = terms.loss
+    value = loss.item()
+    loss.backward()
+    return value, terms.reconstruction_value, terms.kl_value, terms.beta
+
+
+def eager_hidden_last(model):
+    """An uncompiled ``model.hidden_last``: one tape-free forward."""
+
+    def hidden_last(histories):
+        padded = model._padded_buffer(len(histories))
+        for row, history in zip(padded, histories):
+            pad_left_into(np.asarray(history, dtype=np.int64), row)
+        with no_grad():
+            return model.encode_last(padded).numpy().copy()
+
+    return hidden_last
+
+
+def make_train_step(compiled):
     """A full optimizer step (loss + backward + clip + Adam) closure over
     a fresh model; eager and compiled twins are built identically."""
     model = VSAN(NUM_ITEMS, MAX_LENGTH, dim=DIM, h1=1, h2=1, seed=0)
@@ -62,11 +90,11 @@ def make_train_step(compile_enabled):
         1, NUM_ITEMS + 1, size=(BATCH, ROW_LENGTH)
     )
 
+    step_values = training_step_values if compiled else eager_step_values
+
     def step():
         optimizer.zero_grad()
-        loss, _, _, _ = training_step_values(
-            model, padded, compile_enabled=compile_enabled
-        )
+        loss, _, _, _ = step_values(model, padded)
         clip_grad_norm(model.parameters(), 5.0)
         optimizer.step()
         return loss
@@ -74,14 +102,14 @@ def make_train_step(compile_enabled):
     return step
 
 
-def make_cold_forward(compile_enabled):
+def make_cold_forward(compiled):
     """Batch-1 uncached engine scoring closure (cache disabled so every
     call pays the forward)."""
     model = VSAN(NUM_ITEMS, MAX_LENGTH, dim=DIM, h1=1, h2=1, seed=0)
     model.eval()
-    engine = InferenceEngine(
-        model, EngineConfig(cache_capacity=0, compile=compile_enabled)
-    )
+    if not compiled:
+        model.hidden_last = eager_hidden_last(model)
+    engine = InferenceEngine(model, EngineConfig(cache_capacity=0))
     history = np.random.default_rng(7).integers(1, NUM_ITEMS + 1, size=20)
     return lambda: engine.score_batch([history])
 
@@ -112,7 +140,7 @@ def interleaved_best(eager_step, compiled_step, pairs=10, warmup=3):
 
 @pytest.mark.parametrize("mode", ["eager", "compiled"])
 def test_vsan_train_step(benchmark, mode):
-    step = make_train_step(compile_enabled=(mode == "compiled"))
+    step = make_train_step(compiled=(mode == "compiled"))
     step()  # trace (compiled) / warm allocator (eager)
     loss = benchmark(step)
     assert np.isfinite(loss)
@@ -121,7 +149,7 @@ def test_vsan_train_step(benchmark, mode):
 @pytest.mark.parametrize("mode", ["eager", "compiled"])
 def test_engine_cold_forward(benchmark, mode):
     with default_dtype(np.float32):
-        forward = make_cold_forward(compile_enabled=(mode == "compiled"))
+        forward = make_cold_forward(compiled=(mode == "compiled"))
         forward()  # trace (compiled) / warm allocator (eager)
         scores = benchmark(forward)
     assert scores.shape == (1, NUM_ITEMS + 1)
@@ -136,8 +164,8 @@ def test_compiled_train_step_speedup_gate():
     """Replaying the training program must beat the eager twin by
     >= 1.15x (typical 1.35-1.45x; see the module docstring for why the
     gate sits below the 1.5x design target)."""
-    eager = make_train_step(compile_enabled=False)
-    compiled = make_train_step(compile_enabled=True)
+    eager = make_train_step(compiled=False)
+    compiled = make_train_step(compiled=True)
     best_eager, best_compiled = interleaved_best(eager, compiled)
     ratio = best_eager / best_compiled
     print(
@@ -156,8 +184,8 @@ def test_compiled_cold_forward_speedup_gate():
     """Batch-1 uncached engine scoring must beat eager by >= 1.3x
     (typical 1.6-1.8x)."""
     with default_dtype(np.float32):
-        eager = make_cold_forward(compile_enabled=False)
-        compiled = make_cold_forward(compile_enabled=True)
+        eager = make_cold_forward(compiled=False)
+        compiled = make_cold_forward(compiled=True)
         best_eager, best_compiled = interleaved_best(
             eager, compiled, pairs=20, warmup=5
         )

@@ -111,7 +111,6 @@ def cmd_train(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_every=args.checkpoint_every,
         keep_last=args.keep_last,
-        compile=args.compile,
     )
     history = Trainer(trainer_config).fit(
         model, split.train, validation=split.validation,
@@ -197,7 +196,6 @@ def cmd_serve_smoke(args) -> int:
             verbose=not args.quiet,
             engine=args.engine,
             retrieval=args.retrieval,
-            compile=args.compile,
         )
     except SmokeFailure as failure:
         print(f"serve-smoke FAILED: {failure}", file=sys.stderr)
@@ -276,11 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-last", type=int, default=None,
         help="retain only the newest N checkpoints (default: keep all)",
     )
-    train.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=True,
-        help="trace-and-replay compiled training steps (on by default; "
-             "--no-compile forces eager execution — the numbers are "
-             "bitwise-identical either way)")
     train.add_argument(
         "--resume", default=None, metavar="CHECKPOINT",
         help="resume from a training checkpoint file, or from the newest "
@@ -363,10 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="(with --chaos) replicas per shard")
     smoke.add_argument("--faults", type=int, default=6,
                        help="(with --chaos) scheduled faults")
-    smoke.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=True,
-        help="compiled trace-and-replay scoring forwards (on by "
-             "default; --no-compile forces eager model calls)")
     smoke.add_argument("--quiet", action="store_true")
     smoke.set_defaults(func=cmd_serve_smoke)
 

@@ -25,12 +25,10 @@ import numpy as np
 from ..data.batching import next_k_multi_hot, shift_targets
 from ..tensor import (
     Tensor,
-    cross_entropy_reference,
     gaussian_kl_standard_normal,
     get_default_dtype,
     linear_cross_entropy,
     multi_hot_cross_entropy,
-    multi_hot_cross_entropy_reference,
 )
 from ..tensor.compile import record_feed, tracing
 
@@ -103,7 +101,6 @@ def elbo_terms(
     sigma: Tensor | None,
     beta: float,
     multi_hot: bool,
-    fused: bool = True,
 ) -> ELBOTerms:
     """Assemble Eq. 20 from model outputs.
 
@@ -118,25 +115,18 @@ def elbo_terms(
             ablations such as VSAN-z — the KL term is then omitted).
         beta: the KL weight in force (from a
             :class:`repro.train.annealing.BetaSchedule`).
-        multi_hot: selects the reconstruction form.
-        fused: compute the reconstruction term with the fused kernels
-            (default: :func:`linear_cross_entropy` for one-hot targets)
-            or with composed logits and the reference loss.
+        multi_hot: selects the reconstruction form: one-hot targets go
+            through :func:`linear_cross_entropy`, multi-hot ones through
+            composed logits and :func:`multi_hot_cross_entropy`.
     """
     weight, bias = head
-    if multi_hot or not fused:
+    if multi_hot:
         logits = hidden @ weight
         if bias is not None:
             logits = logits + bias
-        if multi_hot:
-            reconstruct = (
-                multi_hot_cross_entropy
-                if fused
-                else multi_hot_cross_entropy_reference
-            )
-        else:
-            reconstruct = cross_entropy_reference
-        reconstruction = reconstruct(logits, targets, weights=weights)
+        reconstruction = multi_hot_cross_entropy(
+            logits, targets, weights=weights
+        )
     else:
         reconstruction = linear_cross_entropy(
             hidden, weight, bias, targets, weights=weights

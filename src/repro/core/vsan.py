@@ -82,10 +82,6 @@ class VSAN(NeuralSequentialRecommender):
             lower-variance extension).
         norm_first: pre-norm blocks instead of the paper's post-norm
             (helps deep stacks; see ``repro.nn.blocks``).
-        fused: run attention / layer-norm / cross-entropy through the
-            fused kernels of :mod:`repro.tensor.fused` (default); set
-            False for the composed reference substrate (used by the
-            fused-vs-reference parity tests).
         seed: controls init / dropout / reparameterization streams.
     """
 
@@ -115,7 +111,6 @@ class VSAN(NeuralSequentialRecommender):
         positions: str = "learnable",
         num_samples: int = 1,
         norm_first: bool = False,
-        fused: bool = True,
         seed: int = 0,
     ):
         super().__init__(num_items, max_length)
@@ -149,7 +144,6 @@ class VSAN(NeuralSequentialRecommender):
             dropout_rng=dropout_rng,
             positions=positions,
         )
-        self.fused = fused
         self.inference_stack = SelfAttentionStack(
             dim,
             h1,
@@ -159,7 +153,6 @@ class VSAN(NeuralSequentialRecommender):
             use_feedforward=inference_feedforward,
             dropout_rng=dropout_rng,
             norm_first=norm_first,
-            fused=fused,
         )
         if use_latent:
             self.mu_head = Linear(dim, dim, init_rng)
@@ -184,9 +177,8 @@ class VSAN(NeuralSequentialRecommender):
             use_feedforward=generative_feedforward,
             dropout_rng=dropout_rng,
             norm_first=norm_first,
-            fused=fused,
         )
-        self.final_norm = LayerNorm(dim, fused=fused)
+        self.final_norm = LayerNorm(dim)
         if not tie_weights:
             self.output = Linear(dim, num_items + 1, init_rng)
 
@@ -315,7 +307,7 @@ class VSAN(NeuralSequentialRecommender):
             )
             return elbo_terms(
                 hidden, self.output_head(), targets, weights, mu, sigma,
-                beta, multi_hot, fused=self.fused,
+                beta, multi_hot,
             )
 
         terms = sample_terms()

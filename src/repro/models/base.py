@@ -120,19 +120,6 @@ class NeuralSequentialRecommender(Module, Recommender):
     #: column trimming never drops a supervised position.
     target_window: int = 1
 
-    #: Whether the model's training step may be compiled into a
-    #: trace-and-replay program (:mod:`repro.tensor.compile`).  Models
-    #: whose step has data-dependent shapes set this False (Caser) and
-    #: always train eagerly; everything else is proven traceable by the
-    #: bitwise parity suite.  Consumed by ``repro.train``.
-    compile_training: bool = True
-
-    #: Whether eval-mode scoring forwards (``score_batch`` /
-    #: ``hidden_last``) replay compiled no-grad programs over the
-    #: model's shared scratch slab.  ``EngineConfig.compile`` and the
-    #: ``--no-compile`` CLI flag toggle this per instance.
-    compile_scoring: bool = True
-
     def __init__(self, num_items: int, max_length: int):
         Module.__init__(self)
         if num_items < 1:
@@ -261,14 +248,11 @@ class NeuralSequentialRecommender(Module, Recommender):
             record_feed("padded", padded)
             return self.encode_last(padded)
 
+        key = ("hidden", padded.shape, np.dtype(get_default_dtype()))
         with no_grad():
-            if self.compile_scoring:
-                key = ("hidden", padded.shape, np.dtype(get_default_dtype()))
-                hidden, _ = run_compiled(
-                    self, key, build, feed_values={"padded": padded}
-                )
-            else:
-                hidden = self.encode_last(padded)
+            hidden, _ = run_compiled(
+                self, key, build, feed_values={"padded": padded}
+            )
         # Copy: the result lives in the model's shared scratch slab and
         # is overwritten by the next trace or replay of any program.
         return hidden.numpy().copy()

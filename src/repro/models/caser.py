@@ -42,11 +42,6 @@ class Caser(NeuralSequentialRecommender):
 
     name = "Caser"
 
-    # Training gathers a data-dependent number of supervised windows
-    # (np.nonzero below), so the training step cannot be compiled into a
-    # fixed-shape program; the trainer keeps Caser on the eager path.
-    compile_training = False
-
     def __init__(
         self,
         num_items: int,

@@ -6,14 +6,10 @@ mask that "prohibits all links between Q_i and K_j for j > i" so position
 ``i`` never sees future items.  Multi-head operation is supported as a
 configurable extension (``num_heads=1`` reproduces the paper exactly).
 
-Two execution paths share the projection weights:
-
-- the default **fused** path (:func:`repro.tensor.fused.fused_attention`)
-  runs mask → softmax → weighted sum as a single tape node with a
-  hand-derived backward and one attention-weights buffer;
-- the **composed** path (``fused=False``) builds the same computation
-  from tape primitives and is kept as the reference the gradcheck/parity
-  suite compares against.
+Mask → softmax → weighted sum runs as a single tape node
+(:func:`repro.tensor.fused.fused_attention`) with a hand-derived backward
+and one attention-weights buffer; the composed reference it is held in
+parity with lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..tensor import Tensor, fused_attention, masked_fill_value, softmax
+from ..tensor import Tensor, fused_attention
 from ..tensor.compile import mark_dynamic, record_host, tracing
 from . import init
 from .module import Module, Parameter
@@ -56,8 +52,6 @@ class CausalSelfAttention(Module):
         rng: generator for weight init.
         num_heads: number of attention heads (1 = the paper's setting).
         use_bias: include bias terms on the projections (paper uses none).
-        fused: use the fused single-node attention kernel (default); set
-            False for the composed reference path.
     """
 
     def __init__(
@@ -66,7 +60,6 @@ class CausalSelfAttention(Module):
         rng: np.random.Generator,
         num_heads: int = 1,
         use_bias: bool = False,
-        fused: bool = True,
     ):
         super().__init__()
         if dim % num_heads != 0:
@@ -74,7 +67,6 @@ class CausalSelfAttention(Module):
         self.dim = dim
         self.num_heads = num_heads
         self.head_dim = dim // num_heads
-        self.fused = fused
         self.w_query = Parameter(init.xavier_uniform(rng, (dim, dim)))
         self.w_key = Parameter(init.xavier_uniform(rng, (dim, dim)))
         self.w_value = Parameter(init.xavier_uniform(rng, (dim, dim)))
@@ -85,9 +77,8 @@ class CausalSelfAttention(Module):
         else:
             self.b_query = self.b_key = self.b_value = None
         # Scratch buffer for the combined causal|padding mask, reused
-        # across forward calls of the same (batch, length) shape.  Only
-        # the fused path may reuse it: the composed path's masked_fill
-        # closure retains the mask for its backward.
+        # across forward calls of the same (batch, length) shape (the
+        # fused kernel reads the mask only in its forward).
         self._mask_scratch: np.ndarray | None = None
 
     def _combined_mask(
@@ -100,16 +91,9 @@ class CausalSelfAttention(Module):
                 f"key_padding_mask shape {pad.shape} != {(batch, length)}"
             )
         shape = (batch, 1, length, length)
-        reusable = self.fused
-        if reusable and (
-            self._mask_scratch is not None
-            and self._mask_scratch.shape == shape
-        ):
-            buffer = self._mask_scratch
-        else:
-            buffer = np.empty(shape, dtype=bool)
-            if reusable:
-                self._mask_scratch = buffer
+        buffer = self._mask_scratch
+        if buffer is None or buffer.shape != shape:
+            buffer = self._mask_scratch = np.empty(shape, dtype=bool)
         causal = causal_mask(length)[None, None, :, :]
         diagonal = np.arange(length)
 
@@ -170,33 +154,11 @@ class CausalSelfAttention(Module):
         else:
             mask = causal_mask(length)[None, None, :, :]
 
-        if self.fused:
-            fused_out = fused_attention(
-                queries,
-                keys,
-                values,
-                mask,
-                scale,
-                return_weights=return_weights,
-            )
-            if return_weights:
-                attended, weights = fused_out
-            else:
-                attended = fused_out
-        else:
-            scores = (queries @ keys.swapaxes(-1, -2)) * scale
-            # The composed path retains the mask in the masked_fill
-            # closure, so hand it a private (broadcast) copy.
-            full_mask = np.broadcast_to(
-                mask, (batch, heads, length, length)
-            ).copy()
-            if tracing() and key_padding_mask is not None:
-                record_host(lambda: np.copyto(full_mask, mask))
-            scores = scores.masked_fill(
-                full_mask, masked_fill_value(scores.dtype)
-            )
-            weights = softmax(scores, axis=-1)
-            attended = weights @ values
+        attended = fused_attention(
+            queries, keys, values, mask, scale, return_weights=return_weights
+        )
+        if return_weights:
+            attended, weights = attended
 
         out = attended.swapaxes(1, 2).reshape(batch, length, dim)
         if return_weights:

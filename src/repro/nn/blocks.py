@@ -42,15 +42,12 @@ class SelfAttentionBlock(Module):
         use_feedforward: bool = True,
         dropout_rng: np.random.Generator | None = None,
         norm_first: bool = False,
-        fused: bool = True,
     ):
         super().__init__()
         dropout_rng = dropout_rng if dropout_rng is not None else rng
-        self.attention = CausalSelfAttention(
-            dim, rng, num_heads=num_heads, fused=fused
-        )
+        self.attention = CausalSelfAttention(dim, rng, num_heads=num_heads)
         self.attention_dropout = Dropout(dropout_rate, dropout_rng)
-        self.norm_attention = LayerNorm(dim, fused=fused)
+        self.norm_attention = LayerNorm(dim)
         self.use_feedforward = use_feedforward
         self.norm_first = norm_first
         if use_feedforward:
@@ -60,7 +57,7 @@ class SelfAttentionBlock(Module):
                 dropout_rate=dropout_rate,
                 dropout_rng=dropout_rng,
             )
-            self.norm_feedforward = LayerNorm(dim, fused=fused)
+            self.norm_feedforward = LayerNorm(dim)
 
     def forward(
         self,
@@ -123,7 +120,6 @@ class SelfAttentionStack(Module):
         use_feedforward: bool = True,
         dropout_rng: np.random.Generator | None = None,
         norm_first: bool = False,
-        fused: bool = True,
     ):
         super().__init__()
         self.blocks = ModuleList(
@@ -136,7 +132,6 @@ class SelfAttentionStack(Module):
                     use_feedforward=use_feedforward,
                     dropout_rng=dropout_rng,
                     norm_first=norm_first,
-                    fused=fused,
                 )
                 for _ in range(num_blocks)
             ]

@@ -14,9 +14,9 @@ works on top of it unchanged):
   candidate scoring costs O(|I|) instead of O(L·|I|) per request.
 - **:class:`MicroBatcher`** — coalesces queued scoring requests into
   padded batched forwards of up to ``max_batch`` rows.  Flush order is
-  deterministic (FIFO submission order, chunked at ``max_batch``), and a
-  flush is *due* once the queue is full or the oldest ticket has waited
-  ``max_delay`` seconds, so latency stays bounded under light load.
+  deterministic (FIFO submission order, chunked at ``max_batch``); the
+  queue flushes itself when it fills, and callers flush the remainder
+  synchronously once their window is queued.
 - **:class:`ScoreCache`** — an LRU of finite score entries keyed on
   ``(model version, most-recent-window suffix)``.  Two users whose
   histories agree on the model's attention window share one entry; a
@@ -45,7 +45,6 @@ duplicate users, and fault-driven degradation).
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -95,10 +94,6 @@ class EngineConfig:
             default 4096 entries at 100k items), narrow entries ~12
             bytes per candidate (~3 MB for the same 4096 entries at
             C=64).  ``None`` leaves bytes uncapped.
-        max_delay: seconds the oldest queued request may wait before a
-            flush is *due* (``0`` = a flush is due as soon as anything is
-            queued; only streaming callers that poll
-            :meth:`MicroBatcher.due` feel this knob).
         index: approximate-retrieval configuration
             (:class:`repro.retrieval.IndexConfig`).  ``None`` keeps
             dense scoring; set it to route ``score_batch`` through the
@@ -106,21 +101,12 @@ class EngineConfig:
             narrow :class:`repro.retrieval.TopScores` batches.  Models without
             retrieval hooks fall back to dense scoring silently (the
             fallback is visible in :meth:`InferenceEngine.snapshot`).
-        compile: route the wrapped neural model's scoring forwards
-            through the trace-and-replay compiled path
-            (:mod:`repro.tensor.compile`): the first flush of each batch
-            shape traces a no-grad program, later flushes replay it over
-            the model's shared scratch slab.  ``False`` forces eager
-            forwards (the ``--no-compile`` CLI flag); non-neural models
-            ignore the knob.
     """
 
     max_batch: int = 32
     cache_capacity: int = 4096
     cache_capacity_bytes: int | None = None
-    max_delay: float = 0.0
     index: IndexConfig | None = None
-    compile: bool = True
 
     def __post_init__(self):
         if self.max_batch < 1:
@@ -135,8 +121,6 @@ class EngineConfig:
                 "cache_capacity_bytes must be >= 1 (or None for no "
                 "byte cap)"
             )
-        if self.max_delay < 0:
-            raise ValueError("max_delay must be >= 0")
 
 
 class ScoreCache:
@@ -266,11 +250,10 @@ class ScoreCache:
 class _Ticket:
     """One queued scoring request; resolved by a batcher flush."""
 
-    __slots__ = ("history", "enqueued", "_scores", "_error", "_done")
+    __slots__ = ("history", "_scores", "_error", "_done")
 
-    def __init__(self, history: np.ndarray, enqueued: float):
+    def __init__(self, history: np.ndarray):
         self.history = history
-        self.enqueued = enqueued
         self._scores: np.ndarray | None = None
         self._error: Exception | None = None
         self._done = False
@@ -298,8 +281,6 @@ class MicroBatcher:
             :class:`~repro.retrieval.TopScores` batch, fanned out to
             tickets as row views either way.
         max_batch: flush chunk size; reaching it triggers an auto-flush.
-        max_delay: seconds before a waiting ticket makes a flush *due*.
-        clock: monotonic time source (injectable for tests).
 
     Determinism: tickets resolve in FIFO submission order, chunked at
     ``max_batch``; a chunk whose scorer raises fails *all* its tickets
@@ -307,19 +288,11 @@ class MicroBatcher:
     normal retry/fallback machinery individually).
     """
 
-    def __init__(
-        self,
-        score_batch,
-        max_batch: int = 32,
-        max_delay: float = 0.0,
-        clock=time.monotonic,
-    ):
+    def __init__(self, score_batch, max_batch: int = 32):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._score_batch = score_batch
         self.max_batch = max_batch
-        self.max_delay = max_delay
-        self._clock = clock
         self._queue: list[_Ticket] = []
         self.flushes = 0
         self.batched_requests = 0
@@ -330,20 +303,11 @@ class MicroBatcher:
 
     def submit(self, history: np.ndarray) -> _Ticket:
         """Queue one request; auto-flushes when the batch is full."""
-        ticket = _Ticket(np.asarray(history, dtype=np.int64), self._clock())
+        ticket = _Ticket(np.asarray(history, dtype=np.int64))
         self._queue.append(ticket)
         if len(self._queue) >= self.max_batch:
             self.flush()
         return ticket
-
-    def due(self) -> bool:
-        """True when a flush should run now: the queue is full, or the
-        oldest ticket has waited at least ``max_delay`` seconds."""
-        if not self._queue:
-            return False
-        if len(self._queue) >= self.max_batch:
-            return True
-        return self._clock() - self._queue[0].enqueued >= self.max_delay
 
     def flush(self) -> int:
         """Drain the queue in FIFO ``max_batch`` chunks; returns how many
@@ -413,14 +377,11 @@ class InferenceEngine:
             forwards and preallocated padded buffer through their own
             ``score_batch``.
         config: :class:`EngineConfig` knobs.
-        clock: monotonic time source for the batcher.
     """
 
-    def __init__(self, model, config: EngineConfig | None = None,
-                 clock=time.monotonic):
+    def __init__(self, model, config: EngineConfig | None = None):
         self.config = config or EngineConfig()
         self._model = model
-        self._apply_compile()
         self.model_version = 0
         self._retrieval: RetrievalEngine | None = None
         self._retrieval_unsupported = False
@@ -433,21 +394,12 @@ class InferenceEngine:
             if self.config.cache_capacity else None
         )
         self.batcher = MicroBatcher(
-            self._score_chunk,
-            max_batch=self.config.max_batch,
-            max_delay=self.config.max_delay,
-            clock=clock,
+            self._score_chunk, max_batch=self.config.max_batch
         )
 
     # ------------------------------------------------------------------
     # Model management (cache-invalidation rule lives here)
     # ------------------------------------------------------------------
-    def _apply_compile(self) -> None:
-        """Push the ``compile`` knob onto the wrapped model (neural
-        models read ``compile_scoring`` in their ``score_batch``)."""
-        if hasattr(self._model, "compile_scoring"):
-            self._model.compile_scoring = self.config.compile
-
     @property
     def model(self):
         return self._model
@@ -480,7 +432,6 @@ class InferenceEngine:
             except ValueError:
                 self._retrieval = None
         self._model = model
-        self._apply_compile()
         self.model_version += 1
         self._retrieval_unsupported = False
         if self.cache is not None:

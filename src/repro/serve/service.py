@@ -46,7 +46,9 @@ from ..eval.metrics import (
     rank_items_batch,
     rank_top_scores,
 )
+from ..models.base import NeuralSequentialRecommender
 from ..retrieval import TopScores
+from ..tensor.compile import programs_for
 from .breaker import CircuitBreaker
 from .engine import EngineConfig, InferenceEngine
 from .errors import (
@@ -186,7 +188,7 @@ class RecommendService:
         self._rungs = [
             _Rung(
                 name,
-                InferenceEngine(model, config=engine, clock=clock)
+                InferenceEngine(model, config=engine)
                 if engine else model,
                 breaker_factory(),
             )
@@ -652,7 +654,7 @@ class RecommendService:
                 rung.engine.model if rung.engine is not None else rung.model
             )
             rung.model = (
-                InferenceEngine(model, config=engine, clock=self._clock)
+                InferenceEngine(model, config=engine)
                 if engine else model
             )
 
@@ -668,26 +670,22 @@ class RecommendService:
         """Pre-trace compiled scoring programs for ``batch_sizes``.
 
         A respawned cluster replica calls this before rejoining the
-        ring: for each rung whose model compiles its scoring forwards
-        (:mod:`repro.tensor.compile`), one probe ``score_batch`` runs
-        per hot batch size, so the replica's first real flushes *replay*
-        programs instead of paying the trace.  Dense and retrieval
-        flushes share one compiled program (``hidden_last``), so the
-        probe warms both.  Sizes are translated to
-        the model-level shapes the engine's micro-batcher will actually
-        produce (``max_batch`` chunks plus the ragged remainder); probes
-        call the model directly, so no score cache or stats counter
-        moves.  Returns how many programs were traced.
+        ring: for each rung serving a neural model (whose scoring
+        forwards replay compiled programs, :mod:`repro.tensor.compile`),
+        one probe ``score_batch`` runs per hot batch size, so the
+        replica's first real flushes *replay* programs instead of paying
+        the trace.  Dense and retrieval flushes share one compiled
+        program (``hidden_last``), so the probe warms both.  Sizes are
+        translated to the model-level shapes the engine's micro-batcher
+        will actually produce (``max_batch`` chunks plus the ragged
+        remainder); probes call the model directly, so no score cache or
+        stats counter moves.  Returns how many programs were traced.
         """
-        from ..tensor.compile import programs_for
-
         warmed = 0
         for rung in self._rungs:
             engine = rung.engine
             model = engine.model if engine is not None else rung.model
-            if not getattr(model, "compile_scoring", False):
-                continue
-            if getattr(model, "max_length", None) is None:
+            if not isinstance(model, NeuralSequentialRecommender):
                 continue
             chunk_sizes: set[int] = set()
             for size in batch_sizes:

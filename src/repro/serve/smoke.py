@@ -110,7 +110,6 @@ def run_smoke(
     verbose: bool = True,
     engine: bool = False,
     retrieval: bool = False,
-    compile: bool = True,
 ) -> int:
     """Run the smoke scenario; returns 0 on success.
 
@@ -151,8 +150,7 @@ def run_smoke(
     log(f"corpus: {len(corpus.sequences)} users, {num_items} items")
 
     trainer = Trainer(TrainerConfig(
-        epochs=epochs, batch_size=64, verbose=False, seed=seed,
-        compile=compile,
+        epochs=epochs, batch_size=64, verbose=False, seed=seed
     ))
 
     with tempfile.TemporaryDirectory() as scratch:
@@ -180,10 +178,6 @@ def run_smoke(
                         seed=seed)
         trainer.fit(sasrec, corpus)
         pop = POP(num_items).fit(corpus)
-        if not compile:
-            # Direct (engine-less) rungs read the per-instance knob.
-            primary.compile_scoring = False
-            sasrec.compile_scoring = False
 
         injector = FaultInjector(
             error_rate=error_rate,
@@ -211,7 +205,6 @@ def run_smoke(
             engine=(
                 EngineConfig(
                     max_batch=16,
-                    compile=compile,
                     index=(
                         # Deliberately approximate: half the lists
                         # probed, so exact-mode short-circuiting cannot

@@ -21,13 +21,10 @@ from .compile import (
     tracing,
 )
 from .functional import (
-    cross_entropy,
-    cross_entropy_reference,
     dropout,
     gaussian_kl_standard_normal,
     log_softmax,
     multi_hot_cross_entropy,
-    multi_hot_cross_entropy_reference,
     relu,
     sigmoid,
     softmax,
@@ -80,8 +77,6 @@ __all__ = [
     "run_compiled",
     "trace",
     "tracing",
-    "cross_entropy",
-    "cross_entropy_reference",
     "default_dtype",
     "dropout",
     "fused_attention",
@@ -99,7 +94,6 @@ __all__ = [
     "maximum",
     "minimum",
     "multi_hot_cross_entropy",
-    "multi_hot_cross_entropy_reference",
     "no_grad",
     "numerical_gradient",
     "ones",

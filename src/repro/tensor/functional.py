@@ -1,10 +1,11 @@
 """Composite differentiable functions built on :class:`repro.tensor.Tensor`.
 
 These are the numerical workhorses of the attention and VAE math:
-numerically-stable softmax / log-softmax, cross-entropy in one-hot and
-multi-hot (next-``k``) forms per Eq. 20 of the paper, the Gaussian KL
-divergence of Eq. 20, the reparameterized Gaussian sample, and inverted
-dropout.
+numerically-stable softmax / log-softmax, the multi-hot (next-``k``)
+cross-entropy of Eq. 18/20, the Gaussian KL divergence of Eq. 20, the
+reparameterized Gaussian sample, and inverted dropout.  The one-hot
+cross-entropy fuses the output head into the loss
+(:func:`repro.tensor.fused.linear_cross_entropy`).
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from .tensor import Tensor, _retain, get_default_dtype
 __all__ = [
     "softmax",
     "log_softmax",
-    "cross_entropy",
-    "cross_entropy_reference",
     "multi_hot_cross_entropy",
-    "multi_hot_cross_entropy_reference",
     "gaussian_kl_standard_normal",
     "reparameterize",
     "dropout",
@@ -45,53 +43,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def cross_entropy(
-    logits: Tensor,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> Tensor:
-    """Mean negative log-likelihood of integer ``targets`` under ``logits``.
-
-    Composed from primitives (:func:`cross_entropy_reference`).  Training
-    losses never build the full logits: they call
-    :func:`repro.tensor.fused.linear_cross_entropy`, which fuses the
-    output-head GEMM into the loss over the supervised rows only and is
-    held in parity with this function by the gradcheck suite.
-
-    Args:
-        logits: shape ``(..., num_classes)``.
-        targets: integer array of shape ``(...)`` matching the leading
-            dimensions of ``logits``.
-        weights: optional per-position weights of the same shape as
-            ``targets`` (e.g. 0 for padding positions).  The loss is the
-            weighted sum of per-position NLL divided by the total weight.
-
-    Returns:
-        Scalar tensor.
-    """
-    return cross_entropy_reference(logits, targets, weights=weights)
-
-
-def cross_entropy_reference(
-    logits: Tensor,
-    targets: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> Tensor:
-    """Composed (primitive-by-primitive) reference for :func:`cross_entropy`."""
-    targets = np.asarray(targets, dtype=np.int64)
-    logp = log_softmax(logits, axis=-1)
-    flat_logp = logp.reshape(-1, logits.shape[-1])
-    rows = np.arange(flat_logp.shape[0])
-    picked = flat_logp[(rows, targets.reshape(-1))]
-    if weights is None:
-        return -picked.mean()
-    weights = np.asarray(weights, dtype=logits.dtype).reshape(-1)
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValueError("cross_entropy weights sum to zero")
-    return -(picked * Tensor(weights)).sum() * (1.0 / total)
-
-
 def multi_hot_cross_entropy(
     logits: Tensor,
     target_multi_hot: np.ndarray,
@@ -101,9 +52,8 @@ def multi_hot_cross_entropy(
 
     Each position's target is a {0,1} vector over items marking the next
     ``k`` ground-truth items; the loss is ``-sum_i y_i log softmax(x)_i``
-    averaged over (weighted) positions.  Dispatches to the fused
-    log-sum-exp kernel; :func:`multi_hot_cross_entropy_reference` keeps
-    the composed form for parity checks.
+    averaged over (weighted) positions, computed by the fused
+    log-sum-exp kernel.
 
     Args:
         logits: shape ``(..., num_classes)``.
@@ -113,24 +63,6 @@ def multi_hot_cross_entropy(
     return fused_multi_hot_cross_entropy(
         logits, target_multi_hot, weights=weights
     )
-
-
-def multi_hot_cross_entropy_reference(
-    logits: Tensor,
-    target_multi_hot: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> Tensor:
-    """Composed reference for :func:`multi_hot_cross_entropy`."""
-    target = np.asarray(target_multi_hot, dtype=logits.dtype)
-    logp = log_softmax(logits, axis=-1)
-    per_position = -(logp * Tensor(target)).sum(axis=-1)
-    if weights is None:
-        return per_position.mean()
-    weights = np.asarray(weights, dtype=logits.dtype)
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValueError("multi_hot_cross_entropy weights sum to zero")
-    return (per_position * Tensor(weights)).sum() * (1.0 / total)
 
 
 def gaussian_kl_standard_normal(

@@ -11,14 +11,12 @@ node: the forward runs as a handful of in-place numpy calls holding one
 scratch buffer, and the backward applies the closed-form gradient instead
 of replaying the primitive chain.
 
-Every fused kernel has a composed reference implementation elsewhere in
-the repository (``repro.tensor.functional`` for the losses — composed
-``hidden @ W + b`` logits for :func:`linear_cross_entropy` — the
-``fused=False`` paths of :class:`repro.nn.attention.CausalSelfAttention`
-and :class:`repro.nn.normalization.LayerNorm` for the rest);
-``tests/tensor/test_fused.py`` pins forward parity to 1e-10 in float64
-and checks the hand-derived gradients with :func:`repro.tensor.gradcheck`
-against finite differences.
+Every fused kernel has a composed reference implementation built from
+tape primitives in ``tests/reference.py`` (composed ``hidden @ W + b``
+logits for :func:`linear_cross_entropy`); ``tests/tensor/test_fused.py``
+pins forward parity to 1e-10 in float64 and checks the hand-derived
+gradients with :func:`repro.tensor.gradcheck` against finite
+differences.
 
 Derivations (all standard):
 
@@ -195,8 +193,9 @@ def linear_cross_entropy(
     targets: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> Tensor:
-    """``cross_entropy(hidden @ weight + bias, targets, weights)`` as one
-    tape node that scores the supervised rows only.
+    """Softmax cross-entropy of integer ``targets`` under the logits
+    ``hidden @ weight + bias``, as one tape node that scores the
+    supervised rows only.
 
     ``hidden`` is ``(..., dim)``, ``weight`` ``(dim, num_classes)``,
     ``bias`` ``(num_classes,)`` or ``None``; ``targets`` and ``weights``
@@ -209,8 +208,9 @@ def linear_cross_entropy(
     of a compiled program) uses their leading ``P`` rows, where ``P`` is
     this batch's count of supervised rows: one ``(rows, num_classes)``
     buffer holds the logits, then the exps, then the logit gradient.
-    Matches :func:`repro.tensor.functional.cross_entropy_reference` over
-    composed logits to float64 round-off.
+    The loss is the weighted sum of per-row NLL divided by the total
+    weight, and matches the composed-logits reference to float64
+    round-off.
     """
     dim = hidden.shape[-1]
     num_rows = hidden.size // dim

@@ -48,16 +48,6 @@ class TrainerConfig:
     Checkpoints carry no batching state, so either setting resumes the
     other's checkpoints."""
 
-    compile: bool = True
-    """Route training steps through the trace-and-replay compiled path
-    (:mod:`repro.tensor.compile`).  The first step of each shape bucket
-    runs eagerly under the trace recorder; subsequent steps replay the
-    recorded op program into preallocated buffers — zero per-step tape
-    construction, bitwise-identical losses and gradients.  Models that
-    cannot be traced (data-dependent shapes, e.g. Caser) fall back to
-    eager automatically; ``False`` forces eager everywhere (the
-    ``--no-compile`` CLI flag)."""
-
     compute_dtype: str | None = None
     """Floating dtype for the whole training run (``"float32"`` /
     ``"float64"``).  When set, the trainer casts the model's parameters

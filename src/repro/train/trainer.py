@@ -104,19 +104,17 @@ def _training_key(model, rows: np.ndarray):
     return key
 
 
-def training_step_values(
-    model, rows: np.ndarray, compile_enabled: bool = True,
-    check_finite=None,
-):
+def training_step_values(model, rows: np.ndarray, check_finite=None):
     """One forward+backward over ``rows``, leaving gradients on the
     parameters.
 
-    Routes through the compiled trace-and-replay path when
-    ``compile_enabled`` and the model allows it (``compile_training``):
-    the first batch of each ``(shape, dtype, β=0?)`` bucket traces an
-    eager step into a :class:`repro.tensor.compile.Program`, and every
-    later batch of that bucket replays it — no tape, no fresh arrays,
-    bitwise-identical numbers.  Untraceable models run eager forever.
+    Runs through the compiled trace-and-replay path: the first batch of
+    each ``(shape, dtype, β=0?)`` bucket traces an eager step into a
+    :class:`repro.tensor.compile.Program`, and every later batch of that
+    bucket replays it — no tape, no fresh arrays, bitwise-identical
+    numbers.  A step the trace cannot capture (a data-dependent shape,
+    e.g. Caser's supervised windows) pins its key dynamic and runs
+    eagerly from then on.
 
     ``check_finite`` (optional ``callable(loss_value)``) runs between
     the forward and the backward, exactly where the eager loop checks.
@@ -148,10 +146,6 @@ def training_step_values(
             terms.kl_value,
             terms.beta,
         )
-
-    if not (compile_enabled and getattr(model, "compile_training", True)):
-        _, terms, loss_value = eager_step()
-        return stats(loss_value, terms)
 
     cache = programs_for(model)
     key = _training_key(model, rows)
@@ -253,8 +247,7 @@ class Trainer:
                 )
 
         loss_value, reconstruction, kl, beta = training_step_values(
-            model, rows, compile_enabled=config.compile,
-            check_finite=check_finite,
+            model, rows, check_finite=check_finite
         )
         grad_norm = clip_grad_norm(model.parameters(), config.clip_norm)
         if not np.isfinite(grad_norm):

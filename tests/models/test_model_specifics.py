@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import VSAN
 from repro.models import SASRec, SVAE, Caser, GRU4Rec
+from repro.tensor import tape_node_count
+from tests.reference import composed_substrate
 
 NUM_ITEMS = 10
 
@@ -104,7 +106,8 @@ class TestVSANHeads:
 
 class TestVSANFusedParity:
     """The fused substrate must be a pure optimization: same seed, same
-    batch, same numbers as the composed reference implementation."""
+    batch, same numbers as the composed references of
+    ``tests/reference.py``."""
 
     @staticmethod
     def _batch():
@@ -113,38 +116,52 @@ class TestVSANFusedParity:
         padded[:, -5:] = rng.integers(1, NUM_ITEMS + 1, size=(8, 5))
         return padded
 
+    @staticmethod
+    def _both(run):
+        """``run()`` on the fused substrate, then on the composed one."""
+        fused = run()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            composed_substrate(monkeypatch)
+            return fused, run()
+
     def test_training_loss_matches_reference(self):
         padded = self._batch()
-        losses = []
-        for fused in (True, False):
+
+        def loss():
             model = VSAN(NUM_ITEMS, 8, dim=12, h1=1, h2=1, seed=0,
-                         dropout_rate=0.0, fused=fused)
+                         dropout_rate=0.0)
             model.train()
-            losses.append(model.training_loss(padded).item())
-        assert abs(losses[0] - losses[1]) < 1e-10
+            before = tape_node_count()
+            value = model.training_loss(padded).item()
+            return value, tape_node_count() - before
+
+        (fused, fused_nodes), (reference, reference_nodes) = self._both(loss)
+        assert abs(fused - reference) < 1e-10
+        # The composed substrate really ran: it builds many more nodes.
+        assert reference_nodes > fused_nodes + 40, (fused_nodes,
+                                                    reference_nodes)
 
     def test_scores_match_reference(self):
         rng = np.random.default_rng(4)
         history = rng.integers(1, NUM_ITEMS + 1, size=6)
-        scores = [
-            VSAN(NUM_ITEMS, 8, dim=12, h1=1, h2=1, seed=0,
-                 fused=fused).score(history)
-            for fused in (True, False)
-        ]
+        scores = self._both(
+            lambda: VSAN(NUM_ITEMS, 8, dim=12, h1=1, h2=1, seed=0)
+            .score(history)
+        )
         np.testing.assert_allclose(scores[0][1:], scores[1][1:], atol=1e-10)
 
     def test_gradients_match_reference(self):
         padded = self._batch()
-        grads = []
-        for fused in (True, False):
+
+        def gradients():
             model = VSAN(NUM_ITEMS, 8, dim=12, h1=1, h2=1, seed=0,
-                         dropout_rate=0.0, fused=fused)
+                         dropout_rate=0.0)
             model.train()
             model.zero_grad()
             model.training_loss(padded).backward()
-            grads.append(
-                {name: p.grad for name, p in model.named_parameters()}
-            )
+            return {name: p.grad for name, p in model.named_parameters()}
+
+        grads = self._both(gradients)
         assert grads[0].keys() == grads[1].keys()
         for name in grads[0]:
             if grads[0][name] is None:

@@ -1,0 +1,190 @@
+"""Oracles for the production fast paths.
+
+Production code runs every op one way: attention, layer norm and the
+training losses through the fused kernels of :mod:`repro.tensor.fused`,
+training steps and scoring forwards through compiled trace-and-replay
+programs (:mod:`repro.tensor.compile`).  The parity suites hold those
+paths against the implementations here:
+
+- composed references built from tape primitives, each with its fused
+  counterpart's signature — :func:`composed_attention`,
+  :func:`composed_layer_norm`, :func:`cross_entropy_reference`,
+  :func:`multi_hot_cross_entropy_reference` and
+  :func:`composed_linear_cross_entropy`;
+- :func:`composed_substrate`, which swaps them in under a whole VSAN;
+- eager twins of the two compiled entry points, :func:`eager_step_values`
+  (``repro.train.trainer.training_step_values``) and
+  :func:`eager_hidden_last` (``NeuralSequentialRecommender.hidden_last``).
+"""
+
+from __future__ import annotations
+
+import importlib
+
+import numpy as np
+
+from repro.data.batching import pad_left_into
+from repro.tensor import (
+    Tensor,
+    log_softmax,
+    masked_fill_value,
+    no_grad,
+    softmax,
+)
+from repro.tensor.compile import record_host, tracing
+
+__all__ = [
+    "composed_attention",
+    "composed_layer_norm",
+    "composed_linear_cross_entropy",
+    "composed_substrate",
+    "cross_entropy_reference",
+    "eager_hidden_last",
+    "eager_step_values",
+    "multi_hot_cross_entropy_reference",
+]
+
+
+def composed_attention(
+    queries: Tensor,
+    keys: Tensor,
+    values: Tensor,
+    mask: np.ndarray | None,
+    scale: float,
+    return_weights: bool = False,
+):
+    """Composed reference for :func:`repro.tensor.fused_attention`."""
+    scores = (queries @ keys.swapaxes(-1, -2)) * scale
+    if mask is not None:
+        # masked_fill retains its mask for the backward, while attention
+        # reuses its mask buffer across calls: take a private copy.
+        full_mask = np.broadcast_to(mask, scores.shape).copy()
+        if tracing():
+            record_host(lambda: np.copyto(full_mask, mask))
+        scores = scores.masked_fill(
+            full_mask, masked_fill_value(scores.dtype)
+        )
+    weights = softmax(scores, axis=-1)
+    attended = weights @ values
+    if return_weights:
+        return attended, weights
+    return attended
+
+
+def composed_layer_norm(
+    x: Tensor, gamma: Tensor, beta: Tensor, eps: float
+) -> Tensor:
+    """Composed reference for :func:`repro.tensor.fused_layer_norm`."""
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    variance = (centered * centered).mean(axis=-1, keepdims=True)
+    normalized = centered / (variance + eps).sqrt()
+    return normalized * gamma + beta
+
+
+def cross_entropy_reference(
+    logits: Tensor,
+    targets: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> Tensor:
+    """Mean negative log-likelihood of integer ``targets`` under
+    ``logits`` (``(..., num_classes)``); with ``weights`` the weighted
+    sum of per-position NLL divided by the total weight."""
+    targets = np.asarray(targets, dtype=np.int64)
+    logp = log_softmax(logits, axis=-1)
+    flat_logp = logp.reshape(-1, logits.shape[-1])
+    rows = np.arange(flat_logp.shape[0])
+    picked = flat_logp[(rows, targets.reshape(-1))]
+    if weights is None:
+        return -picked.mean()
+    weights = np.asarray(weights, dtype=logits.dtype).reshape(-1)
+    total = float(weights.sum())
+    if total <= 0:
+        raise ValueError("cross_entropy weights sum to zero")
+    return -(picked * Tensor(weights)).sum() * (1.0 / total)
+
+
+def multi_hot_cross_entropy_reference(
+    logits: Tensor,
+    target_multi_hot: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> Tensor:
+    """Composed reference for :func:`repro.tensor.multi_hot_cross_entropy`."""
+    target = np.asarray(target_multi_hot, dtype=logits.dtype)
+    logp = log_softmax(logits, axis=-1)
+    per_position = -(logp * Tensor(target)).sum(axis=-1)
+    if weights is None:
+        return per_position.mean()
+    weights = np.asarray(weights, dtype=logits.dtype)
+    total = float(weights.sum())
+    if total <= 0:
+        raise ValueError("multi_hot_cross_entropy weights sum to zero")
+    return (per_position * Tensor(weights)).sum() * (1.0 / total)
+
+
+def composed_linear_cross_entropy(
+    hidden: Tensor,
+    weight: Tensor,
+    bias: Tensor | None,
+    targets: np.ndarray,
+    weights: np.ndarray | None = None,
+) -> Tensor:
+    """Composed reference for :func:`repro.tensor.linear_cross_entropy`:
+    full ``hidden @ weight + bias`` logits, then the reference loss."""
+    logits = hidden @ weight
+    if bias is not None:
+        logits = logits + bias
+    return cross_entropy_reference(logits, targets, weights=weights)
+
+
+def composed_substrate(monkeypatch) -> None:
+    """Run attention, layer norm and the ELBO reconstruction on the
+    composed references for the rest of the test (or ``monkeypatch``
+    context), so a whole VSAN computes on tape primitives."""
+    patches = {
+        "repro.nn.attention": {"fused_attention": composed_attention},
+        "repro.nn.normalization": {"fused_layer_norm": composed_layer_norm},
+        "repro.core.elbo": {
+            "linear_cross_entropy": composed_linear_cross_entropy,
+            "multi_hot_cross_entropy": multi_hot_cross_entropy_reference,
+        },
+    }
+    for module_name, names in patches.items():
+        module = importlib.import_module(module_name)
+        for name, reference in names.items():
+            monkeypatch.setattr(module, name, reference)
+
+
+def eager_step_values(model, rows: np.ndarray, check_finite=None):
+    """:func:`repro.train.trainer.training_step_values` without the
+    program cache: one taped forward and backward over ``rows``."""
+    if hasattr(model, "training_elbo"):
+        terms = model.training_elbo(rows)
+        loss = terms.loss
+    else:
+        terms = None
+        loss = model.training_loss(rows)
+    loss_value = loss.item()
+    if check_finite is not None:
+        check_finite(loss_value)
+    loss.backward()
+    if terms is None:
+        return loss_value, None, None, None
+    return (
+        loss_value,
+        terms.reconstruction_value,
+        terms.kl_value,
+        terms.beta,
+    )
+
+
+def eager_hidden_last(model, histories: list[np.ndarray]) -> np.ndarray:
+    """``model.hidden_last(histories)`` as one tape-free eager forward
+    instead of a compiled program replay."""
+    model.eval()
+    padded = model._padded_buffer(len(histories))
+    for row, history in zip(padded, histories):
+        pad_left_into(np.asarray(history, dtype=np.int64), row)
+    with no_grad():
+        hidden = model.encode_last(padded)
+    return hidden.numpy().copy()

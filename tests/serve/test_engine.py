@@ -251,22 +251,8 @@ class TestMicroBatcher:
         with pytest.raises(RuntimeError, match="flush"):
             ticket.scores()
 
-    def test_due_by_deadline(self, clock):
-        batcher = MicroBatcher(
-            RecordingScorer(), max_batch=8, max_delay=0.5, clock=clock
-        )
-        assert not batcher.due()
-        batcher.submit(np.array([1]))
-        assert not batcher.due()  # queued but deadline not reached
-        clock.advance(0.6)
-        assert batcher.due()
-        batcher.flush()
-        assert not batcher.due()
-
-    def test_due_by_size(self, clock):
-        batcher = MicroBatcher(
-            RecordingScorer(), max_batch=1, max_delay=99.0, clock=clock
-        )
+    def test_due_by_size(self):
+        batcher = MicroBatcher(RecordingScorer(), max_batch=1)
         ticket = batcher.submit(np.array([1]))
         assert ticket.done()  # max_batch=1 auto-flushes immediately
 
@@ -331,6 +317,18 @@ class TestInferenceEngine:
         assert engine.model_version == 1 and len(engine.cache) == 0
         scores = engine.score_batch([np.array([1])])
         assert scores[0, 1] == 1.0 + 5.0  # served by the new model
+
+    def test_wrapping_leaves_the_model_untouched(self):
+        """The engine never writes to the model it wraps, so every other
+        holder of that model (an unwrapped rung, a retrieval refresh)
+        sees it exactly as it was."""
+        model = SASRec(NUM_ITEMS, max_length=4, dim=8, num_blocks=1)
+        before = dict(vars(model))
+        engine = InferenceEngine(model, EngineConfig(max_batch=4))
+        engine.set_model(model)
+        after = vars(model)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
     def test_key_shares_suffix_beyond_model_window(self):
         model = SASRec(NUM_ITEMS, max_length=4, dim=8, num_blocks=1)

@@ -6,10 +6,11 @@ the same cache key.  Every program of a model keeps its replay-rewritten
 buffers in one shared scratch slab, so the acceptance bar is *bitwise*
 identity — loss, every gradient, every RNG stream — even when the slab
 is poisoned between calls and keys of different shapes interleave.  The
-tests below compare twin models (same seed) stepped eagerly vs. through
-``training_step_values(compile_enabled=True)``, full ``Trainer.fit``
-runs with ``compile=True`` vs. ``compile=False``, and check that the
-slab is sized to the largest program rather than the sum of all.
+tests below compare twin models (same seed) stepped through
+``training_step_values`` vs. its eager twin (``tests/reference.py``),
+full ``Trainer.fit`` runs vs. fits with the eager twin patched into the
+trainer, and check that the slab is sized to the largest program rather
+than the sum of all.
 """
 
 import gc
@@ -39,8 +40,10 @@ from repro.tensor.compile import (
     trace,
 )
 from repro.train import Trainer, TrainerConfig
+from repro.train import trainer as trainer_module
 from repro.train.annealing import ConstantBeta, KLAnnealing
 from repro.train.trainer import _training_key, training_step_values
+from tests.reference import eager_hidden_last, eager_step_values
 
 NUM_ITEMS = 50
 WIDTH = 12
@@ -104,10 +107,10 @@ def run_twin_steps(name, steps=5):
         make_batches(NUM_ITEMS, WIDTH + 1, 8, steps)
     ):
         opt_e.zero_grad()
-        ve = training_step_values(eager, rows, compile_enabled=False)
+        ve = eager_step_values(eager, rows)
         opt_c.zero_grad()
         before = tape_node_count()
-        vc = training_step_values(compiled, rows, compile_enabled=True)
+        vc = training_step_values(compiled, rows)
         tape_delta = tape_node_count() - before
         cache = programs_for(compiled)
         assert ve[0] == vc[0], (name, i, "loss", ve[0], vc[0])
@@ -178,33 +181,58 @@ class TestTrainingStepParity:
 class TestCaserFallback:
     def test_caser_stays_eager_and_matches(self):
         """Caser gathers a data-dependent number of supervised windows,
-        so it opts out via ``compile_training = False``; the compiled
-        entry point must silently take the eager path."""
+        so its first compiled step marks the trace dynamic: the key is
+        pinned ``DYNAMIC`` after one miss and every step runs eagerly,
+        bitwise equal to the eager twin."""
         eager = Caser(NUM_ITEMS, WIDTH, dim=16, seed=3)
         compiled = Caser(NUM_ITEMS, WIDTH, dim=16, seed=3)
-        assert Caser.compile_training is False
-        for model in (eager, compiled):
-            model.train()
-        rows = make_batches(NUM_ITEMS, WIDTH + 1, 8, 1)[0]
-        ve = training_step_values(eager, rows, compile_enabled=False)
-        vc = training_step_values(compiled, rows, compile_enabled=True)
-        assert ve[0] == vc[0]
-        assert_same_grads(grads_of(eager), grads_of(compiled), "caser")
-        # No training program was traced or pinned.
+        opt_e = Adam(eager.parameters(), lr=1e-3)
+        opt_c = Adam(compiled.parameters(), lr=1e-3)
+        steps = 4
+        for i, rows in enumerate(
+            make_batches(NUM_ITEMS, WIDTH + 1, 8, steps)
+        ):
+            for model in (eager, compiled):
+                model.train()
+            opt_e.zero_grad()
+            opt_c.zero_grad()
+            ve = eager_step_values(eager, rows)
+            vc = training_step_values(compiled, rows)
+            assert ve == vc, (i, ve, vc)
+            assert_same_grads(grads_of(eager), grads_of(compiled), i)
+            for opt, model in ((opt_e, eager), (opt_c, compiled)):
+                clip_grad_norm(model.parameters(), 5.0)
+                opt.step()
+        assert_same_weights(eager, compiled)
         cache = programs_for(compiled)
-        assert not [k for k in cache.keys() if k[0] == "train"]
+        # One trace that bailed, then a DYNAMIC hit per later step.
+        assert (cache.misses, cache.hits) == (1, steps - 1), (
+            cache.misses, cache.hits
+        )
+        train_keys = [k for k in cache.keys() if k[0] == "train"]
+        assert len(train_keys) == 1, train_keys
+        assert cache.get(train_keys[0]) is DYNAMIC
+
+
+def eager_scoring(monkeypatch, model):
+    """Route ``model``'s scoring forwards through the eager twin."""
+    monkeypatch.setattr(
+        model, "hidden_last", lambda histories: eager_hidden_last(
+            model, histories
+        )
+    )
 
 
 class TestEvalCompiled:
     HISTORIES = [np.arange(1, 6), np.arange(3, 12), np.arange(2, 4)]
 
     @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
-    def test_score_batch_parity(self, name):
+    def test_score_batch_parity(self, name, monkeypatch):
         model = MODEL_FACTORIES[name]()
         model.eval()
         compiled_scores = [model.score_batch(self.HISTORIES)
                            for _ in range(3)]
-        model.compile_scoring = False
+        eager_scoring(monkeypatch, model)
         eager_scores = model.score_batch(self.HISTORIES)
         for got in compiled_scores:
             np.testing.assert_array_equal(got, eager_scores)
@@ -277,17 +305,24 @@ class TestFullFitParity:
     """Whole training runs — optimizer, clipping, beta schedule, RNG
     streams — must be bitwise identical with and without compilation."""
 
-    def fit(self, model, corpus, **kwargs):
-        return Trainer(
-            TrainerConfig(batch_size=8, seed=9, **kwargs)
-        ).fit(model, corpus)
+    def fit(self, model, corpus, eager=False, **kwargs):
+        """``Trainer.fit``; ``eager=True`` patches the eager twin in for
+        the trainer's compiled step."""
+        trainer = Trainer(TrainerConfig(batch_size=8, seed=9, **kwargs))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if eager:
+                monkeypatch.setattr(
+                    trainer_module, "training_step_values",
+                    eager_step_values,
+                )
+            return trainer.fit(model, corpus)
 
     def test_fit_matches_eager_bitwise(self):
         corpus = make_corpus()
         eager = make_fit_vsan()
-        base = self.fit(eager, corpus, epochs=4, compile=False)
+        base = self.fit(eager, corpus, epochs=4, eager=True)
         compiled = make_fit_vsan()
-        got = self.fit(compiled, corpus, epochs=4, compile=True)
+        got = self.fit(compiled, corpus, epochs=4)
         assert got.losses == base.losses
         assert got.reconstruction_losses == base.reconstruction_losses
         assert got.kl_values == base.kl_values
@@ -299,9 +334,9 @@ class TestFullFitParity:
         corpus = make_corpus()
         kwargs = dict(epochs=3, compute_dtype="float32")
         eager = make_fit_vsan()
-        base = self.fit(eager, corpus, compile=False, **kwargs)
+        base = self.fit(eager, corpus, eager=True, **kwargs)
         compiled = make_fit_vsan()
-        got = self.fit(compiled, corpus, compile=True, **kwargs)
+        got = self.fit(compiled, corpus, **kwargs)
         assert got.losses == base.losses
         assert got.grad_norms == base.grad_norms
         assert_same_weights(eager, compiled)
@@ -309,18 +344,18 @@ class TestFullFitParity:
     def test_resume_mid_beta_schedule_matches_straight_run(self, tmp_path):
         corpus = make_corpus()
         straight = make_fit_vsan()
-        full = self.fit(straight, corpus, epochs=6, compile=True)
+        full = self.fit(straight, corpus, epochs=6)
 
         half = make_fit_vsan()
         Trainer(
             TrainerConfig(
-                epochs=3, batch_size=8, seed=9, compile=True,
+                epochs=3, batch_size=8, seed=9,
                 checkpoint_dir=str(tmp_path),
             )
         ).fit(half, corpus)
         resumed_model = make_fit_vsan()
         resumed = Trainer(
-            TrainerConfig(epochs=6, batch_size=8, seed=9, compile=True)
+            TrainerConfig(epochs=6, batch_size=8, seed=9)
         ).fit(resumed_model, corpus, resume_from=tmp_path)
 
         # The resumed run re-traces from the checkpointed weights and
@@ -344,9 +379,9 @@ class TestFullFitParity:
         )
         kwargs = dict(epochs=4, bucket_by_length=False)
         eager = make_fit_vsan()
-        base = self.fit(eager, corpus, compile=False, **kwargs)
+        base = self.fit(eager, corpus, eager=True, **kwargs)
         compiled = make_fit_vsan()
-        got = self.fit(compiled, corpus, compile=True, **kwargs)
+        got = self.fit(compiled, corpus, **kwargs)
         assert got.losses == base.losses
         assert got.grad_norms == base.grad_norms
         assert_same_weights(eager, compiled)
@@ -397,10 +432,10 @@ def poison(model):
 
 class TestPoisonedSlabParity:
     @pytest.mark.parametrize("name", sorted(SLAB_FACTORIES))
-    def test_bitwise_parity_with_poisoned_slab(self, name):
+    def test_bitwise_parity_with_poisoned_slab(self, name, monkeypatch):
         eager = SLAB_FACTORIES[name]()
         compiled = SLAB_FACTORIES[name]()
-        eager.compile_scoring = False
+        eager_scoring(monkeypatch, eager)
         opt_e = Adam(eager.parameters(), lr=1e-3)
         opt_c = Adam(compiled.parameters(), lr=1e-3)
         shapes = itertools.islice(itertools.cycle(SLAB_SHAPES), 9)
@@ -410,9 +445,9 @@ class TestPoisonedSlabParity:
                 model.train()
             opt_e.zero_grad()
             opt_c.zero_grad()
-            ve = training_step_values(eager, rows, compile_enabled=False)
+            ve = eager_step_values(eager, rows)
             poison(compiled)
-            vc = training_step_values(compiled, rows, compile_enabled=True)
+            vc = training_step_values(compiled, rows)
             assert ve == vc, (name, i, ve, vc)
             assert_same_grads(grads_of(eager), grads_of(compiled), (name, i))
             for opt, model in ((opt_e, eager), (opt_c, compiled)):
@@ -452,7 +487,7 @@ def trace_shapes(model, shapes):
     model.train()
     for batch, width in shapes:
         rows = make_batches(300, width, batch, 1)[0]
-        training_step_values(model, rows, compile_enabled=True)
+        training_step_values(model, rows)
     return programs_for(model)
 
 
@@ -612,9 +647,9 @@ class TestLinearCrossEntropyReplay:
                 model.train()
             opt_e.zero_grad()
             opt_c.zero_grad()
-            ve = training_step_values(eager, rows, compile_enabled=False)
+            ve = eager_step_values(eager, rows)
             poison(compiled)
-            vc = training_step_values(compiled, rows, compile_enabled=True)
+            vc = training_step_values(compiled, rows)
             assert ve == vc, (i, ve, vc)
             assert_same_grads(grads_of(eager), grads_of(compiled), i)
             for opt, model in ((opt_e, eager), (opt_c, compiled)):
@@ -643,7 +678,7 @@ class TestLinearCrossEntropyReplay:
         model.train()
         batch, width = 8, WIDTH + 1
         rows = make_batches(NUM_ITEMS, width, batch, 1)[0]
-        training_step_values(model, rows, compile_enabled=True)
+        training_step_values(model, rows)
         cache = programs_for(model)
         assert cache.get(_training_key(model, rows)) is not DYNAMIC
         positions = batch * (width - 1)

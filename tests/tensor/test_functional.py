@@ -1,12 +1,13 @@
 """Composite functions: softmax/log-softmax, cross-entropies, Gaussian
-KL, and dropout — values against closed forms, gradients via gradcheck."""
+KL, and dropout — values against closed forms, gradients via gradcheck.
+The one-hot cross-entropy here is the composed oracle of
+``tests/reference.py`` that the fused head is held in parity with."""
 
 import numpy as np
 import pytest
 
 from repro.tensor import (
     Tensor,
-    cross_entropy,
     dropout,
     gaussian_kl_standard_normal,
     gradcheck,
@@ -14,6 +15,7 @@ from repro.tensor import (
     multi_hot_cross_entropy,
     softmax,
 )
+from tests.reference import cross_entropy_reference
 
 
 @pytest.fixture
@@ -60,17 +62,17 @@ class TestCrossEntropy:
             np.exp(logits).sum(axis=1, keepdims=True)
         )
         expected = -log_probs[np.arange(4), targets].mean()
-        actual = cross_entropy(Tensor(logits), targets).item()
+        actual = cross_entropy_reference(Tensor(logits), targets).item()
         np.testing.assert_allclose(actual, expected, rtol=1e-10)
 
     def test_weights_mask_positions(self, rng):
         logits = rng.normal(size=(4, 6))
         targets = np.array([0, 2, 5, 1])
         weights = np.array([1.0, 0.0, 1.0, 0.0])
-        kept = cross_entropy(
+        kept = cross_entropy_reference(
             Tensor(logits[[0, 2]]), targets[[0, 2]]
         ).item()
-        weighted = cross_entropy(
+        weighted = cross_entropy_reference(
             Tensor(logits), targets, weights=weights
         ).item()
         np.testing.assert_allclose(weighted, kept, rtol=1e-10)
@@ -80,14 +82,18 @@ class TestCrossEntropy:
         targets = rng.integers(0, 5, size=(2, 3))
         weights = np.ones((2, 3))
         gradcheck(
-            lambda logits: cross_entropy(logits, targets, weights=weights),
+            lambda logits: cross_entropy_reference(
+                logits, targets, weights=weights
+            ),
             [logits],
         )
 
     def test_all_zero_weights_raise(self, rng):
         logits = Tensor(rng.normal(size=(2, 4)))
         with pytest.raises(ValueError, match="zero"):
-            cross_entropy(logits, np.array([0, 1]), weights=np.zeros(2))
+            cross_entropy_reference(
+                logits, np.array([0, 1]), weights=np.zeros(2)
+            )
 
 
 class TestMultiHotCrossEntropy:
@@ -98,7 +104,7 @@ class TestMultiHotCrossEntropy:
         one_hot[np.arange(3), targets] = 1.0
         np.testing.assert_allclose(
             multi_hot_cross_entropy(Tensor(logits), one_hot).item(),
-            cross_entropy(Tensor(logits), targets).item(),
+            cross_entropy_reference(Tensor(logits), targets).item(),
             rtol=1e-10,
         )
 

@@ -1,6 +1,9 @@
-"""Fused kernels vs composed references: forward parity to 1e-10 in
-float64, gradient parity via finite differences, dtype-policy behaviour,
-and a hypothesis property test for attention under random padding masks."""
+"""Fused kernels vs the composed references of ``tests/reference.py``:
+forward parity to 1e-10 in float64, gradient parity via finite
+differences, dtype-policy behaviour, and a hypothesis property test for
+attention under random padding masks."""
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +13,6 @@ from hypothesis import strategies as st
 from repro.nn import CausalSelfAttention, LayerNorm
 from repro.tensor import (
     Tensor,
-    cross_entropy,
-    cross_entropy_reference,
     default_dtype,
     fused_attention,
     fused_layer_norm,
@@ -20,8 +21,14 @@ from repro.tensor import (
     linear_cross_entropy,
     masked_fill_value,
     multi_hot_cross_entropy,
-    multi_hot_cross_entropy_reference,
     set_default_dtype,
+)
+from tests.reference import (
+    composed_attention,
+    composed_linear_cross_entropy,
+    composed_substrate,
+    cross_entropy_reference,
+    multi_hot_cross_entropy_reference,
 )
 
 
@@ -30,13 +37,22 @@ def rng():
     return np.random.default_rng(11)
 
 
+def composed(fn, *args, **kwargs):
+    """Call ``fn`` on the composed substrate (the patch is undone on
+    return; a backward run later still uses the composed closures)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        composed_substrate(monkeypatch)
+        return fn(*args, **kwargs)
+
+
 def make_attention_pair(dim, rng_seed=5, num_heads=1):
-    """Two attention modules with identical weights, fused and composed."""
+    """Two attention modules with identical weights: the first for the
+    fused kernel, the second to call through :func:`composed`."""
     fused = CausalSelfAttention(
-        dim, np.random.default_rng(rng_seed), num_heads=num_heads, fused=True
+        dim, np.random.default_rng(rng_seed), num_heads=num_heads
     )
     reference = CausalSelfAttention(
-        dim, np.random.default_rng(rng_seed), num_heads=num_heads, fused=False
+        dim, np.random.default_rng(rng_seed), num_heads=num_heads
     )
     reference.load_state_dict(fused.state_dict())
     return fused, reference
@@ -48,7 +64,7 @@ class TestFusedAttentionParity:
         x = rng.normal(size=(3, 7, 8))
         np.testing.assert_allclose(
             fused(Tensor(x)).numpy(),
-            reference(Tensor(x)).numpy(),
+            composed(reference, Tensor(x)).numpy(),
             atol=1e-10,
         )
 
@@ -58,7 +74,7 @@ class TestFusedAttentionParity:
         pad = rng.random((4, 6)) < 0.4
         np.testing.assert_allclose(
             fused(Tensor(x), key_padding_mask=pad).numpy(),
-            reference(Tensor(x), key_padding_mask=pad).numpy(),
+            composed(reference, Tensor(x), key_padding_mask=pad).numpy(),
             atol=1e-10,
         )
 
@@ -66,7 +82,8 @@ class TestFusedAttentionParity:
         fused, reference = make_attention_pair(8, num_heads=2)
         x = rng.normal(size=(2, 5, 8))
         _, w_fused = fused(Tensor(x), return_weights=True)
-        _, w_reference = reference(Tensor(x), return_weights=True)
+        _, w_reference = composed(reference, Tensor(x),
+                                  return_weights=True)
         np.testing.assert_allclose(
             w_fused.numpy(), w_reference.numpy(), atol=1e-10
         )
@@ -80,7 +97,8 @@ class TestFusedAttentionParity:
         for name, module in (("fused", fused), ("reference", reference)):
             module.zero_grad()
             x_in = Tensor(x, requires_grad=True)
-            out = module(x_in, key_padding_mask=pad)
+            call = module if name == "fused" else partial(composed, module)
+            out = call(x_in, key_padding_mask=pad)
             (out * out).sum().backward()
             grads[name] = (x_in.grad, module.w_query.grad,
                            module.w_value.grad)
@@ -99,6 +117,11 @@ class TestFusedAttentionParity:
             lambda q, k, v: (fused_attention(q, k, v, mask, 0.5) ** 2).sum(),
             [q, k, v],
         )
+        np.testing.assert_allclose(
+            fused_attention(q, k, v, mask, 0.5).numpy(),
+            composed_attention(q, k, v, mask, 0.5).numpy(),
+            atol=1e-10,
+        )
 
 
 class TestFusedCrossEntropyParity:
@@ -107,11 +130,15 @@ class TestFusedCrossEntropyParity:
         targets = rng.integers(0, 9, size=(3, 5))
         weights = (rng.random((3, 5)) > 0.3).astype(float)
         for w in (None, weights):
-            fused = cross_entropy(logits, targets, weights=w)
             reference = cross_entropy_reference(logits, targets, weights=w)
+            gradcheck(
+                lambda x: cross_entropy_reference(x, targets, weights=w),
+                [logits],
+            )
+            hidden = Tensor(logits.data)
+            identity = Tensor(np.eye(logits.shape[-1]))
+            fused = linear_cross_entropy(hidden, identity, None, targets, w)
             assert abs(fused.item() - reference.item()) < 1e-10
-            gradcheck(lambda x: cross_entropy(x, targets, weights=w),
-                      [logits])
 
     def test_multi_hot_parity_and_gradcheck(self, rng):
         logits = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
@@ -131,18 +158,11 @@ class TestFusedCrossEntropyParity:
     def test_zero_weights_raise(self, rng):
         logits = Tensor(rng.normal(size=(2, 3)))
         with pytest.raises(ValueError):
-            cross_entropy(logits, np.zeros(2, dtype=int),
-                          weights=np.zeros(2))
+            linear_cross_entropy(logits, Tensor(np.eye(3)), None,
+                                 np.zeros(2, dtype=int), weights=np.zeros(2))
         with pytest.raises(ValueError):
             multi_hot_cross_entropy(logits, np.ones((2, 3)),
                                     weights=np.zeros(2))
-
-
-def composed_linear_ce(hidden, weight, bias, targets, weights):
-    logits = hidden @ weight
-    if bias is not None:
-        logits = logits + bias
-    return cross_entropy_reference(logits, targets, weights=weights)
 
 
 def linear_ce_grads(fn, hidden, weight, bias, targets, weights):
@@ -176,7 +196,8 @@ class TestLinearCrossEntropy:
             linear_cross_entropy, hidden, weight, bias, targets, weights
         )
         want_loss, want = linear_ce_grads(
-            composed_linear_ce, hidden, weight, bias, targets, weights
+            composed_linear_cross_entropy, hidden, weight, bias, targets,
+            weights,
         )
         assert abs(got_loss - want_loss) < 1e-10
         for name, g, w in zip(("hidden", "weight", "bias"), got, want):
@@ -210,7 +231,7 @@ class TestLinearCrossEntropy:
         hidden, weight, _, targets, weights = self.case(rng)
         table = weight.T.copy()
         grads, losses = [], []
-        for fn in (linear_cross_entropy, composed_linear_ce):
+        for fn in (linear_cross_entropy, composed_linear_cross_entropy):
             h = Tensor(hidden, requires_grad=True)
             emb = Tensor(table, requires_grad=True)
             loss = fn(h, emb.T, None, targets, weights)
@@ -273,15 +294,16 @@ class TestLinearCrossEntropy:
                 linear_cross_entropy, hidden, weight, bias, targets, weights
             )
             want, _ = linear_ce_grads(
-                composed_linear_ce, hidden, weight, bias, targets, weights
+                composed_linear_cross_entropy, hidden, weight, bias,
+                targets, weights,
             )
         assert abs(got - want) < 1e-5
 
 
 class TestFusedLayerNormParity:
     def test_forward_matches_reference(self, rng):
-        fused = LayerNorm(10, fused=True)
-        reference = LayerNorm(10, fused=False)
+        fused = LayerNorm(10)
+        reference = LayerNorm(10)
         state = fused.state_dict()
         state["gamma"] = rng.normal(size=10) + 1.0
         state["beta"] = rng.normal(size=10)
@@ -290,7 +312,7 @@ class TestFusedLayerNormParity:
         x = rng.normal(size=(4, 6, 10)) * 3
         np.testing.assert_allclose(
             fused(Tensor(x)).numpy(),
-            reference(Tensor(x)).numpy(),
+            composed(reference, Tensor(x)).numpy(),
             atol=1e-10,
         )
 
@@ -333,12 +355,11 @@ class TestDtypePolicy:
         rng = np.random.default_rng(0)
         with default_dtype(np.float32):
             for fused in (True, False):
-                attn = CausalSelfAttention(
-                    8, np.random.default_rng(1), fused=fused
-                )
+                attn = CausalSelfAttention(8, np.random.default_rng(1))
+                call = attn if fused else partial(composed, attn)
                 x = Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
                 pad = np.array([[True, True, True, False, False]] * 2)
-                out = attn(x, key_padding_mask=pad)
+                out = call(x, key_padding_mask=pad)
                 assert out.dtype == np.float32
                 assert np.isfinite(out.numpy()).all()
                 out.sum().backward()
@@ -352,7 +373,7 @@ class TestDtypePolicy:
             pad = rng.random((2, 6)) < 0.3
             np.testing.assert_allclose(
                 fused(Tensor(x), key_padding_mask=pad).numpy(),
-                reference(Tensor(x), key_padding_mask=pad).numpy(),
+                composed(reference, Tensor(x), key_padding_mask=pad).numpy(),
                 atol=1e-5,
             )
 
@@ -368,7 +389,7 @@ class TestMaskMemo:
             first[0, 0] = True
 
     def test_padding_mask_buffer_is_reused(self, rng):
-        attn = CausalSelfAttention(8, rng, fused=True)
+        attn = CausalSelfAttention(8, rng)
         x = rng.normal(size=(2, 5, 8))
         pad = rng.random((2, 5)) < 0.5
         attn(Tensor(x), key_padding_mask=pad)
@@ -381,18 +402,27 @@ class TestMaskMemo:
              key_padding_mask=np.zeros((3, 5), dtype=bool))
         assert attn._mask_scratch is not buffer
 
-    def test_reference_path_backward_survives_buffer_reuse(self, rng):
-        """The composed path must not alias the reusable scratch buffer:
-        a second forward between forward and backward must not corrupt
-        the first call's gradient."""
-        attn = CausalSelfAttention(8, rng, fused=False)
+    def test_reference_path_backward_survives_buffer_reuse(
+        self, rng, monkeypatch
+    ):
+        """The composed oracle keeps its mask for the backward, so it must
+        take a private copy of the reusable scratch buffer: a second
+        forward between forward and backward must not corrupt the first
+        call's gradient."""
+        composed_substrate(monkeypatch)
+        attn = CausalSelfAttention(8, rng)
         x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
         pad = np.array([[True, False, False, False]] * 2)
         out = attn(x, key_padding_mask=pad)
+        buffer = attn._mask_scratch
         attn(Tensor(rng.normal(size=(2, 4, 8))),
-             key_padding_mask=~pad)  # would clobber a shared buffer
+             key_padding_mask=~pad)  # clobbers the shared buffer
+        assert attn._mask_scratch is buffer
         out.sum().backward()
         assert np.isfinite(x.grad).all()
+        twin = Tensor(x.data, requires_grad=True)
+        attn(twin, key_padding_mask=pad).sum().backward()
+        np.testing.assert_array_equal(x.grad, twin.grad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -414,6 +444,8 @@ def test_fused_attention_matches_reference_under_random_padding(
     x = data_rng.normal(size=(batch, length, dim))
     pad = np.random.default_rng(pad_seed).random((batch, length)) < 0.5
     out_fused = fused(Tensor(x), key_padding_mask=pad).numpy()
-    out_reference = reference(Tensor(x), key_padding_mask=pad).numpy()
+    out_reference = composed(
+        reference, Tensor(x), key_padding_mask=pad
+    ).numpy()
     np.testing.assert_allclose(out_fused, out_reference, atol=1e-9)
     assert np.isfinite(out_fused).all()

@@ -114,14 +114,16 @@ def test_recommend_unknown_user_fails(csv_path, checkpoint, capsys):
 
 def test_sasrec_train_path(csv_path, tmp_path):
     out = tmp_path / "sasrec.npz"
-    exit_code = main(
-        [
-            "train", "--data", str(csv_path), "--model", "SASRec",
-            "--max-length", "10", "--dim", "16", "--epochs", "1",
-            "--heldout", "6", "--quiet", "--out", str(out),
-        ]
-    )
-    assert exit_code == 0
+    argv = [
+        "train", "--data", str(csv_path), "--model", "SASRec",
+        "--max-length", "10", "--dim", "16", "--epochs", "1",
+        "--heldout", "6", "--quiet", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    # Training has no eager opt-out: argparse rejects the flag.
+    with pytest.raises(SystemExit) as rejected:
+        main(argv + ["--no-compile"])
+    assert rejected.value.code == 2
 
 
 def test_train_checkpoint_and_resume(csv_path, tmp_path):
