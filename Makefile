@@ -77,9 +77,9 @@ bench-compile:
 # stats, and shed-don't-wedge under overload (gates are skipped under
 # --benchmark-only, so they run second).
 bench-cluster:
-	PYTHONPATH=src pytest benchmarks/test_cluster.py \
+	PYTHONPATH=src python -m pytest benchmarks/test_cluster.py \
 		--benchmark-only --benchmark-json=BENCH_cluster.json
-	PYTHONPATH=src pytest benchmarks/test_cluster.py \
+	PYTHONPATH=src python -m pytest benchmarks/test_cluster.py \
 		-k gate -q -s
 	python benchmarks/compare_bench.py BENCH_cluster.json
 
@@ -89,15 +89,17 @@ resume-smoke:
 	PYTHONPATH=src pytest tests/integration/test_crash_resume.py \
 		tests/train/test_checkpoint.py -q
 
-# Fault-injection smoke test of the serving layer: with seeded
+# Serving drills (tests/integration/test_serve_drills.py) minus the
+# chaos drill, plus the serving unit tests: with seeded
 # latency/exception/NaN faults hammering the primary rung, every request
 # must still get a valid finite ranking from the fallback chain, the
 # breaker must re-close once faults clear, and the stats must account
-# for every request.
+# for every request; the cluster drill kills a shard and rolls back a
+# canary.
 serve-smoke:
-	PYTHONPATH=src python -m repro serve-smoke --requests 100
-	PYTHONPATH=src python -m repro serve-smoke --cluster --requests 200
-	PYTHONPATH=src pytest tests/serve -q
+	PYTHONPATH=src python -m pytest -q \
+		tests/integration/test_serve_drills.py tests/serve \
+		-k "not test_chaos_drill"
 
 # Seeded chaos drill against the self-healing replicated cluster:
 # SIGKILLs and stall injections fired on a deterministic schedule under
@@ -106,17 +108,17 @@ serve-smoke:
 # respawn back to full capacity.  The hard wall-clock cap keeps a hung
 # drill from wedging CI — a timeout here IS a failure.
 chaos-smoke:
-	timeout 180 env PYTHONPATH=src \
-		python -m repro serve-smoke --chaos --requests 240
+	timeout 180 env PYTHONPATH=src python -m pytest -q \
+		tests/integration/test_serve_drills.py -k test_chaos_drill
 
 bench-all:
-	pytest benchmarks/ --benchmark-only
+	python -m pytest benchmarks/ --benchmark-only
 
 bench-log:
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 bench-full:
-	REPRO_FULL=1 pytest benchmarks/ --benchmark-only -s
+	REPRO_FULL=1 python -m pytest benchmarks/ --benchmark-only -s
 
 experiments:
 	python -m repro.experiments --save benchmarks/results

@@ -32,23 +32,22 @@ import numpy as np
 import pytest
 
 from repro.core import VSAN
-from repro.data.synthetic import (
-    ChaosScheduleConfig,
-    ZipfTrafficConfig,
-    chaos_schedule,
-    zipf_traffic,
-)
+from repro.data.synthetic import ZipfTrafficConfig, zipf_traffic
 from repro.serve import (
-    ChaosConfig,
     CircuitBreaker,
     ClusterConfig,
     RecommendService,
     RetryPolicy,
     ServiceConfig,
     ServingCluster,
-    run_chaos,
 )
 from repro.tensor import set_default_dtype
+from tests.chaos import (
+    ChaosConfig,
+    ChaosScheduleConfig,
+    chaos_schedule,
+    run_chaos,
+)
 
 NUM_USERS = 1_000_000
 NUM_ITEMS = 200

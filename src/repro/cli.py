@@ -7,7 +7,6 @@ writing Python::
     python -m repro train --data log.csv --model VSAN --out vsan.npz
     python -m repro evaluate --data log.csv --checkpoint vsan.npz
     python -m repro recommend --data log.csv --checkpoint vsan.npz --user 17
-    python -m repro serve-smoke --requests 100
 
 The CSV format is ``user,item,rating,timestamp`` (header optional);
 preprocessing (ratings >= 4, 5-core) and the strong-generalization split
@@ -159,49 +158,6 @@ def cmd_recommend(args) -> int:
     return 0
 
 
-def cmd_serve_smoke(args) -> int:
-    from .serve.smoke import (
-        SmokeFailure,
-        run_chaos_smoke,
-        run_cluster_smoke,
-        run_smoke,
-    )
-
-    try:
-        if args.chaos:
-            return run_chaos_smoke(
-                requests=max(args.requests, 120),
-                num_shards=args.shards,
-                replicas_per_shard=args.replicas,
-                faults=args.faults,
-                seed=args.seed,
-                verbose=not args.quiet,
-            )
-        if args.cluster:
-            return run_cluster_smoke(
-                requests=args.requests,
-                num_shards=args.shards,
-                seed=args.seed,
-                verbose=not args.quiet,
-            )
-        return run_smoke(
-            requests=args.requests,
-            seed=args.seed,
-            error_rate=args.error_rate,
-            nan_rate=args.nan_rate,
-            latency_rate=args.latency_rate,
-            data=args.data,
-            checkpoint=args.checkpoint,
-            epochs=args.epochs,
-            verbose=not args.quiet,
-            engine=args.engine,
-            retrieval=args.retrieval,
-        )
-    except SmokeFailure as failure:
-        print(f"serve-smoke FAILED: {failure}", file=sys.stderr)
-        return 1
-
-
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--data", required=True, help="interactions CSV")
     parser.add_argument("--min-rating", type=float, default=4.0)
@@ -299,65 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="original user id from the CSV")
     recommend.add_argument("--top", type=int, default=10)
     recommend.set_defaults(func=cmd_recommend)
-
-    smoke = commands.add_parser(
-        "serve-smoke",
-        help="fault-injection smoke test of the serving layer "
-             "(repro.serve): every request must yield a valid ranking "
-             "even while the primary model is failing",
-    )
-    smoke.add_argument("--requests", type=int, default=100,
-                       help="total requests (half faulty, half clear)")
-    smoke.add_argument("--seed", type=int, default=0)
-    smoke.add_argument("--error-rate", type=float, default=0.35,
-                       help="injected exception probability per call")
-    smoke.add_argument("--nan-rate", type=float, default=0.35,
-                       help="injected NaN-score probability per call")
-    smoke.add_argument("--latency-rate", type=float, default=0.1,
-                       help="injected latency-spike probability per call")
-    smoke.add_argument("--data", default=None,
-                       help="interactions CSV (default: synthetic tiny)")
-    smoke.add_argument("--checkpoint", default=None,
-                       help="pre-trained VSAN checkpoint (default: train "
-                            "a throwaway one)")
-    smoke.add_argument("--epochs", type=int, default=2,
-                       help="training budget for throwaway models")
-    smoke.add_argument("--engine", action="store_true",
-                       help="serve through the InferenceEngine "
-                            "(micro-batching + score cache) via "
-                            "recommend_many instead of one call per "
-                            "request; the same fault invariants must "
-                            "hold, plus real coalescing/cache activity")
-    smoke.add_argument("--retrieval", action="store_true",
-                       help="(implies --engine) serve through an "
-                            "approximate IVF retrieval index + exact "
-                            "re-rank; the run asserts the two-stage "
-                            "path actually handled requests")
-    smoke.add_argument("--cluster", action="store_true",
-                       help="drill the sharded ServingCluster instead: "
-                            "open-loop Zipf load over a 1M-user "
-                            "population, a SIGKILL-one-shard drill "
-                            "(must shed, never hang, accounting exact), "
-                            "and a canary rollout that must roll back "
-                            "when the canary trips the primary breaker")
-    smoke.add_argument("--chaos", action="store_true",
-                       help="seeded chaos drill against the "
-                            "self-healing replicated cluster: a "
-                            "deterministic fault schedule SIGKILLs and "
-                            "stalls replicas under paced load; "
-                            "replicated shards must lose zero "
-                            "requests, accounting must hold at every "
-                            "checkpoint, and the supervisor must "
-                            "respawn every killed worker back to full "
-                            "capacity (the seed is printed for replay)")
-    smoke.add_argument("--shards", type=int, default=3,
-                       help="(with --cluster/--chaos) shard key-ranges")
-    smoke.add_argument("--replicas", type=int, default=2,
-                       help="(with --chaos) replicas per shard")
-    smoke.add_argument("--faults", type=int, default=6,
-                       help="(with --chaos) scheduled faults")
-    smoke.add_argument("--quiet", action="store_true")
-    smoke.set_defaults(func=cmd_serve_smoke)
 
     return parser
 

@@ -80,8 +80,6 @@ class VSAN(NeuralSequentialRecommender):
         num_samples: Monte-Carlo samples per training step for the
             reconstruction expectation (1 = the paper; >1 is our
             lower-variance extension).
-        norm_first: pre-norm blocks instead of the paper's post-norm
-            (helps deep stacks; see ``repro.nn.blocks``).
         seed: controls init / dropout / reparameterization streams.
     """
 
@@ -110,7 +108,6 @@ class VSAN(NeuralSequentialRecommender):
         sigma_bias_init: float = -3.0,
         positions: str = "learnable",
         num_samples: int = 1,
-        norm_first: bool = False,
         seed: int = 0,
     ):
         super().__init__(num_items, max_length)
@@ -152,7 +149,6 @@ class VSAN(NeuralSequentialRecommender):
             dropout_rate=dropout_rate,
             use_feedforward=inference_feedforward,
             dropout_rng=dropout_rng,
-            norm_first=norm_first,
         )
         if use_latent:
             self.mu_head = Linear(dim, dim, init_rng)
@@ -176,7 +172,6 @@ class VSAN(NeuralSequentialRecommender):
             dropout_rate=dropout_rate,
             use_feedforward=generative_feedforward,
             dropout_rng=dropout_rng,
-            norm_first=norm_first,
         )
         self.final_norm = LayerNorm(dim)
         if not tie_weights:

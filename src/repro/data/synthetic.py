@@ -39,12 +39,10 @@ from .interactions import InteractionLog
 __all__ = [
     "SyntheticConfig",
     "BEAUTY_LIKE",
-    "ChaosScheduleConfig",
     "ML1M_LIKE",
     "WorldInfo",
     "ZipfCatalogConfig",
     "ZipfTrafficConfig",
-    "chaos_schedule",
     "generate",
     "generate_with_info",
     "generate_zipf_catalog",
@@ -515,74 +513,6 @@ def zipf_traffic(config: ZipfTrafficConfig, seed: int):
             )).astype(np.int64)
             histories[user] = history
         yield user, history, float(arrivals[index])
-
-
-@dataclass(frozen=True)
-class ChaosScheduleConfig:
-    """A seeded fault schedule for the serving-cluster chaos harness.
-
-    Faults are pinned to *request indices* (not wall-clock times) of an
-    accompanying traffic replay, so the same ``(config, seed)`` pair
-    injects the same faults at the same points of the same load every
-    run — the whole chaos drill is replayable from one printed seed.
-
-    Args:
-        num_requests: length of the traffic replay being faulted.
-        num_faults: faults to inject, spread over the middle of the
-            run (the first and last ``warmup_fraction`` of requests are
-            kept fault-free so the run has a clean ramp and drain).
-        kinds: fault kinds to draw from — ``"kill"`` SIGKILLs one
-            replica, ``"stall"`` wedges one replica without killing it
-            (exercising the heartbeat/stall probe), ``"blackout"``
-            SIGKILLs a whole replica group at once (respawn race).
-        warmup_fraction: head/tail fraction of the replay kept
-            fault-free.
-    """
-
-    num_requests: int = 500
-    num_faults: int = 6
-    kinds: tuple = ("kill", "stall")
-    warmup_fraction: float = 0.15
-
-    def __post_init__(self):
-        if self.num_requests < 1:
-            raise ValueError("num_requests must be >= 1")
-        if self.num_faults < 0:
-            raise ValueError("num_faults must be >= 0")
-        if not self.kinds:
-            raise ValueError("kinds must be non-empty")
-        unknown = set(self.kinds) - {"kill", "stall", "blackout"}
-        if unknown:
-            raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
-        if not 0.0 <= self.warmup_fraction < 0.5:
-            raise ValueError("warmup_fraction must be in [0, 0.5)")
-
-
-def chaos_schedule(
-    config: ChaosScheduleConfig, seed: int
-) -> list[tuple[int, str, int]]:
-    """Seeded list of ``(request_index, kind, target_rank)`` faults.
-
-    Indices are sampled without replacement from the fault-eligible
-    middle of the replay and returned sorted, so a harness can pop
-    faults off the front as it walks the traffic.  ``target_rank`` is a
-    free draw the harness maps onto a concrete shard/replica at fire
-    time (the live topology is only known then).
-    """
-    rng = make_rng(seed)
-    lo = int(np.floor(config.num_requests * config.warmup_fraction))
-    hi = int(np.ceil(config.num_requests * (1.0 - config.warmup_fraction)))
-    eligible = max(hi - lo, 1)
-    count = min(config.num_faults, eligible)
-    indices = lo + rng.choice(eligible, size=count, replace=False)
-    kinds = rng.choice(len(config.kinds), size=count)
-    ranks = rng.integers(0, 1_000_000, size=count)
-    schedule = [
-        (int(index), config.kinds[int(kind)], int(rank))
-        for index, kind, rank in zip(indices, kinds, ranks)
-    ]
-    schedule.sort()
-    return schedule
 
 
 def zipf_histories(

@@ -26,11 +26,6 @@ class SelfAttentionBlock(Module):
     ``use_feedforward=False`` drops the FFN sub-layer entirely (the block
     output becomes ``E = LN(Attn(x) + x)``), which implements the paper's
     VSAN-infer-feed / VSAN-gene-feed / VSAN-all-feed ablations (Table VI).
-
-    ``norm_first=True`` switches to the pre-norm arrangement
-    (``x + Attn(LN(x))``), the standard remedy for the degradation the
-    paper observes when stacking 3+ blocks (Table IV); the paper's own
-    equations are post-norm, which remains the default.
     """
 
     def __init__(
@@ -41,7 +36,6 @@ class SelfAttentionBlock(Module):
         dropout_rate: float = 0.0,
         use_feedforward: bool = True,
         dropout_rng: np.random.Generator | None = None,
-        norm_first: bool = False,
     ):
         super().__init__()
         dropout_rng = dropout_rng if dropout_rng is not None else rng
@@ -49,7 +43,6 @@ class SelfAttentionBlock(Module):
         self.attention_dropout = Dropout(dropout_rate, dropout_rng)
         self.norm_attention = LayerNorm(dim)
         self.use_feedforward = use_feedforward
-        self.norm_first = norm_first
         if use_feedforward:
             self.feedforward = PointWiseFeedForward(
                 dim,
@@ -75,31 +68,14 @@ class SelfAttentionBlock(Module):
                 block output is multiplied by it so padded positions stay
                 exactly zero between blocks (as in SASRec).
         """
-        if self.norm_first:
-            attended = self.attention_dropout(
-                self.attention(
-                    self.norm_attention(x),
-                    key_padding_mask=key_padding_mask,
-                )
-            )
-            normed = attended + x
-            if self.use_feedforward:
-                out = normed + self.feedforward(
-                    self.norm_feedforward(normed)
-                )
-            else:
-                out = normed
+        attended = self.attention_dropout(
+            self.attention(x, key_padding_mask=key_padding_mask)
+        )
+        normed = self.norm_attention(attended + x)
+        if self.use_feedforward:
+            out = self.norm_feedforward(self.feedforward(normed) + normed)
         else:
-            attended = self.attention_dropout(
-                self.attention(x, key_padding_mask=key_padding_mask)
-            )
-            normed = self.norm_attention(attended + x)
-            if self.use_feedforward:
-                out = self.norm_feedforward(
-                    self.feedforward(normed) + normed
-                )
-            else:
-                out = normed
+            out = normed
         if timeline_mask is not None:
             out = out * Tensor(
                 np.asarray(timeline_mask, dtype=out.dtype)[..., None]
@@ -119,7 +95,6 @@ class SelfAttentionStack(Module):
         dropout_rate: float = 0.0,
         use_feedforward: bool = True,
         dropout_rng: np.random.Generator | None = None,
-        norm_first: bool = False,
     ):
         super().__init__()
         self.blocks = ModuleList(
@@ -131,7 +106,6 @@ class SelfAttentionStack(Module):
                     dropout_rate=dropout_rate,
                     use_feedforward=use_feedforward,
                     dropout_rng=dropout_rng,
-                    norm_first=norm_first,
                 )
                 for _ in range(num_blocks)
             ]

@@ -17,26 +17,23 @@ degrade gracefully instead of falling over.  The pieces:
   load shedding, replica failover, supervised respawn with flap
   breaking, heartbeat/stall probing, canary rollout with automatic
   rollback, and merged cross-shard accounting.
-- :mod:`repro.serve.chaos` — the seeded fault-schedule harness
-  (:func:`run_chaos`) that SIGKILLs, blacks out, and stalls workers
-  under paced load while asserting the accounting invariants and
-  recovery to full capacity.
 - :class:`CircuitBreaker` — closed/open/half-open rung guard.
 - :class:`RetryPolicy` — exponential backoff with seeded jitter.
-- :mod:`repro.serve.faults` — a seeded fault injector (latency spikes,
-  raised exceptions, NaN-poisoned scores, file corruption helpers) so
-  every failure path is exercised deterministically in tests and by the
-  ``repro serve-smoke`` CLI.
 - :func:`safe_load_model` — checkpoint loading that rejects corrupt,
   truncated, or NaN-weight files with
   :class:`repro.nn.CheckpointError`.
+
+The fault harness that drives every failure path on purpose is test
+code: ``tests/faults.py`` (seeded latency/exception/NaN injector, file
+corruption helpers), ``tests/chaos.py`` (seeded kill/stall schedules
+against the cluster) and the end-to-end drills in
+``tests/integration/test_serve_drills.py``.
 
 See ``docs/SERVING.md`` for the fault model and ladder semantics.
 """
 
 from ..retrieval import IndexConfig, TopScores
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .chaos import ChaosConfig, run_chaos
 from .cluster import (
     ClusterConfig,
     ConsistentHashRing,
@@ -53,13 +50,6 @@ from .errors import (
     ServeError,
     TransientError,
 )
-from .faults import (
-    FaultInjector,
-    FaultyRecommender,
-    InjectedFault,
-    flip_byte,
-    truncate_file,
-)
 from .loading import safe_load_model, validate_finite_state
 from .retry import RetryPolicy
 from .service import Recommendation, RecommendService, ServiceConfig
@@ -68,7 +58,6 @@ from .stats import LatencyTracker, RungStats, ServiceStats
 __all__ = [
     "AllRungsFailed",
     "CLOSED",
-    "ChaosConfig",
     "CheckpointError",
     "CircuitBreaker",
     "ClusterConfig",
@@ -76,12 +65,9 @@ __all__ = [
     "ConsistentHashRing",
     "DeadlineExceeded",
     "EngineConfig",
-    "FaultInjector",
-    "FaultyRecommender",
     "HALF_OPEN",
     "IndexConfig",
     "InferenceEngine",
-    "InjectedFault",
     "InvalidRequest",
     "LatencyTracker",
     "MicroBatcher",
@@ -98,9 +84,6 @@ __all__ = [
     "ServiceStats",
     "TopScores",
     "TransientError",
-    "flip_byte",
-    "run_chaos",
     "safe_load_model",
-    "truncate_file",
     "validate_finite_state",
 ]

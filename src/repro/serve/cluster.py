@@ -25,18 +25,19 @@ consistent-hash user router in the parent:
   with capped exponential backoff, warm-loaded with the committed
   rollout state (canary models included), and the shard rejoins the
   ring.  A crash-looping shard trips a **flap-breaker** after
-  ``flap_threshold`` deaths inside ``flap_window`` seconds and degrades
+  ``flap_threshold`` deaths inside ``FLAP_WINDOW`` seconds and degrades
   to shed-at-admission instead of fork-bombing the box.
 - **Admission control** — the router tracks per-shard queue depth and
   an EWMA of service time; a request whose predicted wait exceeds the
-  deadline budget (times ``shed_margin``), or that would overflow
+  deadline budget (times ``SHED_MARGIN``), or that would overflow
   ``max_queue``, is **shed** at the door — a fast typed rejection
   instead of a doomed queue entry.
-- **Total loss** — when a whole replica group is gone (and respawn is
-  off or flapped), in-flight work is counted ``failed``, queued work
-  reroutes through the shrunken ring, and an empty ring fails requests
-  at admission.  The cluster never hangs: :meth:`ServingCluster.drain`
-  guarantees every submitted request reaches a terminal state.
+- **Total loss** — when a whole replica group is gone (and its
+  flap-breaker has tripped), in-flight work is counted ``failed``,
+  queued work reroutes through the shrunken ring, and an empty ring
+  fails requests at admission.  The cluster never hangs:
+  :meth:`ServingCluster.drain` guarantees every submitted request
+  reaches a terminal state.
 - **Canary rollout** — :meth:`ServingCluster.rollout` hot-swaps a new
   model one shard at a time (every replica in the group), probes each
   replica, and rolls every already-swapped shard back on any failure.
@@ -50,9 +51,11 @@ consistent-hash user router in the parent:
   process would.  Deadline SLO attainment (fraction of submissions
   completing inside ``deadline``) is tracked alongside.
 
-The open-loop load harness lives in :meth:`ServingCluster.run_load`;
-the seeded fault-injection harness that proves the self-healing story
-lives in :mod:`repro.serve.chaos`.
+The open-loop load harness lives in :meth:`ServingCluster.run_load`.
+The seeded chaos harness that proves the self-healing story is test
+code: ``tests/chaos.py``, driven by ``tests/serve/test_chaos.py``, the
+chaos scenario of ``tests/integration/test_serve_drills.py`` and the
+``bench-cluster`` recovery gate.
 """
 
 from __future__ import annotations
@@ -144,13 +147,30 @@ class ConsistentHashRing:
         return len(self.nodes)
 
 
+#: Shed when ``predicted_wait > SHED_MARGIN * deadline``.
+SHED_MARGIN = 1.0
+#: Smoothing of the per-shard service-time EWMA behind predicted-wait
+#: shedding.
+EWMA_ALPHA = 0.2
+#: Cap, in seconds, on the exponential respawn backoff.
+RESPAWN_BACKOFF_MAX = 2.0
+#: Seconds over which worker deaths on one shard count against
+#: ``ClusterConfig.flap_threshold``.
+FLAP_WINDOW = 30.0
+
+
 @dataclass
 class ClusterConfig:
     """Router and supervisor policy knobs.
 
+    Worker deaths are always supervised: a dead replica is re-forked
+    (warm-loading committed rollout state and rejoining the ring) until
+    the shard's flap-breaker trips.  ``flap_threshold=1`` trips it on
+    the first death, so a killed group stays dead — what a
+    degradation test wants.
+
     Args:
         num_shards: shard key-ranges on the ring.
-        replicas: virtual nodes per shard on the hash ring.
         max_queue: hard cap on per-shard outstanding requests (queued +
             in flight across the replica group); submissions beyond it
             are shed.
@@ -158,32 +178,18 @@ class ClusterConfig:
             scores SLO attainment with (``None`` disables both; the
             shards' own ``ServiceConfig.deadline`` still applies
             in-service).
-        shed_margin: shed when ``predicted_wait > shed_margin *
-            deadline`` — < 1 sheds conservatively early, > 1 tolerates
-            brief overloads.
         batch_size: requests coalesced into one pipe message per shard
             (shard-side micro-batching then applies within the
             service's engine, when configured).
         worker_timeout: seconds a control message may wait on a worker
             before the worker is declared hung.
-        top_n: ranking length forwarded with every request (``None`` =
-            the shard service's default).
-        ewma_alpha: smoothing for the per-shard service-time estimate
-            driving predicted-wait shedding.
         replicas_per_shard: worker processes per shard key-range.  With
             R >= 2 a single worker death fails over in-flight work to a
             surviving replica instead of failing it.
-        respawn: supervise worker deaths and fork replacements (warm
-            loading committed rollout state, rejoining the ring).  Off,
-            a dead group's capacity is gone for the process lifetime —
-            the pre-self-healing behaviour, kept for kill drills.
         respawn_backoff: base seconds before a replacement fork; doubles
             per recent death on the shard (capped at
-            ``respawn_backoff_max``).
-        respawn_backoff_max: cap on the exponential respawn backoff.
-        flap_window: seconds over which worker deaths on one shard are
-            counted against ``flap_threshold``.
-        flap_threshold: deaths within ``flap_window`` that trip the
+            :data:`RESPAWN_BACKOFF_MAX`).
+        flap_threshold: deaths within :data:`FLAP_WINDOW` that trip the
             flap-breaker: the shard stops respawning and degrades to
             shed/fail-at-admission instead of fork-bombing.
         stall_timeout: enables active health probing when set — a
@@ -195,19 +201,12 @@ class ClusterConfig:
     """
 
     num_shards: int = 2
-    replicas: int = 64
     max_queue: int = 64
     deadline: float | None = None
-    shed_margin: float = 1.0
     batch_size: int = 32
     worker_timeout: float = 30.0
-    top_n: int | None = None
-    ewma_alpha: float = 0.2
     replicas_per_shard: int = 1
-    respawn: bool = True
     respawn_backoff: float = 0.05
-    respawn_backoff_max: float = 2.0
-    flap_window: float = 30.0
     flap_threshold: int = 5
     stall_timeout: float | None = None
     heartbeat_interval: float = 1.0
@@ -215,30 +214,22 @@ class ClusterConfig:
     def __post_init__(self):
         if self.num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
         if self.max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive (or None)")
-        if self.shed_margin <= 0:
-            raise ValueError("shed_margin must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.worker_timeout <= 0:
             raise ValueError("worker_timeout must be positive")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
         if self.replicas_per_shard < 1:
             raise ValueError("replicas_per_shard must be >= 1")
         if self.respawn_backoff <= 0:
             raise ValueError("respawn_backoff must be positive")
-        if self.respawn_backoff_max < self.respawn_backoff:
+        if self.respawn_backoff > RESPAWN_BACKOFF_MAX:
             raise ValueError(
-                "respawn_backoff_max must be >= respawn_backoff"
+                f"respawn_backoff must be <= {RESPAWN_BACKOFF_MAX}"
             )
-        if self.flap_window <= 0:
-            raise ValueError("flap_window must be positive")
         if self.flap_threshold < 1:
             raise ValueError("flap_threshold must be >= 1")
         if self.stall_timeout is not None and self.stall_timeout <= 0:
@@ -259,11 +250,11 @@ class RolloutReport:
     reason: str | None = None
 
 
-def _serve_batch(service, entries, top_n):
+def _serve_batch(service, entries):
     """Run one coalesced batch through the shard's service."""
     replies = []
     histories = [history for _, history in entries]
-    results = service.recommend_many(histories, top_n=top_n)
+    results = service.recommend_many(histories)
     for (request_id, _), outcome in zip(entries, results):
         if isinstance(outcome, ServeError):
             replies.append((
@@ -304,11 +295,11 @@ def _shard_loop(
             kind = message[0]
             if kind == "batch":
                 conn.send(
-                    ("results", _serve_batch(service, message[1], message[2]))
+                    ("results", _serve_batch(service, message[1]))
                 )
             elif kind == "probe":
                 conn.send(
-                    ("probed", _serve_batch(service, message[1], message[2]))
+                    ("probed", _serve_batch(service, message[1]))
                 )
             elif kind == "ping":
                 conn.send(("pong", message[1]))
@@ -450,9 +441,7 @@ class ServingCluster:
         for shard in shard_ids:
             for _ in range(self.config.replicas_per_shard):
                 self._spawn_worker(shard)
-        self.ring = ConsistentHashRing(
-            shard_ids, replicas=self.config.replicas
-        )
+        self.ring = ConsistentHashRing(shard_ids)
         self._next_id = 0
         self.submitted = 0
         self.completed = 0
@@ -577,7 +566,7 @@ class ServingCluster:
             config.deadline is not None
             and ewma is not None
             and (depth + 1) * ewma / max(len(group), 1)
-            > config.shed_margin * config.deadline
+            > SHED_MARGIN * config.deadline
         ):
             self.shed += 1
             self._record(shard, user, "shed", None, None)
@@ -629,7 +618,7 @@ class ServingCluster:
             self.pump(timeout=0.1)
         if self.inflight:
             # Belt-and-braces: force-fail anything left (e.g. queued
-            # work on a shard whose whole group died with respawn off).
+            # work on a shard whose whole group died after flapping).
             for shard, pending in self._pending.items():
                 if not pending:
                     continue
@@ -668,7 +657,7 @@ class ServingCluster:
                 user, history, now if started is None else started
             )
         try:
-            self.pool.send(worker, ("batch", entries, self.config.top_n))
+            self.pool.send(worker, ("batch", entries))
             self._dispatches[worker].append(now)
         except WorkerError:
             self._worker_died(worker, cause="send failed")
@@ -747,8 +736,8 @@ class ServingCluster:
                 service_time = payload[2]
                 previous = self._ewma[shard]
                 self._ewma[shard] = service_time if previous is None else (
-                    (1.0 - config.ewma_alpha) * previous
-                    + config.ewma_alpha * service_time
+                    (1.0 - EWMA_ALPHA) * previous
+                    + EWMA_ALPHA * service_time
                 )
                 self._record(
                     shard, entry.user, "ok", payload[1], round_trip
@@ -775,8 +764,9 @@ class ServingCluster:
         immediately re-dispatched — serving is stateless, so the replay
         is safe and the requests are never counted failed.  When the
         death empties the replica group, in-flight work is failed, the
-        shard leaves the ring, queued work reroutes, and — respawn
-        permitting — a replacement fork is scheduled with backoff.
+        shard leaves the ring, queued work reroutes, and — unless the
+        flap-breaker trips — a replacement fork is scheduled with
+        backoff.
         """
         if worker not in self._live_workers:
             return
@@ -821,10 +811,10 @@ class ServingCluster:
                 self.submit(user, history)
         deaths = self._deaths[shard]
         deaths.append(now)
-        cutoff = now - self.config.flap_window
+        cutoff = now - FLAP_WINDOW
         while deaths and deaths[0] < cutoff:
             deaths.pop(0)
-        if not self.config.respawn or shard in self._flapped:
+        if shard in self._flapped:
             return
         if len(deaths) >= self.config.flap_threshold:
             self._flapped.add(shard)
@@ -833,7 +823,7 @@ class ServingCluster:
             return
         backoff = min(
             self.config.respawn_backoff * (2 ** (len(deaths) - 1)),
-            self.config.respawn_backoff_max,
+            RESPAWN_BACKOFF_MAX,
         )
         self._respawn_at[shard] = now + backoff
 
@@ -894,7 +884,7 @@ class ServingCluster:
         """Fork one replacement worker for ``shard``, warm-load the
         committed rollout state, and rejoin the ring."""
         self._respawn_at[shard] = None
-        if not self.config.respawn or shard in self._flapped:
+        if shard in self._flapped:
             return
         if len(self._groups[shard]) >= self.config.replicas_per_shard:
             return
@@ -970,7 +960,8 @@ class ServingCluster:
         """SIGKILL every replica of one shard mid-run (blackout drill).
         Discovery is left to the supervisor/data path: the next pump
         sees the deaths, fails in-flight work, reroutes the queue,
-        shrinks the ring — and, respawn permitting, refills the group."""
+        shrinks the ring — and, unless the flap-breaker trips, refills
+        the group."""
         for worker in list(self._groups[shard]):
             self.pool.kill(worker)
 
@@ -1230,7 +1221,7 @@ class ServingCluster:
             for index in range(probes)
         ]
         reply = self._control_worker(
-            worker, ("probe", entries, self.config.top_n), ("probed",)
+            worker, ("probe", entries), ("probed",)
         )
         for _, ok, payload in reply[1]:
             if not ok:

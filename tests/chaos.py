@@ -2,7 +2,7 @@
 
 :func:`run_chaos` drives a :class:`~repro.serve.cluster.ServingCluster`
 through paced open-loop traffic while firing a **seeded fault
-schedule** (from :func:`repro.data.synthetic.chaos_schedule`) at it —
+schedule** (from :func:`chaos_schedule`) at it —
 replica SIGKILLs, whole-group blackouts, and stall injections that
 wedge a worker without killing it — and continuously checks the
 invariants the self-healing story promises:
@@ -38,10 +38,86 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from ..pool import WorkerError
-from .errors import ClusterError
+import numpy as np
 
-__all__ = ["ChaosConfig", "run_chaos"]
+from repro.pool import WorkerError
+from repro.serve import ClusterError
+from repro.tensor.random import make_rng
+
+__all__ = [
+    "ChaosConfig",
+    "ChaosScheduleConfig",
+    "chaos_schedule",
+    "run_chaos",
+]
+
+
+@dataclass(frozen=True)
+class ChaosScheduleConfig:
+    """A seeded fault schedule for the serving-cluster chaos harness.
+
+    Faults are pinned to *request indices* (not wall-clock times) of an
+    accompanying traffic replay, so the same ``(config, seed)`` pair
+    injects the same faults at the same points of the same load every
+    run — the whole chaos drill is replayable from one printed seed.
+
+    Args:
+        num_requests: length of the traffic replay being faulted.
+        num_faults: faults to inject, spread over the middle of the
+            run (the first and last ``warmup_fraction`` of requests are
+            kept fault-free so the run has a clean ramp and drain).
+        kinds: fault kinds to draw from — ``"kill"`` SIGKILLs one
+            replica, ``"stall"`` wedges one replica without killing it
+            (exercising the heartbeat/stall probe), ``"blackout"``
+            SIGKILLs a whole replica group at once (respawn race).
+        warmup_fraction: head/tail fraction of the replay kept
+            fault-free.
+    """
+
+    num_requests: int = 500
+    num_faults: int = 6
+    kinds: tuple = ("kill", "stall")
+    warmup_fraction: float = 0.15
+
+    def __post_init__(self):
+        if self.num_requests < 1:
+            raise ValueError("num_requests must be >= 1")
+        if self.num_faults < 0:
+            raise ValueError("num_faults must be >= 0")
+        if not self.kinds:
+            raise ValueError("kinds must be non-empty")
+        unknown = set(self.kinds) - {"kill", "stall", "blackout"}
+        if unknown:
+            raise ValueError(f"unknown fault kinds: {sorted(unknown)}")
+        if not 0.0 <= self.warmup_fraction < 0.5:
+            raise ValueError("warmup_fraction must be in [0, 0.5)")
+
+
+def chaos_schedule(
+    config: ChaosScheduleConfig, seed: int
+) -> list[tuple[int, str, int]]:
+    """Seeded list of ``(request_index, kind, target_rank)`` faults.
+
+    Indices are sampled without replacement from the fault-eligible
+    middle of the replay and returned sorted, so a harness can pop
+    faults off the front as it walks the traffic.  ``target_rank`` is a
+    free draw the harness maps onto a concrete shard/replica at fire
+    time (the live topology is only known then).
+    """
+    rng = make_rng(seed)
+    lo = int(np.floor(config.num_requests * config.warmup_fraction))
+    hi = int(np.ceil(config.num_requests * (1.0 - config.warmup_fraction)))
+    eligible = max(hi - lo, 1)
+    count = min(config.num_faults, eligible)
+    indices = lo + rng.choice(eligible, size=count, replace=False)
+    kinds = rng.choice(len(config.kinds), size=count)
+    ranks = rng.integers(0, 1_000_000, size=count)
+    schedule = [
+        (int(index), config.kinds[int(kind)], int(rank))
+        for index, kind, rank in zip(indices, kinds, ranks)
+    ]
+    schedule.sort()
+    return schedule
 
 
 @dataclass
@@ -157,7 +233,7 @@ def run_chaos(
     ``traffic`` is an iterable of ``(user, history, arrival_seconds)``
     (e.g. :func:`repro.data.synthetic.zipf_traffic`); ``schedule`` is
     the sorted ``(request_index, kind, rank)`` list from
-    :func:`repro.data.synthetic.chaos_schedule`.  Raises
+    :func:`chaos_schedule`.  Raises
     :class:`ClusterError` the moment an accounting invariant breaks —
     checkpoint asserts are continuous, not post-hoc.
     """

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import TransientError
+from repro.serve import TransientError
 
 __all__ = [
     "FaultInjector",

@@ -155,46 +155,3 @@ class TestSelfAttentionStack:
         for block in stack.blocks:
             manual = block(manual)
         np.testing.assert_allclose(stack(x).numpy(), manual.numpy())
-
-
-class TestPreNormBlocks:
-    def test_pre_norm_block_is_causal(self, rng):
-        block = SelfAttentionBlock(8, rng, norm_first=True)
-        block.eval()
-        x = rng.normal(size=(1, 5, 8))
-        base = block(Tensor(x)).numpy()
-        x2 = x.copy()
-        x2[0, -1] += 5.0
-        out2 = block(Tensor(x2)).numpy()
-        np.testing.assert_allclose(out2[0, :-1], base[0, :-1], atol=1e-9)
-
-    def test_pre_norm_differs_from_post_norm(self, rng):
-        post = SelfAttentionBlock(8, np.random.default_rng(3))
-        pre = SelfAttentionBlock(8, np.random.default_rng(3),
-                                 norm_first=True)
-        pre.load_state_dict(post.state_dict())
-        post.eval()
-        pre.eval()
-        x = Tensor(rng.normal(size=(1, 4, 8)))
-        assert not np.allclose(post(x).numpy(), pre(x).numpy())
-
-    def test_pre_norm_preserves_identity_path(self, rng):
-        """Pre-norm keeps an un-normalized residual stream: output =
-        x + f(x), so scaling x up scales the output floor too."""
-        block = SelfAttentionBlock(8, rng, norm_first=True)
-        block.eval()
-        x = rng.normal(size=(1, 4, 8)) * 100
-        out = block(Tensor(x)).numpy()
-        # The residual passthrough keeps the large-scale component.
-        assert np.abs(out).max() > 50
-
-    def test_pre_norm_vsan_trains(self, rng):
-        from repro.core import VSAN
-
-        model = VSAN(8, 6, dim=16, h1=2, h2=1, norm_first=True, seed=0)
-        model.train()
-        padded = np.zeros((2, 7), dtype=np.int64)
-        padded[:, -3:] = [[1, 2, 3], [4, 5, 6]]
-        loss = model.training_loss(padded)
-        loss.backward()
-        assert np.isfinite(loss.item())

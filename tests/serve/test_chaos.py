@@ -5,14 +5,14 @@ requests and recover to full capacity."""
 import numpy as np
 import pytest
 
-from repro.data.synthetic import ChaosScheduleConfig, chaos_schedule
-from repro.serve import (
+from repro.serve import ClusterConfig, ServingCluster
+from tests.chaos import (
     ChaosConfig,
-    ClusterConfig,
-    ServingCluster,
+    ChaosScheduleConfig,
+    _target_shard,
+    chaos_schedule,
     run_chaos,
 )
-from repro.serve.chaos import _target_shard
 
 from .test_cluster import make_factory
 

@@ -18,6 +18,7 @@ from repro.serve import (
     ServingCluster,
     TransientError,
 )
+from repro.serve.cluster import RESPAWN_BACKOFF_MAX
 
 from .conftest import NUM_ITEMS, FailingModel, StubModel
 
@@ -143,12 +144,12 @@ class TestConsistentHashRing:
 class TestClusterConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(num_shards=0), dict(max_queue=0), dict(deadline=0.0),
-        dict(shed_margin=0.0), dict(batch_size=0),
-        dict(worker_timeout=0.0), dict(ewma_alpha=0.0),
+        dict(batch_size=0), dict(worker_timeout=0.0),
         dict(replicas_per_shard=0), dict(respawn_backoff=0.0),
-        dict(respawn_backoff_max=0.01), dict(flap_window=0.0),
         dict(flap_threshold=0), dict(stall_timeout=0.0),
         dict(heartbeat_interval=0.0),
+        # Above the fixed cap, backoff could never double.
+        dict(respawn_backoff=RESPAWN_BACKOFF_MAX + 1.0),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -218,10 +219,11 @@ class TestDataPlane:
 
 class TestKillDrill:
     def test_dead_shard_fails_inflight_and_reroutes(self):
-        # respawn=False: this drill asserts graceful *degradation* — the
-        # killed shard must stay dead, not heal mid-assert.
+        # flap_threshold=1: this drill asserts graceful *degradation* —
+        # the first death trips the flap-breaker, so the killed shard
+        # stays dead instead of healing mid-assert.
         with make_cluster(num_shards=2, batch_size=100,
-                          respawn=False) as cluster:
+                          flap_threshold=1) as cluster:
             submit_users(cluster, range(30))
             victim = next(
                 s for s in cluster.live_shards if cluster._pending[s]
@@ -251,7 +253,7 @@ class TestKillDrill:
         import time as _time
 
         with make_cluster(num_shards=2, batch_size=1,
-                          respawn=False) as cluster:
+                          flap_threshold=1) as cluster:
             submit_users(cluster, range(20))
             victim = cluster.live_shards[0]
             cluster.kill_shard(victim)
@@ -417,7 +419,7 @@ class TestReplication:
         # replica dies holding real in-flight work — which must fail
         # over to its group mate, not fail.
         with make_cluster(num_shards=2, replicas_per_shard=2,
-                          batch_size=1, respawn=False) as cluster:
+                          batch_size=1, flap_threshold=1) as cluster:
             submit_users(cluster, range(30))
             victim_shard = cluster.live_shards[0]
             cluster.kill_replica(victim_shard, which=0)
@@ -470,7 +472,7 @@ class TestReplication:
 
     def test_flap_breaker_stops_respawn_and_degrades(self):
         with make_cluster(num_shards=1, respawn_backoff=0.01,
-                          flap_threshold=2, flap_window=30.0) as cluster:
+                          flap_threshold=2) as cluster:
             cluster.kill_shard(0)
             assert wait_for(cluster, lambda: cluster.respawns >= 1)
             assert wait_for(cluster, cluster.full_capacity)
@@ -495,11 +497,31 @@ class TestReplication:
             assert cluster.failed >= 5
             assert cluster.accounted()
 
+    def test_flap_threshold_one_never_respawns(self):
+        # The degradation tests rely on this: with a threshold of one,
+        # the very first death trips the breaker and nothing re-forks.
+        backoff = 0.01
+        with make_cluster(num_shards=1, respawn_backoff=backoff,
+                          flap_threshold=1) as cluster:
+            cluster.kill_shard(0)
+            assert wait_for(
+                cluster,
+                lambda: any(e["kind"] == "flap_tripped"
+                            for e in cluster.events),
+            )
+            deadline = time.monotonic() + 10 * backoff
+            while time.monotonic() < deadline:
+                cluster.pump(timeout=0.02)
+            assert cluster.respawns == 0
+            assert not any(e["kind"] == "respawned"
+                           for e in cluster.events)
+            assert cluster.stats()["cluster"]["flapped_shards"] == [0]
+
 
 class TestStallProbe:
     def test_stalled_batch_is_killed_and_failed_over(self):
         with make_cluster(num_shards=1, replicas_per_shard=2,
-                          batch_size=1, respawn=False,
+                          batch_size=1, flap_threshold=1,
                           stall_timeout=0.15,
                           heartbeat_interval=0.05) as cluster:
             cluster.stall_replica(0, 2.0, which=0)
@@ -518,7 +540,7 @@ class TestStallProbe:
         # No traffic at all: only the heartbeat ping can tell a wedged
         # worker from an idle one.
         with make_cluster(num_shards=1, replicas_per_shard=2,
-                          respawn=False, stall_timeout=0.1,
+                          flap_threshold=1, stall_timeout=0.1,
                           heartbeat_interval=0.05) as cluster:
             cluster.stall_replica(0, 2.0, which=0)
             assert wait_for(
@@ -536,7 +558,7 @@ class TestStallProbe:
 class TestKillAllShards:
     def test_total_cluster_death_accounts_everything(self):
         with make_cluster(num_shards=2, batch_size=1,
-                          respawn=False) as cluster:
+                          flap_threshold=1) as cluster:
             submit_users(cluster, range(30))
             for shard in list(cluster.live_shards):
                 cluster.kill_shard(shard)
@@ -633,7 +655,7 @@ class TestRolloutCommit:
 
     def test_rollout_swaps_every_replica(self):
         with make_cluster(num_shards=2, replicas_per_shard=2,
-                          respawn=False) as cluster:
+                          flap_threshold=1) as cluster:
             assert cluster.rollout(
                 "primary", CanaryModel(), PROBES, probes_per_shard=2
             ).ok

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from repro.models import SASRec
 from repro.serve import (
     EngineConfig,
-    FaultInjector,
-    FaultyRecommender,
     InferenceEngine,
     InvalidRequest,
     MicroBatcher,
@@ -23,6 +21,7 @@ from repro.serve import (
     ServiceConfig,
 )
 from repro.tensor import tape_node_count
+from tests.faults import FaultInjector, FaultyRecommender
 
 from .conftest import (
     NUM_ITEMS,

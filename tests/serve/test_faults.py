@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 
 from repro.nn import CheckpointError
-from repro.serve import (
+from repro.serve import TransientError
+from repro.serve.loading import safe_load_model
+from tests.faults import (
     FaultInjector,
     FaultyRecommender,
     InjectedFault,
-    TransientError,
     flip_byte,
     truncate_file,
 )
-from repro.serve.loading import safe_load_model
 
 from .conftest import NUM_ITEMS, StubModel
 

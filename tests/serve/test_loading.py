@@ -8,8 +8,9 @@ import pytest
 
 from repro.models import SASRec
 from repro.nn import CheckpointError, save_checkpoint
-from repro.serve import RetryPolicy, safe_load_model, truncate_file
+from repro.serve import RetryPolicy, safe_load_model
 from repro.serve.loading import validate_finite_state
+from tests.faults import truncate_file
 
 CONFIG = dict(num_items=6, max_length=4, dim=8, num_blocks=1, seed=0)
 REGISTRY = {"SASRec": SASRec}

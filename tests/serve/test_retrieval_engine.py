@@ -17,13 +17,12 @@ from repro.models import SASRec
 from repro.retrieval import IndexConfig, RetrievalEngine, TopScores
 from repro.serve import (
     EngineConfig,
-    FaultInjector,
-    FaultyRecommender,
     InferenceEngine,
     RecommendService,
     ServiceConfig,
 )
 from repro.tensor import Tensor, set_default_dtype
+from tests.faults import FaultInjector, FaultyRecommender
 
 from .conftest import FakeClock, StubModel, assert_window_parity
 

@@ -12,8 +12,6 @@ from repro.serve import (
     CheckpointError,
     CircuitBreaker,
     DeadlineExceeded,
-    FaultInjector,
-    FaultyRecommender,
     InvalidRequest,
     RecommendService,
     RetryPolicy,
@@ -21,6 +19,7 @@ from repro.serve import (
     TransientError,
 )
 from repro.retrieval import TopScores
+from tests.faults import FaultInjector, FaultyRecommender
 
 from .conftest import (
     NUM_ITEMS,

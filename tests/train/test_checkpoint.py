@@ -22,6 +22,7 @@ from repro.train import (
     resolve_checkpoint,
     save_training_checkpoint,
 )
+from tests.faults import flip_byte, truncate_file
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +268,6 @@ class TestCorruptCheckpoints:
     def test_truncated_checkpoint_raises_checkpoint_error(
         self, corpus, tmp_path
     ):
-        from repro.serve import truncate_file
         from repro.train import CheckpointError
 
         directory = self.trained_dir(corpus, tmp_path)
@@ -278,7 +278,6 @@ class TestCorruptCheckpoints:
     def test_bit_flipped_checkpoint_raises_checkpoint_error(
         self, corpus, tmp_path
     ):
-        from repro.serve import flip_byte
         from repro.train import CheckpointError
 
         directory = self.trained_dir(corpus, tmp_path)
@@ -302,7 +301,6 @@ class TestCorruptCheckpoints:
     def test_resume_from_corrupt_checkpoint_raises(
         self, corpus, tmp_path
     ):
-        from repro.serve import truncate_file
         from repro.train import CheckpointError
 
         directory = self.trained_dir(corpus, tmp_path)
