@@ -43,8 +43,7 @@ import numpy as np
 from ..models.base import NeuralSequentialRecommender
 from ..models.common import SequenceEmbedding
 from ..nn import LayerNorm, Linear, SelfAttentionStack
-from ..tensor import Tensor
-from ..tensor.functional import reparameterize
+from ..tensor import Tensor, reparameterize
 from ..tensor.random import spawn_rngs
 from ..train.annealing import BetaSchedule, KLAnnealing
 from .elbo import ELBOTerms, elbo_terms, reconstruction_targets

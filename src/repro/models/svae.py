@@ -17,8 +17,7 @@ import numpy as np
 from ..core.elbo import elbo_terms, reconstruction_targets
 from ..data.interactions import PAD_ID
 from ..nn import GRU, Dropout, Embedding, Linear
-from ..tensor import Tensor
-from ..tensor.functional import reparameterize
+from ..tensor import Tensor, reparameterize
 from ..tensor.random import spawn_rngs
 from ..train.annealing import BetaSchedule, KLAnnealing
 from .base import NeuralSequentialRecommender

@@ -4,13 +4,20 @@ layer norm, point-wise feed-forward, residual + layer norm.
 Used for both the Inference Self-attention Layer (input = item+position
 embeddings) and the Generative Self-attention Layer (input = latent z);
 stacking ``h`` blocks realizes Eq. 11 / Eq. 17.
+
+Each residual connection, with the dropout of its sub-layer and the
+layer norm after it, is one tape node
+(:func:`repro.tensor.fused.residual_dropout_norm`), as is the
+feed-forward network; a block is attention plus two or three fused
+nodes.  The composed forms they are held in parity with live in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..tensor import Tensor, residual_dropout_norm
 from .attention import CausalSelfAttention
 from .dropout import Dropout
 from .feedforward import PointWiseFeedForward
@@ -68,19 +75,36 @@ class SelfAttentionBlock(Module):
                 block output is multiplied by it so padded positions stay
                 exactly zero between blocks (as in SASRec).
         """
-        attended = self.attention_dropout(
-            self.attention(x, key_padding_mask=key_padding_mask)
+        attended = self.attention(x, key_padding_mask=key_padding_mask)
+        # The attention dropout's mask is drawn before the FFN's two, in
+        # the order the sub-layers run.
+        attention_mask = self.attention_dropout.mask(
+            attended.shape, attended.dtype
         )
-        normed = self.norm_attention(attended + x)
-        if self.use_feedforward:
-            out = self.norm_feedforward(self.feedforward(normed) + normed)
-        else:
-            out = normed
-        if timeline_mask is not None:
-            out = out * Tensor(
-                np.asarray(timeline_mask, dtype=out.dtype)[..., None]
+        if not self.use_feedforward:
+            return self._add_norm(
+                self.norm_attention, x, attended, attention_mask,
+                timeline_mask,
             )
-        return out
+        normed = self._add_norm(
+            self.norm_attention, x, attended, attention_mask, None
+        )
+        transformed = self.feedforward(normed)
+        return self._add_norm(
+            self.norm_feedforward, normed, transformed,
+            self.feedforward.dropout.mask(
+                transformed.shape, transformed.dtype
+            ),
+            timeline_mask,
+        )
+
+    @staticmethod
+    def _add_norm(norm: LayerNorm, x: Tensor, sub: Tensor, mask,
+                  timeline_mask) -> Tensor:
+        return residual_dropout_norm(
+            x, sub, mask, norm.gamma, norm.beta, norm.eps,
+            timeline=timeline_mask,
+        )
 
 
 class SelfAttentionStack(Module):

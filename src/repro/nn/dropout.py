@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..tensor import Tensor, dropout
+from ..tensor import Tensor, dropout, dropout_mask
 from .module import Module
 
 __all__ = ["Dropout"]
@@ -23,6 +23,14 @@ class Dropout(Module):
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
         self._rng = rng
+
+    def mask(self, shape: tuple[int, ...], dtype) -> np.ndarray | None:
+        """This step's scale mask (see :func:`repro.tensor.dropout_mask`)
+        for a fused kernel to apply; None when the layer is the
+        identity."""
+        if not self.training or self.rate <= 0.0:
+            return None
+        return dropout_mask(shape, dtype, self.rate, self._rng)
 
     def forward(self, x: Tensor) -> Tensor:
         return dropout(x, self.rate, self._rng, training=self.training)

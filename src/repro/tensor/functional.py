@@ -2,10 +2,12 @@
 
 These are the numerical workhorses of the attention and VAE math:
 numerically-stable softmax / log-softmax, the multi-hot (next-``k``)
-cross-entropy of Eq. 18/20, the Gaussian KL divergence of Eq. 20, the
-reparameterized Gaussian sample, and inverted dropout.  The one-hot
-cross-entropy fuses the output head into the loss
-(:func:`repro.tensor.fused.linear_cross_entropy`).
+cross-entropy of Eq. 18/20, the Gaussian KL divergence of Eq. 20,
+and inverted dropout with its mask helper.  The one-hot cross-entropy
+fuses the output head into the loss
+(:func:`repro.tensor.fused.linear_cross_entropy`), and the
+reparameterized sample is the fused
+:func:`repro.tensor.fused.reparameterize`.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ __all__ = [
     "log_softmax",
     "multi_hot_cross_entropy",
     "gaussian_kl_standard_normal",
-    "reparameterize",
     "dropout",
+    "dropout_mask",
     "relu",
     "sigmoid",
     "tanh",
@@ -104,19 +106,38 @@ def gaussian_kl_standard_normal(
     return (per_position * weight_leaf).sum() * Tensor(inv)
 
 
-def reparameterize(mu: Tensor, sigma: Tensor,
-                   rng: np.random.Generator) -> Tensor:
-    """Reparameterized sample ``mu + sigma * eps``, ``eps ~ N(0, I)``
-    drawn from ``rng`` in the shape of ``mu``."""
-    shape = mu.shape
-    noise = _retain(
-        np.asarray(rng.standard_normal(shape), dtype=get_default_dtype())
+def dropout_mask(shape: tuple[int, ...], dtype, rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """A fresh inverted-dropout scale mask: ``1/(1 − rate)`` where a
+    unit is kept, 0 where it is dropped, in ``dtype``.
+
+    The keep decisions come from float64 ``rng.random`` draws whatever
+    ``dtype`` is, so the stream does not depend on the compute dtype.
+    Under a trace each replay rewrites the mask in place from the next
+    draws of the same generator object; draws, mask and generator state
+    are bitwise those of ``((rng.random(shape) < keep) / keep)
+    .astype(dtype)``.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    keep = 1.0 - rate
+    scale = np.dtype(dtype).type(1.0 / keep)
+    mask = _retain(np.empty(shape, dtype=dtype))
+    draws = (
+        mask if mask.dtype == np.float64
+        else _retain(np.empty(shape, dtype=np.float64))
     )
+
+    def refresh():
+        rng.random(out=draws)
+        # The 0/1 keep decisions land in the mask itself, then scale.
+        np.less(draws, keep, out=mask)
+        np.multiply(mask, scale, out=mask)
+
+    refresh()
     if tracing():
-        # RNG tap: replay draws from the same generator object, so the
-        # sample stream advances exactly as eager would.
-        record_host(lambda: np.copyto(noise, rng.standard_normal(shape)))
-    return mu + sigma * Tensor(noise)
+        record_host(refresh)
+    return mask
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator,
@@ -128,32 +149,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
     """
     if not training or rate <= 0.0:
         return x
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = 1.0 - rate
-    mask_leaf = Tensor(
-        _retain(((rng.random(x.shape) < keep) / keep).astype(x.dtype))
-    )
-    if tracing():
-        # Replay must consume the generator exactly as eager would: the
-        # closure captures the generator object itself (its state advances
-        # in place) and rewrites the retained mask buffer.  All scratch is
-        # preallocated — ``Generator.random(out=)`` draws the identical
-        # stream as ``random(shape)``, and ``np.less``/``np.divide`` are
-        # the ufuncs behind ``<`` and ``/``, so replays stay bitwise equal
-        # to eager while allocating nothing.
-        dst, shape = mask_leaf.data, x.shape
-        draw_buf = _retain(np.empty(shape, dtype=np.float64))
-        mask_buf = _retain(np.empty(shape, dtype=np.bool_))
-
-        def refresh():
-            rng.random(out=draw_buf)
-            np.less(draw_buf, keep, out=mask_buf)
-            np.divide(mask_buf, keep, out=draw_buf)
-            np.copyto(dst, draw_buf)
-
-        record_host(refresh)
-    return x * mask_leaf
+    return x * Tensor(dropout_mask(x.shape, x.dtype, rate, rng))
 
 
 def relu(x: Tensor) -> Tensor:

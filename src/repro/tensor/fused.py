@@ -39,12 +39,25 @@ Derivations (all standard):
 - **Layer norm** ``y = γ x̂ + β`` with ``x̂ = (x − μ) / √(σ² + ε)``:
   ``dx = (dx̂ − mean(dx̂) − x̂ · mean(dx̂ ∘ x̂)) / √(σ² + ε)`` where
   ``dx̂ = dy ∘ γ``, plus the usual reductions for ``dγ`` / ``dβ``.
+  Every row mean is a GEMV against a constant ``1/d`` vector and every
+  column sum (``dγ``, ``dβ``) a GEMV against ones, over 2-D row views.
+- **Residual dropout norm** ``y = LN(s ∘ m + x) ∘ t`` (Eq. 7 / 9, with
+  the dropout scale mask ``m`` and the timeline mask ``t``): the layer
+  norm backward of ``dy ∘ t`` gives ``dh``, then ``dx = dh`` and
+  ``ds = dh ∘ m``.
+- **Feed-forward** ``y = (relu(x W₁ + b₁) ∘ m) W₂ + b₂`` (Eq. 8): with
+  the combined gate ``g = [x W₁ + b₁ > 0] ∘ m`` and ``a`` the gated
+  activation, ``dW₂ = aᵀ dy``, ``db₂ = Σ dy``, ``dA = (dy W₂ᵀ) ∘ g``,
+  ``dW₁ = xᵀ dA``, ``db₁ = Σ dA`` and ``dx = dA W₁ᵀ``.
+- **Reparameterization** ``z = μ + σ ∘ ε`` (Eq. 13): ``dμ = dz`` and
+  ``dσ = dz ∘ ε``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .compile import record_host, tracing
 from .tensor import Tensor, _retain
 
 __all__ = [
@@ -53,6 +66,9 @@ __all__ = [
     "linear_cross_entropy",
     "fused_multi_hot_cross_entropy",
     "fused_layer_norm",
+    "residual_dropout_norm",
+    "feedforward",
+    "reparameterize",
 ]
 
 
@@ -386,6 +402,120 @@ def fused_multi_hot_cross_entropy(
     return Tensor._make(out, (logits,), backward, forward)
 
 
+def _host_operand(array, dtype):
+    """``array`` as a ``dtype`` ndarray for a kernel to read on every
+    replay: ``array`` itself when it already is one, else a cast copy
+    that an active trace refreshes ahead of the kernel's refire."""
+    if array is None:
+        return None
+    converted = np.asarray(array, dtype=dtype)
+    if converted is not array and tracing():
+        record_host(lambda: np.copyto(converted, array))
+    return converted
+
+
+def _layer_norm(x, residual, mask, gamma, beta, eps, timeline) -> Tensor:
+    """``LN(residual ∘ mask + x) ∘ timeline`` over the last axis as one
+    tape node; ``residual``, ``mask`` and ``timeline`` may each be None.
+
+    Two ``x``-sized buffers carry the forward: the output (which first
+    holds the residual sum, then the centered rows) and ``x̂``, the one
+    activation the backward keeps besides the per-row ``1/√(σ² + ε)``.
+    """
+    shape, dtype = x.shape, x.dtype
+    dim = shape[-1]
+    rows = x.size // dim
+    mask = _host_operand(mask, dtype)
+    if timeline is not None:
+        timeline = _host_operand(timeline, dtype)[..., None]
+    out = _retain(np.empty(shape, dtype=dtype))
+    normalized = _retain(np.empty(shape, dtype=dtype))
+    inv_std = _retain(np.empty(rows, dtype=dtype))  # first the row means
+    out_rows = out.reshape(rows, dim)
+    normalized_rows = normalized.reshape(rows, dim)
+    inv_dim = np.full(dim, 1.0 / dim, dtype=dtype)
+    ones = np.ones(rows, dtype=dtype)
+
+    def forward():
+        if residual is None:
+            # A view of x; a fresh copy if x is not contiguous.
+            source = x.data.reshape(rows, dim)
+        else:
+            if mask is None:
+                np.add(residual.data, x.data, out=out)
+            else:
+                np.multiply(residual.data, mask, out=out)
+                np.add(out, x.data, out=out)
+            source = out_rows
+        # Row means are GEMVs against the constant 1/d vector.
+        np.matmul(source, inv_dim, out=inv_std)
+        np.subtract(source, inv_std[:, None], out=out_rows)
+        np.multiply(out_rows, out_rows, out=normalized_rows)
+        np.matmul(normalized_rows, inv_dim, out=inv_std)  # the variance
+        np.add(inv_std, eps, out=inv_std)
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
+        np.multiply(out_rows, inv_std[:, None], out=normalized_rows)
+        np.multiply(normalized, gamma.data, out=out)
+        np.add(out, beta.data, out=out)
+        if timeline is not None:
+            np.multiply(out, timeline, out=out)
+
+    forward()
+    # Backward buffers, allocated by the first backward (eager, or the
+    # traced step) and rewritten in place by every replay.
+    bufs = None
+
+    def backward(grad):
+        nonlocal bufs
+        if bufs is None:
+            bufs = (
+                _retain(np.empty((rows, dim), dtype=dtype)),
+                _retain(np.empty((rows, dim), dtype=dtype)),
+                _retain(np.empty(rows, dtype=dtype)),
+                _retain(np.empty(rows, dtype=dtype)),
+                _retain(np.empty(dim, dtype=dtype)),
+                _retain(np.empty(dim, dtype=dtype)),
+            )
+        d_rows, scratch, term_mean, term_proj, d_gamma, d_beta = bufs
+        if timeline is not None:
+            np.multiply(grad, timeline, out=d_rows.reshape(shape))
+            grad_rows = d_rows
+        else:
+            grad_rows = grad.reshape(rows, dim)
+        # dγ and dβ are copied into the parameters' own gradient buffers.
+        if gamma.requires_grad:
+            np.multiply(grad_rows, normalized_rows, out=scratch)
+            gamma._accumulate(np.matmul(ones, scratch, out=d_gamma))
+        if beta.requires_grad:
+            beta._accumulate(np.matmul(ones, grad_rows, out=d_beta))
+        to_residual = residual is not None and residual.requires_grad
+        if not (x.requires_grad or to_residual):
+            return
+        np.multiply(grad_rows, gamma.data, out=d_rows)
+        np.matmul(d_rows, inv_dim, out=term_mean)
+        np.multiply(d_rows, normalized_rows, out=scratch)
+        np.matmul(scratch, inv_dim, out=term_proj)
+        np.subtract(d_rows, term_mean[:, None], out=d_rows)
+        np.multiply(normalized_rows, term_proj[:, None], out=scratch)
+        np.subtract(d_rows, scratch, out=d_rows)
+        np.multiply(d_rows, inv_std[:, None], out=d_rows)
+        d_sum = d_rows.reshape(shape)
+        if to_residual:
+            if mask is None:
+                residual._accumulate(d_sum)
+            else:
+                d_residual = scratch.reshape(shape)
+                np.multiply(d_sum, mask, out=d_residual)
+                residual._accumulate_owned(d_residual)
+        x._accumulate_owned(d_sum)
+
+    parents = (x, gamma, beta) if residual is None else (
+        x, residual, gamma, beta
+    )
+    return Tensor._make(out, parents, backward, forward)
+
+
 def fused_layer_norm(
     x: Tensor,
     gamma: Tensor,
@@ -398,57 +528,148 @@ def fused_layer_norm(
     ``x``.  The backward uses the standard three-term closed form rather
     than differentiating through the mean/variance chain.
     """
-    data = x.data
-    mean = data.mean(axis=-1, keepdims=True)
-    centered = _retain(data - mean)
-    variance = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = _retain(1.0 / np.sqrt(variance + eps))
-    normalized = _retain(centered * inv_std)  # retained for the backward
-    out = _retain(normalized * gamma.data + beta.data)
+    return _layer_norm(x, None, None, gamma, beta, eps, None)
+
+
+def residual_dropout_norm(
+    x: Tensor,
+    sub: Tensor,
+    mask: np.ndarray | None,
+    gamma: Tensor,
+    beta: Tensor,
+    eps: float,
+    timeline: np.ndarray | None = None,
+) -> Tensor:
+    """``LN(sub ∘ mask + x) ∘ timeline`` as one tape node: the dropout,
+    residual connection and layer norm of Eq. 7 / Eq. 9.
+
+    ``mask`` is the sub-layer's inverted-dropout scale mask (shaped like
+    ``sub``; None for no dropout) and ``timeline`` an optional
+    ``x.shape[:-1]`` {0,1} array that zeroes padded positions of the
+    output, as the self-attention block does after its last norm.
+    """
+    return _layer_norm(x, sub, mask, gamma, beta, eps, timeline)
+
+
+def feedforward(
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """The point-wise feed-forward network of Eq. 8,
+    ``(relu(x W₁ + b₁) ∘ mask) W₂ + b₂``, as one tape node.
+
+    ``mask`` is the inverted-dropout scale mask of the hidden
+    activation (None for no dropout).  The ReLU gate and the mask are
+    combined into one gate buffer that the backward reuses, and both
+    GEMMs (and all four backward GEMMs) run over the flattened leading
+    axes.
+    """
+    shape, dtype = x.shape, x.dtype
+    dim, hidden_dim = w1.shape
+    out_dim = w2.shape[-1]
+    rows = x.size // dim
+    mask = _host_operand(mask, dtype)
+    active = _retain(np.empty((rows, hidden_dim), dtype=dtype))
+    gate = _retain(np.empty((rows, hidden_dim), dtype=dtype))
+    out = _retain(np.empty(shape[:-1] + (out_dim,), dtype=dtype))
+    out_rows = out.reshape(rows, out_dim)
+    gate_shaped = gate.reshape(shape[:-1] + (hidden_dim,))
+    ones = np.ones(rows, dtype=dtype)
 
     def forward():
-        np.subtract(data, data.mean(axis=-1, keepdims=True), out=centered)
-        variance = np.mean(centered * centered, axis=-1, keepdims=True)
-        np.divide(1.0, np.sqrt(variance + eps), out=inv_std)
-        np.multiply(centered, inv_std, out=normalized)
-        np.multiply(normalized, gamma.data, out=out)
-        np.add(out, beta.data, out=out)
+        # A view of x; a fresh copy if x is not contiguous.
+        np.matmul(x.data.reshape(rows, dim), w1.data, out=active)
+        np.add(active, b1.data, out=active)
+        np.greater(active, 0, out=gate)
+        if mask is not None:
+            np.multiply(gate_shaped, mask, out=gate_shaped)
+        np.multiply(active, gate, out=active)
+        np.matmul(active, w2.data, out=out_rows)
+        np.add(out_rows, b2.data, out=out_rows)
 
-    # Closure-cached backward temporaries: replayed programs run this
-    # backward every step, and the (batch, ..., dim) products dominate
-    # its allocations.  All rewrites below are the same ufuncs in the
-    # same order as the expression form, so gradients stay bitwise equal.
-    grad_bufs = [None, None]
-
-    def cached(slot, a, b):
-        buf = grad_bufs[slot]
-        if buf is not None and buf.shape == a.shape:
-            return np.multiply(a, b, out=buf)
-        grad_bufs[slot] = out = _retain(a * b)
-        return out
+    forward()
+    bufs = None  # backward buffers, as in _layer_norm
 
     def backward(grad):
-        reduce_axes = tuple(range(grad.ndim - 1))
-        if gamma.requires_grad:
-            gamma._accumulate_owned(
-                cached(0, grad, normalized).sum(axis=reduce_axes)
+        nonlocal bufs
+        if bufs is None:
+            bufs = (
+                _retain(np.empty((rows, hidden_dim), dtype=dtype)),
+                _retain(np.empty((rows, dim), dtype=dtype)),
+                _retain(np.empty(w1.shape, dtype=dtype)),
+                _retain(np.empty(hidden_dim, dtype=dtype)),
+                _retain(np.empty(w2.shape, dtype=dtype)),
+                _retain(np.empty(out_dim, dtype=dtype)),
             )
-        if beta.requires_grad:
-            beta._accumulate_owned(grad.sum(axis=reduce_axes))
+        d_active, d_x, d_w1, d_b1, d_w2, d_b2 = bufs
+        grad_rows = grad.reshape(rows, out_dim)
+        if w2.requires_grad:
+            w2._accumulate(np.matmul(active.T, grad_rows, out=d_w2))
+        if b2.requires_grad:
+            b2._accumulate(np.matmul(ones, grad_rows, out=d_b2))
+        if not (x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        np.matmul(grad_rows, w2.data.T, out=d_active)
+        np.multiply(d_active, gate, out=d_active)
+        if w1.requires_grad:
+            x_rows = x.data.reshape(rows, dim)
+            w1._accumulate(np.matmul(x_rows.T, d_active, out=d_w1))
+        if b1.requires_grad:
+            b1._accumulate(np.matmul(ones, d_active, out=d_b1))
         if x.requires_grad:
-            d_normalized = cached(1, grad, gamma.data)
-            term_mean = d_normalized.mean(axis=-1, keepdims=True)
-            term_proj = np.mean(
-                cached(0, d_normalized, normalized), axis=-1, keepdims=True
-            )
-            np.subtract(d_normalized, term_mean, out=d_normalized)
-            np.subtract(
-                d_normalized,
-                np.multiply(normalized, term_proj, out=grad_bufs[0]),
-                out=d_normalized,
-            )
-            x._accumulate_owned(
-                np.multiply(d_normalized, inv_std, out=d_normalized)
-            )
+            np.matmul(d_active, w1.data.T, out=d_x)
+            x._accumulate_owned(d_x.reshape(shape))
 
-    return Tensor._make(out, (x, gamma, beta), backward, forward)
+    return Tensor._make(out, (x, w1, b1, w2, b2), backward, forward)
+
+
+def reparameterize(mu: Tensor, sigma: Tensor,
+                   rng: np.random.Generator) -> Tensor:
+    """The reparameterized sample ``z = mu + sigma ∘ eps`` of Eq. 13 as
+    one tape node, ``eps ~ N(0, I)`` drawn from ``rng`` in ``mu``'s
+    shape.
+
+    The draw is float64 whatever the compute dtype (then cast), so the
+    noise stream does not depend on it; under a trace each replay draws
+    the next sample from the same generator object.
+    """
+    shape, dtype = mu.shape, mu.dtype
+    noise = _retain(np.empty(shape, dtype=dtype))
+    draws = (
+        noise if dtype == np.float64
+        else _retain(np.empty(shape, dtype=np.float64))
+    )
+
+    def draw():
+        rng.standard_normal(out=draws)
+        if draws is not noise:
+            np.copyto(noise, draws)
+
+    draw()
+    if tracing():
+        record_host(draw)
+    out = _retain(np.empty(shape, dtype=dtype))
+
+    def forward():
+        np.multiply(sigma.data, noise, out=out)
+        np.add(out, mu.data, out=out)
+
+    forward()
+    d_sigma = None
+
+    def backward(grad):
+        nonlocal d_sigma
+        if sigma.requires_grad:
+            if d_sigma is None:
+                d_sigma = _retain(grad * noise)
+            else:
+                np.multiply(grad, noise, out=d_sigma)
+            sigma._accumulate_owned(d_sigma)
+        # Only one parent may take ``grad`` by reference.
+        mu._accumulate_owned(grad)
+
+    return Tensor._make(out, (mu, sigma), backward, forward)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import VSAN
-from repro.tensor import Tensor
+from repro.tensor import Tensor, tape_node_count
 from repro.train import ConstantBeta, KLAnnealing
 
 NUM_ITEMS = 12
@@ -163,6 +163,27 @@ class TestELBO:
             "position_embedding" in name or "item_embedding" in name
             for name in missing
         ), missing
+
+
+class TestTapeSize:
+    def test_training_step_tape_nodes(self):
+        """One eager β > 0 training step builds at most 60 tape nodes:
+        each SAN block is attention plus its fused residual norms and
+        feed-forward, and z = mu + sigma * eps is one node.  (The
+        composed block, FFN and sample built 80.)"""
+        model = VSAN(200, 20, dim=48, h1=1, h2=1, dropout_rate=0.2,
+                     annealing=ConstantBeta(0.2), seed=0)
+        model.train()
+        rng = np.random.default_rng(0)
+        padded = np.zeros((16, 21), dtype=np.int64)
+        padded[:, -12:] = rng.integers(1, 201, size=(16, 12))
+        before = tape_node_count()
+        terms = model.training_elbo(padded)
+        loss = terms.loss
+        nodes = tape_node_count() - before
+        loss.backward()
+        assert terms.beta > 0
+        assert nodes <= 60, nodes
 
 
 class TestCausality:

@@ -141,6 +141,37 @@ class TestVSANFusedParity:
         assert reference_nodes > fused_nodes + 40, (fused_nodes,
                                                     reference_nodes)
 
+    def test_composed_substrate_runs_no_fused_kernel(self):
+        """Every kernel of ``repro.tensor.fused`` that a VSAN training
+        step calls has its oracle swapped in: the composed graph holds
+        no fused node, while the production graph holds all of them."""
+
+        def kernel_nodes():
+            model = VSAN(NUM_ITEMS, 8, dim=12, h1=1, h2=1, seed=0,
+                         dropout_rate=0.2)
+            model.train()
+            loss = model.training_loss(self._batch())
+            names, stack, seen = set(), [loss], set()
+            while stack:
+                node = stack.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                backward = node._backward
+                if backward is not None and (
+                    backward.__module__ == "repro.tensor.fused"
+                ):
+                    names.add(backward.__qualname__.split(".")[0])
+                stack.extend(node._parents)
+            return names
+
+        fused, composed = self._both(kernel_nodes)
+        assert fused == {
+            "fused_attention", "_layer_norm", "feedforward",
+            "reparameterize", "linear_cross_entropy",
+        }, fused
+        assert composed == set(), composed
+
     def test_scores_match_reference(self):
         rng = np.random.default_rng(4)
         history = rng.integers(1, NUM_ITEMS + 1, size=6)

@@ -1,14 +1,17 @@
 """Oracles for the production fast paths.
 
-Production code runs every op one way: attention, layer norm and the
-training losses through the fused kernels of :mod:`repro.tensor.fused`,
-training steps and scoring forwards through compiled trace-and-replay
-programs (:mod:`repro.tensor.compile`).  The parity suites hold those
-paths against the implementations here:
+Production code runs every op one way: attention, layer norm, the
+residual connections, the feed-forward network, the reparameterized
+sample and the training losses through the fused kernels of
+:mod:`repro.tensor.fused`, training steps and scoring forwards through
+compiled trace-and-replay programs (:mod:`repro.tensor.compile`).  The
+parity suites hold those paths against the implementations here:
 
 - composed references built from tape primitives, each with its fused
   counterpart's signature — :func:`composed_attention`,
-  :func:`composed_layer_norm`, :func:`cross_entropy_reference`,
+  :func:`composed_layer_norm`, :func:`composed_residual_dropout_norm`,
+  :func:`composed_feedforward`, :func:`composed_reparameterize`,
+  :func:`cross_entropy_reference`,
   :func:`multi_hot_cross_entropy_reference` and
   :func:`composed_linear_cross_entropy`;
 - :func:`composed_substrate`, which swaps them in under a whole VSAN;
@@ -26,17 +29,22 @@ import numpy as np
 from repro.data.batching import pad_left_into
 from repro.tensor import (
     Tensor,
+    get_default_dtype,
     log_softmax,
     masked_fill_value,
     no_grad,
     softmax,
 )
 from repro.tensor.compile import record_host, tracing
+from repro.tensor.tensor import _retain
 
 __all__ = [
     "composed_attention",
+    "composed_feedforward",
     "composed_layer_norm",
     "composed_linear_cross_entropy",
+    "composed_reparameterize",
+    "composed_residual_dropout_norm",
     "composed_substrate",
     "cross_entropy_reference",
     "eager_hidden_last",
@@ -80,6 +88,54 @@ def composed_layer_norm(
     variance = (centered * centered).mean(axis=-1, keepdims=True)
     normalized = centered / (variance + eps).sqrt()
     return normalized * gamma + beta
+
+
+def composed_residual_dropout_norm(
+    x: Tensor,
+    sub: Tensor,
+    mask: np.ndarray | None,
+    gamma: Tensor,
+    beta: Tensor,
+    eps: float,
+    timeline: np.ndarray | None = None,
+) -> Tensor:
+    """Composed reference for :func:`repro.tensor.residual_dropout_norm`:
+    dropout as a mask product, the residual sum, the composed layer
+    norm, then the timeline product."""
+    if mask is not None:
+        sub = sub * Tensor(mask)
+    out = composed_layer_norm(sub + x, gamma, beta, eps)
+    if timeline is not None:
+        out = out * Tensor(np.asarray(timeline, dtype=out.dtype)[..., None])
+    return out
+
+
+def composed_feedforward(
+    x: Tensor,
+    w1: Tensor,
+    b1: Tensor,
+    w2: Tensor,
+    b2: Tensor,
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Composed reference for :func:`repro.tensor.feedforward`."""
+    hidden = (x @ w1 + b1).relu()
+    if mask is not None:
+        hidden = hidden * Tensor(mask)
+    return hidden @ w2 + b2
+
+
+def composed_reparameterize(mu: Tensor, sigma: Tensor,
+                            rng: np.random.Generator) -> Tensor:
+    """Composed reference for :func:`repro.tensor.reparameterize`:
+    ``mu + sigma * eps`` with the same float64 draws."""
+    shape = mu.shape
+    noise = _retain(
+        np.asarray(rng.standard_normal(shape), dtype=get_default_dtype())
+    )
+    if tracing():
+        record_host(lambda: np.copyto(noise, rng.standard_normal(shape)))
+    return mu + sigma * Tensor(noise)
 
 
 def cross_entropy_reference(
@@ -138,12 +194,20 @@ def composed_linear_cross_entropy(
 
 
 def composed_substrate(monkeypatch) -> None:
-    """Run attention, layer norm and the ELBO reconstruction on the
-    composed references for the rest of the test (or ``monkeypatch``
-    context), so a whole VSAN computes on tape primitives."""
+    """Run attention, layer norm, the residual connections, the
+    feed-forward network, the reparameterized sample and the ELBO
+    reconstruction on the composed references for the rest of the test
+    (or ``monkeypatch`` context), so a whole VSAN computes on tape
+    primitives."""
     patches = {
         "repro.nn.attention": {"fused_attention": composed_attention},
         "repro.nn.normalization": {"fused_layer_norm": composed_layer_norm},
+        "repro.nn.blocks": {
+            "residual_dropout_norm": composed_residual_dropout_norm,
+        },
+        "repro.nn.feedforward": {"feedforward": composed_feedforward},
+        "repro.core.vsan": {"reparameterize": composed_reparameterize},
+        "repro.models.svae": {"reparameterize": composed_reparameterize},
         "repro.core.elbo": {
             "linear_cross_entropy": composed_linear_cross_entropy,
             "multi_hot_cross_entropy": multi_hot_cross_entropy_reference,

@@ -415,13 +415,16 @@ class TestReplication:
             assert stats["full_capacity"]
 
     def test_replica_failover_loses_zero_requests(self):
-        # batch_size=1 dispatches everything immediately, so the killed
-        # replica dies holding real in-flight work — which must fail
-        # over to its group mate, not fail.
+        # batch_size=1 dispatches everything immediately, round-robin
+        # over the replicas.  The victim is stalled first, so it cannot
+        # answer its share before the kill: it dies holding real
+        # in-flight work, which must fail over to its group mate, not
+        # fail.
         with make_cluster(num_shards=2, replicas_per_shard=2,
                           batch_size=1, flap_threshold=1) as cluster:
-            submit_users(cluster, range(30))
             victim_shard = cluster.live_shards[0]
+            cluster.stall_replica(victim_shard, seconds=30.0, which=0)
+            submit_users(cluster, range(30))
             cluster.kill_replica(victim_shard, which=0)
             cluster.drain(timeout=10.0)
             assert cluster.failed == 0

@@ -9,12 +9,14 @@ import pytest
 from repro.tensor import (
     Tensor,
     dropout,
+    dropout_mask,
     gaussian_kl_standard_normal,
     gradcheck,
     log_softmax,
     multi_hot_cross_entropy,
     softmax,
 )
+from repro.tensor.compile import build_program, trace
 from tests.reference import cross_entropy_reference
 
 
@@ -195,6 +197,31 @@ class TestDropout:
         x = Tensor(np.ones(3))
         with pytest.raises(ValueError):
             dropout(x, 1.0, rng, training=True)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_bits_and_stream_match_the_reference_expression(
+        self, dtype
+    ):
+        """The eager mask and every replay refresh are bitwise the
+        reference expression, and leave the generator where it leaves
+        its own."""
+        shape, rate = (5, 7, 3), 0.3
+        keep = 1.0 - rate
+        rng = np.random.default_rng(9)
+        twin = np.random.default_rng(9)
+
+        def reference():
+            return ((twin.random(shape) < keep) / keep).astype(dtype)
+
+        with trace() as tracer:
+            mask = dropout_mask(shape, dtype, rate, rng)
+        program = build_program(tracer, mask)
+        assert mask.dtype == dtype
+        assert mask.tobytes() == reference().tobytes()
+        for _ in range(3):
+            program.replay()
+            assert mask.tobytes() == reference().tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_gradient_flows_through_kept_units(self, rng):
         x = Tensor(np.ones((50,)), requires_grad=True)

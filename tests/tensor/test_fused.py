@@ -14,6 +14,8 @@ from repro.nn import CausalSelfAttention, LayerNorm
 from repro.tensor import (
     Tensor,
     default_dtype,
+    dropout_mask,
+    feedforward,
     fused_attention,
     fused_layer_norm,
     get_default_dtype,
@@ -21,11 +23,17 @@ from repro.tensor import (
     linear_cross_entropy,
     masked_fill_value,
     multi_hot_cross_entropy,
+    reparameterize,
+    residual_dropout_norm,
     set_default_dtype,
 )
+from repro.tensor.compile import build_program, trace
 from tests.reference import (
     composed_attention,
+    composed_feedforward,
     composed_linear_cross_entropy,
+    composed_reparameterize,
+    composed_residual_dropout_norm,
     composed_substrate,
     cross_entropy_reference,
     multi_hot_cross_entropy_reference,
@@ -323,6 +331,203 @@ class TestFusedLayerNormParity:
         gradcheck(
             lambda x, g, b: (fused_layer_norm(x, g, b, 1e-8) ** 2).sum(),
             [x, gamma, beta],
+        )
+
+
+def leaves(rng, *shapes, scale=1.0):
+    return [
+        Tensor(rng.normal(size=shape) * scale, requires_grad=True)
+        for shape in shapes
+    ]
+
+
+def weighted_sum(out: Tensor, seed: int = 9) -> Tensor:
+    """A scalar whose gradient is a generic (not all-ones) cotangent."""
+    weights = np.random.default_rng(seed).normal(size=out.shape)
+    return (out * Tensor(weights)).sum()
+
+
+def assert_same_gradients(run_fused, run_composed, inputs, atol=1e-9):
+    """Gradients of every input agree between the two paths."""
+    grads = []
+    for run in (run_fused, run_composed):
+        for leaf in inputs:
+            leaf.zero_grad()
+        weighted_sum(run(*inputs)).backward()
+        grads.append([leaf.grad.copy() for leaf in inputs])
+    for index, (got, want) in enumerate(zip(*grads)):
+        np.testing.assert_allclose(got, want, atol=atol,
+                                   err_msg=f"input {index}")
+
+
+SHAPE = (3, 4, 6)
+MASK_CASES = pytest.mark.parametrize(
+    "with_mask", [False, True], ids=["no-mask", "mask"]
+)
+TIMELINE_CASES = pytest.mark.parametrize(
+    "with_timeline", [False, True], ids=["no-timeline", "timeline"]
+)
+
+
+def scale_mask(shape, seed=1):
+    return dropout_mask(shape, np.float64, 0.3, np.random.default_rng(seed))
+
+
+class TestResidualDropoutNorm:
+    @staticmethod
+    def case(rng, with_mask, with_timeline):
+        x, sub = leaves(rng, SHAPE, SHAPE, scale=2.0)
+        gamma, beta = leaves(rng, SHAPE[-1:], SHAPE[-1:])
+        gamma.data += 1.0
+        mask = scale_mask(SHAPE) if with_mask else None
+        timeline = None
+        if with_timeline:
+            timeline = np.ones(SHAPE[:-1])
+            timeline[:, :2] = 0.0  # left padding
+
+        def fused(x, sub, gamma, beta):
+            return residual_dropout_norm(x, sub, mask, gamma, beta, 1e-8,
+                                         timeline=timeline)
+
+        def reference(x, sub, gamma, beta):
+            return composed_residual_dropout_norm(
+                x, sub, mask, gamma, beta, 1e-8, timeline=timeline
+            )
+
+        return [x, sub, gamma, beta], fused, reference
+
+    @MASK_CASES
+    @TIMELINE_CASES
+    def test_forward_matches_reference(self, rng, with_mask,
+                                       with_timeline):
+        inputs, fused, reference = self.case(rng, with_mask, with_timeline)
+        np.testing.assert_allclose(
+            fused(*inputs).numpy(), reference(*inputs).numpy(), atol=1e-10
+        )
+
+    @MASK_CASES
+    @TIMELINE_CASES
+    def test_gradients_match_reference_and_gradcheck(
+        self, rng, with_mask, with_timeline
+    ):
+        inputs, fused, reference = self.case(rng, with_mask, with_timeline)
+        assert_same_gradients(fused, reference, inputs)
+        gradcheck(lambda *args: weighted_sum(fused(*args)), inputs)
+
+
+class TestFeedForward:
+    @staticmethod
+    def case(rng, with_mask, hidden=10):
+        x, w1, b1, w2, b2 = leaves(
+            rng, SHAPE, (SHAPE[-1], hidden), (hidden,), (hidden, SHAPE[-1]),
+            SHAPE[-1:],
+        )
+        # Finite differences need every pre-activation off the ReLU kink.
+        pre = x.data @ w1.data + b1.data
+        assert np.abs(pre).min() > 1e-3
+        mask = scale_mask(SHAPE[:-1] + (hidden,)) if with_mask else None
+        return ([x, w1, b1, w2, b2], partial(feedforward, mask=mask),
+                partial(composed_feedforward, mask=mask))
+
+    @MASK_CASES
+    def test_forward_matches_reference(self, rng, with_mask):
+        inputs, fused, reference = self.case(rng, with_mask)
+        np.testing.assert_allclose(
+            fused(*inputs).numpy(), reference(*inputs).numpy(), atol=1e-10
+        )
+
+    @MASK_CASES
+    def test_gradients_match_reference_and_gradcheck(self, rng, with_mask):
+        inputs, fused, reference = self.case(rng, with_mask)
+        assert_same_gradients(fused, reference, inputs)
+        gradcheck(lambda *args: weighted_sum(fused(*args)), inputs)
+
+
+class TestReparameterize:
+    @staticmethod
+    def case(rng):
+        mu, sigma = leaves(rng, SHAPE, SHAPE)
+        sigma.data[...] = np.abs(sigma.data) + 0.1
+
+        def with_seed(fn):
+            # A fresh generator per call: every call draws the same eps.
+            return lambda mu, sigma: fn(mu, sigma, np.random.default_rng(4))
+
+        return ([mu, sigma], with_seed(reparameterize),
+                with_seed(composed_reparameterize))
+
+    def test_forward_matches_reference_bitwise(self, rng):
+        inputs, fused, reference = self.case(rng)
+        assert fused(*inputs).numpy().tobytes() == (
+            reference(*inputs).numpy().tobytes()
+        )
+
+    def test_gradients_match_reference_and_gradcheck(self, rng):
+        inputs, fused, reference = self.case(rng)
+        assert_same_gradients(fused, reference, inputs)
+        gradcheck(lambda *args: weighted_sum(fused(*args)), inputs)
+
+    def test_float32_draws_the_float64_stream(self, rng):
+        with default_dtype(np.float32):
+            mu = Tensor(np.zeros(SHAPE))
+            sigma = Tensor(np.ones(SHAPE))
+            z = reparameterize(mu, sigma, np.random.default_rng(4))
+        expected = np.random.default_rng(4).standard_normal(SHAPE)
+        assert z.dtype == np.float32
+        np.testing.assert_array_equal(z.numpy(), expected.astype(np.float32))
+
+
+class TestKernelReplayRefreshesCopies:
+    """A kernel input that needs a cast or a contiguous copy must be
+    re-copied on every replay, never replayed stale."""
+
+    @staticmethod
+    def replay_matches_eager(build, mutate):
+        with trace() as tracer:
+            out = build()
+        program = build_program(tracer, out)
+        assert program is not None, tracer.reason
+        mutate()
+        program.replay()
+        assert out.numpy().tobytes() == build().numpy().tobytes()
+
+    def test_cast_timeline_and_mask(self, rng):
+        timeline = np.ones(SHAPE[:-1])  # float64 under a float32 model
+        mask = scale_mask(SHAPE)
+        with default_dtype(np.float32):
+            x, sub, gamma, beta = (
+                Tensor(a) for a in (rng.normal(size=SHAPE),
+                                    rng.normal(size=SHAPE),
+                                    np.ones(6), np.zeros(6))
+            )
+
+            def mutate():
+                timeline[0, :2] = 0.0
+                mask[...] = scale_mask(SHAPE, seed=2)
+
+            self.replay_matches_eager(
+                lambda: residual_dropout_norm(
+                    x, sub, mask, gamma, beta, 1e-8, timeline=timeline
+                ),
+                mutate,
+            )
+
+    def test_non_contiguous_input(self, rng):
+        source = np.asfortranarray(rng.normal(size=SHAPE))
+        x = Tensor(source)
+        assert not x.data.flags.c_contiguous
+        gamma, beta = Tensor(np.ones(6)), Tensor(np.zeros(6))
+        w1, b1, w2, b2 = (Tensor(rng.normal(size=s))
+                          for s in ((6, 8), (8,), (8, 6), (6,)))
+
+        def mutate():
+            source[...] = rng.normal(size=SHAPE)
+
+        self.replay_matches_eager(
+            lambda: fused_layer_norm(x, gamma, beta, 1e-8), mutate
+        )
+        self.replay_matches_eager(
+            lambda: feedforward(x, w1, b1, w2, b2), mutate
         )
 
 

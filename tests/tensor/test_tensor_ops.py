@@ -10,6 +10,7 @@ import pytest
 from repro.tensor import (
     Tensor,
     concatenate,
+    default_dtype,
     gradcheck,
     maximum,
     minimum,
@@ -134,6 +135,24 @@ class TestElementwise:
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out[2], 1000.0)
         np.testing.assert_allclose(out[0], 0.0, atol=1e-12)
+        # Over the working range and far beyond it, in both dtypes, the
+        # stable form raises no floating-point error (exp(-|x|) may only
+        # underflow to its exact limit) and agrees with np.logaddexp.
+        inputs = np.concatenate(
+            [np.linspace(-100.0, 100.0, 2001), [-1e4, 1e4, -0.0]]
+        )
+        for dtype in (np.float64, np.float32):
+            x = inputs.astype(dtype)
+            with default_dtype(dtype), np.errstate(all="raise"):
+                out = Tensor(x).softplus().numpy()
+            with np.errstate(under="ignore"):
+                expected = np.logaddexp(dtype(0), x)
+            assert out.dtype == dtype
+            if dtype == np.float64:
+                np.testing.assert_allclose(out, expected, rtol=1e-15,
+                                           atol=0)
+            else:
+                np.testing.assert_array_max_ulp(out, expected, maxulp=2)
 
     def test_clip(self, rng):
         a = Tensor(rng.normal(size=(4, 4)) * 2, requires_grad=True)
