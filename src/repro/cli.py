@@ -121,7 +121,8 @@ def cmd_train(args) -> int:
         print(
             f"compiled: {len(programs)} programs, {programs.misses} traces, "
             f"hit ratio {programs.hits / lookups if lookups else 0.0:.3f}, "
-            f"slab {programs.slab_bytes / 2**20:.1f} MB"
+            f"slab {programs.slab_bytes / 2**20:.1f} MB "
+            f"({programs.slab_placed_bytes / 2**20:.1f} MB placed)"
         )
     save_checkpoint(model, args.out, config=config)
     result = evaluate_recommender(model, split.test)

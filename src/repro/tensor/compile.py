@@ -34,6 +34,14 @@ module removes the per-step graph construction:
   parameter ``.grad`` that aliases the slab, is valid until the next trace
   or replay of *any* key on the same model.
 
+- **Backward reuse.**  Within one program, a buffer placed during the
+  backward takes the bytes of forward buffers that no later backward
+  closure can reach (:class:`_Liveness`), and every buffer that lives
+  only inside one step (:func:`step_scratch`) shares one span.  Hence
+  the **read-before-backward rule:** after :meth:`Program.replay_backward`
+  only the parameter gradients are valid; read forward results (the
+  loss, the ELBO terms) before it.
+
 - **Replay.**  :meth:`Program.replay` copies the feeds and runs the flat
   step list — pure numpy, zero :class:`Tensor` construction, zero tape
   nodes, zero buffer growth.  :meth:`Program.replay_backward` reruns the
@@ -54,7 +62,9 @@ execution (``tests/tensor/test_compile.py`` proves it model by model).
 
 from __future__ import annotations
 
+import bisect
 from collections import OrderedDict
+from types import FunctionType
 
 import numpy as np
 
@@ -74,6 +84,7 @@ __all__ = [
     "tracing",
     "record_host",
     "record_feed",
+    "step_scratch",
     "mark_dynamic",
     "programs_for",
     "invalidate",
@@ -114,23 +125,33 @@ def _dense(array: np.ndarray) -> bool:
 
 
 class _Slab:
-    """Grow-only chunked first-fit allocator shared by a model's programs.
+    """Grow-only chunked allocator shared by a model's programs.
 
-    Rewound at the start of every trace; each retained buffer takes the
-    next aligned span of the first chunk with room for it, opening the
-    next chunk (allocated on first use) when none has.  A buffer that
-    skips the tail of a chunk therefore leaves it to later, smaller
-    buffers instead of wasting it.  All chunks have the same size, so a
+    Rewound at the start of every trace.  Each retained buffer takes the
+    lowest first-fit *hole* — a chunk's free tail, or forward spans that
+    :meth:`release` has handed back once no later backward closure can
+    touch them (see :class:`_Liveness`) — opening the next chunk
+    (allocated on first use) when none has room.  A buffer that skips
+    the tail of a chunk therefore leaves it to later, smaller buffers
+    instead of wasting it.  All chunks have the same size, so a
     program's layout depends only on its own trace, and the slab ends up
-    as large as the largest program's layout whatever order the keys are
-    traced in.
+    as large as the largest program's layout whatever order the keys
+    are traced in.  Spans placed after :meth:`begin_backward` are never
+    released within the trace.
     """
 
-    __slots__ = ("chunks", "_used")
+    __slots__ = ("chunks", "_used", "_spans", "_holes", "resident",
+                 "placed")
 
     def __init__(self):
         self.chunks: list[np.ndarray] = []
-        self._used: list[int] = []  # bytes taken per chunk in this trace
+        self._used: list[int] = []  # per chunk: end of its highest span
+        self._spans: list[tuple[int, int, int]] = []  # see begin_backward
+        self._holes: list[list[int]] = []  # [chunk, start, end], sorted
+        self.resident = 0  # bytes of every buffer placed in this trace
+        #: Largest per-trace layout so far: the sum over chunks of the
+        #: highest byte any of one program's spans reached.
+        self.placed = 0
 
     @property
     def nbytes(self) -> int:
@@ -138,6 +159,9 @@ class _Slab:
 
     def rewind(self) -> None:
         self._used = []
+        self._spans = []
+        self._holes = []
+        self.resident = 0
 
     def take(self, array: np.ndarray) -> np.ndarray:
         """A slab view holding a copy of ``array`` with its exact shape,
@@ -146,24 +170,305 @@ class _Slab:
         size = array.nbytes
         if not 0 < size <= SLAB_CHUNK_BYTES or not _dense(array):
             return array
-        for index, used in enumerate(self._used):
-            offset = -(-used // _ALIGN) * _ALIGN
-            if offset + size <= SLAB_CHUNK_BYTES:
-                break
-        else:
-            index, offset = len(self._used), 0
-            self._used.append(0)
-        if index == len(self.chunks):
-            raw = np.empty(SLAB_CHUNK_BYTES + _ALIGN, dtype=np.uint8)
-            start = -raw.ctypes.data % _ALIGN
-            self.chunks.append(raw[start:start + SLAB_CHUNK_BYTES])
-        self._used[index] = offset + size
+        index, offset = self._place(size)
         view = np.ndarray(
             array.shape, dtype=array.dtype, buffer=self.chunks[index],
             offset=offset, strides=array.strides,
         )
         np.copyto(view, array)
         return view
+
+    def reserve(self, nbytes: int) -> np.ndarray:
+        """An uninitialised span of ``nbytes`` (at most a chunk), as a
+        uint8 view."""
+        index, offset = self._place(nbytes)
+        return self.chunks[index][offset:offset + nbytes]
+
+    def _place(self, size: int) -> tuple[int, int]:
+        index, offset = self._first_fit(size)
+        self._spans.append((index, offset, offset + _aligned(size)))
+        if index == len(self.chunks):
+            raw = np.empty(SLAB_CHUNK_BYTES + _ALIGN, dtype=np.uint8)
+            start = -raw.ctypes.data % _ALIGN
+            self.chunks.append(raw[start:start + SLAB_CHUNK_BYTES])
+        self._used[index] = max(self._used[index], offset + size)
+        self.resident += size
+        self.placed = max(self.placed, self.trace_placed)
+        return index, offset
+
+    @property
+    def trace_placed(self) -> int:
+        """This trace's layout: the highest byte reached, per chunk."""
+        return sum(self._used)
+
+    def _first_fit(self, size: int) -> tuple[int, int]:
+        holes = self._holes
+        for i, hole in enumerate(holes):
+            index, offset, end = hole
+            if offset + size <= end:
+                hole[1] = offset + _aligned(size)
+                if hole[1] == end:
+                    del holes[i]
+                return index, offset
+        self._used.append(0)
+        index = len(self._used) - 1
+        if _aligned(size) < SLAB_CHUNK_BYTES:
+            holes.append([index, _aligned(size), SLAB_CHUNK_BYTES])
+        return index, 0
+
+    def begin_backward(self) -> list[tuple[int, int, int]]:
+        """Return the forward spans ``(chunk, start, end)`` (``end``
+        rounded up to the alignment, so neighbours tile)."""
+        spans, self._spans = self._spans, []
+        return spans
+
+    def release(self, span: tuple[int, int, int]) -> None:
+        """Hand a dead forward span back as a hole, merged with its
+        neighbours."""
+        index, start, end = span
+        holes = self._holes
+        at = bisect.bisect_left(holes, [index, start])
+        if at < len(holes) and holes[at][0] == index and \
+                holes[at][1] == end:
+            end = holes.pop(at)[2]
+        if at and holes[at - 1][0] == index and holes[at - 1][2] == start:
+            holes[at - 1][2] = end
+        else:
+            holes.insert(at, [index, start, end])
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
+
+
+class _StepScratch:
+    """The one span that a program's step-local buffers share.
+
+    A step-local buffer (see :func:`step_scratch`) is written and read
+    inside one replay step — a host-side draw, one kernel's refire — and
+    is dead outside it, so every such buffer of a program takes the same
+    bytes.  The span is sized to the largest request and placed when the
+    forward ends; until then (the trace's own eager run) each call gets a
+    fresh array.  The backward's buffers reuse the span, so a getter
+    called while the program's backward runs raises.
+    """
+
+    __slots__ = ("nbytes", "buffer", "in_backward")
+
+    def __init__(self):
+        self.nbytes = 0
+        self.buffer: np.ndarray | None = None
+        self.in_backward = False
+
+    def request(self, shape, dtype):
+        dtype = np.dtype(dtype)
+        self.nbytes = max(
+            self.nbytes, int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        )
+        views: list[np.ndarray] = []
+
+        def get() -> np.ndarray:
+            if self.in_backward:
+                raise RuntimeError(
+                    "step-local scratch requested inside a backward: the "
+                    "backward's own buffers reuse its span"
+                )
+            if views:
+                return views[0]
+            if self.buffer is None:
+                return np.empty(shape, dtype=dtype)
+            views.append(np.ndarray(shape, dtype=dtype, buffer=self.buffer))
+            return views[0]
+
+        return get
+
+    def place(self, slab: _Slab | None) -> None:
+        if self.buffer is None and self.nbytes:
+            self.buffer = (
+                slab.reserve(self.nbytes)
+                if slab is not None and self.nbytes <= SLAB_CHUNK_BYTES
+                else np.empty(self.nbytes, dtype=np.uint8)
+            )
+
+
+# What a backward closure may capture that holds no array memory.
+_INERT = (bool, int, float, complex, str, bytes, slice, range, type,
+          type(Ellipsis), np.dtype, np.generic, np.ufunc,
+          np.random.Generator)
+
+
+def _reached_arrays(roots) -> list[np.ndarray] | None:
+    """Every ndarray a backward closure can reach: through closure
+    cells and default arguments, nested closures, lists / tuples / sets
+    / dicts, and Tensors' ``data``, ``_grad_buf`` and ``grad`` (never a
+    Tensor's parents or closure: those are other steps).  ``None`` when
+    the walk meets anything else (a bound method, a ``partial``, an
+    object): it might hold any array, so the walk cannot bound it."""
+    found = []
+    seen = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if obj is None or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            stack += (obj.data, obj._grad_buf, obj.grad)
+        elif isinstance(obj, FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # a cell not yet bound
+                    pass
+            stack += obj.__defaults__ or ()
+            stack += (obj.__kwdefaults__ or {}).values()
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif not isinstance(obj, _INERT):
+            return None
+    return found
+
+
+class _Liveness:
+    """Online placement plan of one traced backward.
+
+    Built at ``capture_backward``, when the forward is complete and the
+    topological order and every backward closure exist.  Step ``i`` is
+    the ``i``-th node of the reversed order.  A forward span *dies* after
+    the last step whose closure reaches it; spans no closure reaches are
+    dead once the forward ends.  ``advance`` hands each span back to the
+    slab as soon as the backward has passed its death, so the backward's
+    own buffers take those bytes.
+
+    The plan fails closed: when a closure captures something the walk
+    cannot see into (:func:`_reached_arrays`), or a node already holds a
+    ``.grad`` (the trace then accumulates into it, while a replay, which
+    clears every ``.grad``, would alias the handed buffer), every
+    forward span lives to the end of the backward.
+
+    A gradient is only ever handed from a node's closure to that node's
+    parents, so after step ``i`` the tracer looks at the ``.grad`` of
+    node ``i``'s parents: a forward span that has become a gradient
+    lives until its new owner's step (for ever, for a leaf).  It cannot
+    have been released yet, because the closure that handed it over
+    reached it at step ``i``.
+    """
+
+    __slots__ = ("slab", "steps", "step_of", "spans", "death", "pending",
+                 "released", "_chunk_of", "_starts")
+
+    #: Death of a span that lives to the end of the backward.
+    FOREVER = 1 << 62
+
+    def __init__(self, slab: _Slab, order):
+        self.slab = slab
+        self.steps = order[::-1]
+        self.step_of = {id(node): i for i, node in enumerate(self.steps)}
+        self.spans = slab.begin_backward()
+        # Per chunk: span start offsets (sorted) and span indices.
+        self._chunk_of = {
+            id(chunk.base): (chunk.ctypes.data, index)
+            for index, chunk in enumerate(slab.chunks)
+        }
+        by_chunk: dict[int, list[tuple[int, int]]] = {}
+        for i, (index, start, _end) in enumerate(self.spans):
+            by_chunk.setdefault(index, []).append((start, i))
+        self._starts = {
+            index: ([start for start, _ in sorted(entries)],
+                    [i for _, i in sorted(entries)])
+            for index, entries in by_chunk.items()
+        }
+        self.death = [-1] * len(self.spans)
+        self.released = [False] * len(self.spans)
+        if not self._plan():
+            self.death = [self.FOREVER] * len(self.spans)
+        # Spans by death step; a span extended later is re-filed, and a
+        # stale entry is skipped when its step comes.
+        self.pending: dict[int, list[int]] = {}
+        for i, death in enumerate(self.death):
+            self.pending.setdefault(death, []).append(i)
+        self._release(-1)
+
+    def _plan(self) -> bool:
+        """Set each span's death from the closures; False when the
+        closures cannot bound it."""
+        if any(node.grad is not None for node in self.steps):
+            return False
+        for step, node in enumerate(self.steps):
+            if node._backward is None:
+                continue
+            reached = _reached_arrays((node._backward,))
+            if reached is None:
+                return False
+            for array in reached:
+                for i in self._overlapping(array):
+                    self.death[i] = step
+        return True
+
+    def _overlapping(self, array: np.ndarray) -> list[int]:
+        """Indices of the forward spans ``array``'s bytes fall in."""
+        located = self._chunk_of.get(id(array.base))
+        if located is None or not array.size:
+            return []
+        base, index = located
+        entries = self._starts.get(index)
+        if entries is None:
+            return []
+        starts, ids = entries
+        low = high = array.ctypes.data - base
+        for stride, dim in zip(array.strides, array.shape):
+            if stride < 0:
+                low += stride * (dim - 1)
+            else:
+                high += stride * (dim - 1)
+        high += array.itemsize
+        at = max(bisect.bisect_right(starts, low) - 1, 0)
+        hits = []
+        while at < len(starts) and starts[at] < high:
+            if self.spans[ids[at]][2] > low:
+                hits.append(ids[at])
+            at += 1
+        return hits
+
+    def _release(self, step: int) -> None:
+        for i in self.pending.pop(step, ()):
+            if self.death[i] == step:
+                self.released[i] = True
+                self.slab.release(self.spans[i])
+
+    def advance(self, step: int) -> None:
+        """The backward is about to run step ``step``."""
+        if step:
+            for parent in self.steps[step - 1]._parents:
+                grad = parent.grad
+                if not isinstance(grad, np.ndarray):
+                    continue
+                owner = (
+                    self.step_of[id(parent)]
+                    if parent._backward is not None else self.FOREVER
+                )
+                for i in self._overlapping(grad):
+                    # A released span under ``grad`` means ``grad`` is a
+                    # backward buffer placed there, which never dies.
+                    if not self.released[i] and owner > self.death[i]:
+                        self.death[i] = owner
+                        self.pending.setdefault(owner, []).append(i)
+        self._release(step - 1)
+
+    def dead_views(self) -> list[list[np.ndarray]]:
+        """uint8 views of the forward spans by death: entry 0 is dead
+        once the forward ends, entry ``i + 1`` after backward step
+        ``i``.  Spans that outlive the backward are not listed."""
+        frees = [[] for _ in range(len(self.steps) + 1)]
+        chunks = self.slab.chunks
+        for (index, start, end), death in zip(self.spans, self.death):
+            if death < len(self.steps):
+                frees[death + 1].append(chunks[index][start:end])
+        return frees
 
 
 # ----------------------------------------------------------------------
@@ -174,10 +479,12 @@ class _Tracer:
     """Recorder installed as ``tensor._TRACER`` for one eager execution."""
 
     __slots__ = ("steps", "feeds", "dynamic", "reason",
-                 "root", "order", "seed", "slab")
+                 "root", "order", "seed", "slab", "scratch", "liveness")
 
     def __init__(self, slab: _Slab | None = None):
         self.slab = slab
+        self.scratch = _StepScratch()
+        self.liveness: _Liveness | None = None
         self.steps: list = []          # zero-arg callables, exec order
         self.feeds: dict[str, np.ndarray] = {}
         self.dynamic = False
@@ -236,7 +543,19 @@ class _Tracer:
         self.root = root
         self.order = list(order)
         self.seed = np.ones_like(root.data)
+        # The forward is over: its step-local scratch takes its span,
+        # and the backward's buffers may reuse what it no longer reads.
+        self.scratch.place(self.slab)
+        self.scratch.in_backward = True
+        if self.slab is not None:
+            self.liveness = _Liveness(self.slab, self.order)
         return True
+
+    def backward_step(self, step: int) -> None:
+        """Called by ``Tensor.backward`` before the ``step``-th node of
+        the reversed order runs, while a captured backward executes."""
+        if self.liveness is not None:
+            self.liveness.advance(step)
 
 
 class trace:
@@ -271,6 +590,7 @@ class trace:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         _tensor_mod._TRACER = None
+        self.tracer.scratch.in_backward = False
         return False
 
 
@@ -296,6 +616,21 @@ def record_host(fn) -> None:
     t = _tensor_mod._TRACER
     if t is not None and not t.dynamic:
         t.steps.append(fn)
+
+
+def step_scratch(shape, dtype):
+    """A zero-argument getter of a ``dtype`` buffer of ``shape`` that
+    lives only inside one step: written and read within one call of a
+    host step or refire, dead outside it.
+
+    Under a trace every such buffer of the program shares one span
+    (:class:`_StepScratch`); otherwise each call gets a fresh array.
+    The getter is what a step captures, never the array it returns.
+    """
+    t = _tensor_mod._TRACER
+    if t is None or t.dynamic:
+        return lambda: np.empty(shape, dtype=dtype)
+    return t.scratch.request(shape, dtype)
 
 
 def record_feed(name: str, array: np.ndarray) -> None:
@@ -329,10 +664,12 @@ class Program:
     """A replayable flat op program over its retained buffers."""
 
     __slots__ = ("steps", "feeds", "result", "root", "order", "seed",
-                 "replays")
+                 "replays", "frees", "resident_bytes", "placed_bytes",
+                 "scratch")
 
     def __init__(self, steps, feeds, result, root=None, order=None,
-                 seed=None):
+                 seed=None, frees=None, resident_bytes=0, placed_bytes=0,
+                 scratch=None):
         self.steps = steps
         self.feeds = feeds
         self.result = result
@@ -340,6 +677,16 @@ class Program:
         self.order = order
         self.seed = seed
         self.replays = 0
+        #: The backward's placement plan, as uint8 views of the forward
+        #: spans it reuses: ``frees[0]`` is dead once the forward ends,
+        #: ``frees[i + 1]`` after backward step ``i`` (None without a
+        #: slab or a backward).
+        self.frees = frees
+        #: Bytes of the buffers this program keeps in the slab, and the
+        #: bytes its layout spans (per chunk, the highest byte reached).
+        self.resident_bytes = resident_bytes
+        self.placed_bytes = placed_bytes
+        self.scratch = scratch if scratch is not None else _StepScratch()
 
     @property
     def has_backward(self) -> bool:
@@ -373,9 +720,13 @@ class Program:
         for node in order:
             node.grad = None
         self.root._accumulate(self.seed)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        self.scratch.in_backward = True
+        try:
+            for node in reversed(order):
+                if node._backward is not None and node.grad is not None:
+                    node._backward(node.grad)
+        finally:
+            self.scratch.in_backward = False
 
 
 def build_program(tracer: _Tracer, result, require_backward: bool = False):
@@ -385,6 +736,8 @@ def build_program(tracer: _Tracer, result, require_backward: bool = False):
         return None
     if require_backward and tracer.root is None:
         return None
+    tracer.scratch.place(tracer.slab)
+    slab, liveness = tracer.slab, tracer.liveness
     return Program(
         steps=tracer.steps,
         feeds=tracer.feeds,
@@ -392,6 +745,10 @@ def build_program(tracer: _Tracer, result, require_backward: bool = False):
         root=tracer.root,
         order=tracer.order,
         seed=tracer.seed,
+        frees=None if liveness is None else liveness.dead_views(),
+        resident_bytes=0 if slab is None else slab.resident,
+        placed_bytes=0 if slab is None else slab.trace_placed,
+        scratch=tracer.scratch,
     )
 
 
@@ -403,7 +760,7 @@ class ProgramCache:
     """Bounded LRU of compiled programs, keyed on (mode, shape, dtype...),
     plus the scratch slab all of them share (see :class:`trace`)."""
 
-    def __init__(self, capacity: int = 16):
+    def __init__(self, capacity: int = 64):
         self.capacity = capacity
         self._programs: OrderedDict = OrderedDict()
         self.slab = _Slab()
@@ -414,6 +771,12 @@ class ProgramCache:
     def slab_bytes(self) -> int:
         """Bytes of scratch slab allocated for this model's programs."""
         return self.slab.nbytes
+
+    @property
+    def slab_placed_bytes(self) -> int:
+        """The largest layout any trace placed in the slab (at most
+        :attr:`slab_bytes`)."""
+        return self.slab.placed
 
     def get(self, key):
         entry = self._programs.get(key)

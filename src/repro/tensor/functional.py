@@ -2,21 +2,21 @@
 
 These are the numerical workhorses of the attention and VAE math:
 numerically-stable softmax / log-softmax, the multi-hot (next-``k``)
-cross-entropy of Eq. 18/20, the Gaussian KL divergence of Eq. 20,
-and inverted dropout with its mask helper.  The one-hot cross-entropy
-fuses the output head into the loss
+cross-entropy of Eq. 18/20 and inverted dropout with its mask helper.
+The one-hot cross-entropy fuses the output head into the loss
 (:func:`repro.tensor.fused.linear_cross_entropy`), and the
-reparameterized sample is the fused
-:func:`repro.tensor.fused.reparameterize`.
+reparameterized sample and the Gaussian KL divergence of Eq. 20 are the
+fused :func:`repro.tensor.fused.reparameterize` and
+:func:`repro.tensor.fused.gaussian_kl_standard_normal`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .compile import mark_dynamic, record_host, tracing
-from .fused import fused_multi_hot_cross_entropy
-from .tensor import Tensor, _retain, get_default_dtype
+from .compile import record_host, step_scratch, tracing
+from .fused import fused_multi_hot_cross_entropy, gaussian_kl_standard_normal
+from .tensor import Tensor, _retain
 
 __all__ = [
     "softmax",
@@ -67,45 +67,6 @@ def multi_hot_cross_entropy(
     )
 
 
-def gaussian_kl_standard_normal(
-    mu: Tensor,
-    sigma: Tensor,
-    weights: np.ndarray | None = None,
-) -> Tensor:
-    """KL( N(mu, sigma^2) || N(0, I) ), the analytic form in Eq. 20.
-
-    ``0.5 * sum_j (-log sigma_j^2 + mu_j^2 + sigma_j^2 - 1)`` summed over
-    the latent dimension (last axis) and averaged over the remaining
-    (optionally weighted) positions.
-    """
-    sigma_sq = sigma * sigma
-    per_dim = sigma_sq.log() * (-1.0) + mu * mu + sigma_sq - 1.0
-    per_position = per_dim.sum(axis=-1) * 0.5
-    if weights is None:
-        return per_position.mean()
-    weights = np.asarray(weights, dtype=mu.dtype)
-    total = float(weights.sum())
-    if total <= 0:
-        raise ValueError("gaussian_kl weights sum to zero")
-    weight_leaf = Tensor(weights)
-    # The averaging coefficient 1/total depends on the (per-step) weight
-    # mask, so under a trace it lives in a replay-refreshed 0-d buffer
-    # instead of being frozen into the graph as a python float.
-    inv = np.asarray(1.0 / total, dtype=get_default_dtype())
-    if tracing():
-        if weight_leaf.data is not weights:
-            mark_dynamic("gaussian_kl weights dtype differs from default")
-
-        def refresh():
-            t = float(weights.sum())
-            if t <= 0:
-                raise ValueError("gaussian_kl weights sum to zero")
-            inv[...] = 1.0 / t
-
-        record_host(refresh)
-    return (per_position * weight_leaf).sum() * Tensor(inv)
-
-
 def dropout_mask(shape: tuple[int, ...], dtype, rate: float,
                  rng: np.random.Generator) -> np.ndarray:
     """A fresh inverted-dropout scale mask: ``1/(1 − rate)`` where a
@@ -123,15 +84,16 @@ def dropout_mask(shape: tuple[int, ...], dtype, rate: float,
     keep = 1.0 - rate
     scale = np.dtype(dtype).type(1.0 / keep)
     mask = _retain(np.empty(shape, dtype=dtype))
-    draws = (
-        mask if mask.dtype == np.float64
-        else _retain(np.empty(shape, dtype=np.float64))
+    # Non-float64 masks draw into step-local scratch.
+    draws = None if mask.dtype == np.float64 else step_scratch(
+        shape, np.float64
     )
 
     def refresh():
-        rng.random(out=draws)
+        buf = mask if draws is None else draws()
+        rng.random(out=buf)
         # The 0/1 keep decisions land in the mask itself, then scale.
-        np.less(draws, keep, out=mask)
+        np.less(buf, keep, out=mask)
         np.multiply(mask, scale, out=mask)
 
     refresh()

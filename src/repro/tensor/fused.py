@@ -51,13 +51,16 @@ Derivations (all standard):
   ``dW₁ = xᵀ dA``, ``db₁ = Σ dA`` and ``dx = dA W₁ᵀ``.
 - **Reparameterization** ``z = μ + σ ∘ ε`` (Eq. 13): ``dμ = dz`` and
   ``dσ = dz ∘ ε``.
+- **Gaussian KL** ``KL = Σ_p c_p · ½ Σ_j (μ² + σ² − 1 − 2 log σ)`` (Eq.
+  20, ``c_p = w_p / Σw``): with ``c = dKL · c_p`` per position,
+  ``dμ = c · μ`` and ``dσ = c · (σ − 1/σ)``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .compile import record_host, tracing
+from .compile import record_host, step_scratch, tracing
 from .tensor import Tensor, _retain
 
 __all__ = [
@@ -69,6 +72,7 @@ __all__ = [
     "residual_dropout_norm",
     "feedforward",
     "reparameterize",
+    "gaussian_kl_standard_normal",
 ]
 
 
@@ -639,15 +643,16 @@ def reparameterize(mu: Tensor, sigma: Tensor,
     """
     shape, dtype = mu.shape, mu.dtype
     noise = _retain(np.empty(shape, dtype=dtype))
-    draws = (
-        noise if dtype == np.float64
-        else _retain(np.empty(shape, dtype=np.float64))
-    )
+    # Non-float64 noise is drawn into step-local scratch, then cast.
+    draws = None if dtype == np.float64 else step_scratch(shape, np.float64)
 
     def draw():
-        rng.standard_normal(out=draws)
-        if draws is not noise:
-            np.copyto(noise, draws)
+        if draws is None:
+            rng.standard_normal(out=noise)
+        else:
+            buf = draws()
+            rng.standard_normal(out=buf)
+            np.copyto(noise, buf)
 
     draw()
     if tracing():
@@ -671,5 +676,83 @@ def reparameterize(mu: Tensor, sigma: Tensor,
             sigma._accumulate_owned(d_sigma)
         # Only one parent may take ``grad`` by reference.
         mu._accumulate_owned(grad)
+
+    return Tensor._make(out, (mu, sigma), backward, forward)
+
+
+def gaussian_kl_standard_normal(
+    mu: Tensor,
+    sigma: Tensor,
+    weights: np.ndarray | None = None,
+) -> Tensor:
+    """``KL(N(μ, σ²) ‖ N(0, I))``, the analytic term of Eq. 20, as one
+    tape node.
+
+    Per position ``½ Σ_j (μ_j² + σ_j² − 1 − 2 log σ_j)`` over the latent
+    (last) axis, averaged over the remaining positions, or weighted by
+    ``weights`` (shaped like the leading axes) and divided by their sum.
+    The forward builds each elementwise term in one step-local scratch
+    and sums it per position with a GEMV; the backward keeps nothing
+    but ``μ`` and ``σ``.  Under a trace the averaging coefficients are
+    refreshed from ``weights`` by a recorded host step.
+    """
+    shape, dtype = mu.shape, mu.dtype
+    dim = shape[-1]
+    rows = mu.size // dim
+    try:
+        coeff = _position_scale(weights, rows, dtype)
+    except ValueError:
+        raise ValueError("gaussian_kl weights sum to zero")
+    if weights is not None and tracing():
+        weights_src = weights
+        record_host(lambda: _refresh_coeff(
+            weights_src, coeff, dtype, "gaussian_kl weights sum to zero"
+        ))
+    terms = step_scratch((rows, dim), dtype)
+    per_position = _retain(np.empty(rows, dtype=dtype))
+    partial = _retain(np.empty(rows, dtype=dtype))
+    out = _retain(np.zeros((), dtype=dtype))
+    ones = np.ones(dim, dtype=dtype)
+
+    def forward():
+        buf = terms()
+        # Views of the parents; fresh copies if they are not contiguous.
+        mu_rows = mu.data.reshape(rows, dim)
+        sigma_rows = sigma.data.reshape(rows, dim)
+        np.log(sigma_rows, out=buf)
+        np.multiply(buf, -2.0, out=buf)
+        np.subtract(buf, 1.0, out=buf)
+        np.matmul(buf, ones, out=per_position)
+        np.multiply(mu_rows, mu_rows, out=buf)
+        np.matmul(buf, ones, out=partial)
+        np.add(per_position, partial, out=per_position)
+        np.multiply(sigma_rows, sigma_rows, out=buf)
+        np.matmul(buf, ones, out=partial)
+        np.add(per_position, partial, out=per_position)
+        out[...] = 0.5 * np.dot(per_position, coeff)
+
+    forward()
+    bufs = None  # backward buffers, as in _layer_norm
+
+    def backward(grad):
+        nonlocal bufs
+        if bufs is None:
+            bufs = (
+                _retain(np.empty(rows, dtype=dtype)),
+                _retain(np.empty((rows, dim), dtype=dtype)),
+                _retain(np.empty((rows, dim), dtype=dtype)),
+            )
+        scale, d_mu, d_sigma = bufs
+        np.multiply(coeff, grad, out=scale)
+        column = scale[:, None]
+        if mu.requires_grad:
+            np.multiply(mu.data.reshape(rows, dim), column, out=d_mu)
+            mu._accumulate_owned(d_mu.reshape(shape))
+        if sigma.requires_grad:
+            sigma_rows = sigma.data.reshape(rows, dim)
+            np.divide(1.0, sigma_rows, out=d_sigma)
+            np.subtract(sigma_rows, d_sigma, out=d_sigma)
+            np.multiply(d_sigma, column, out=d_sigma)
+            sigma._accumulate_owned(d_sigma.reshape(shape))
 
     return Tensor._make(out, (mu, sigma), backward, forward)

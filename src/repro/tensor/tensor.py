@@ -436,11 +436,16 @@ class Tensor:
         # Under an active trace the closures and topology are retained —
         # they become the program's backward plan, replayed in this exact
         # order against the refreshed buffers (see repro.tensor.compile).
+        # The tracer is told which node runs next, so the buffers the
+        # backward allocates can reuse forward buffers no later closure
+        # reads.
         capture = _TRACER is not None and _TRACER.capture_backward(
             self, order, default_seed
         )
         self._accumulate(grad)
-        for node in reversed(order):
+        for step, node in enumerate(reversed(order)):
+            if capture:
+                _TRACER.backward_step(step)
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
                 if not capture:

@@ -124,20 +124,13 @@ def training_step_values(model, rows: np.ndarray, check_finite=None):
     """
     tracks_elbo = hasattr(model, "training_elbo")
 
-    def eager_step():
-        if tracks_elbo:
-            terms = model.training_elbo(rows)
-            loss = terms.loss
-        else:
-            terms = None
-            loss = model.training_loss(rows)
+    def stats(loss, terms):
+        # Read before the backward: a compiled backward reuses the
+        # forward's slab bytes, so afterwards only the parameter
+        # gradients are valid.
         loss_value = loss.item()
         if check_finite is not None:
             check_finite(loss_value)
-        loss.backward()
-        return loss, terms, loss_value
-
-    def stats(loss_value, terms):
         if terms is None:
             return loss_value, None, None, None
         return (
@@ -147,12 +140,22 @@ def training_step_values(model, rows: np.ndarray, check_finite=None):
             terms.beta,
         )
 
+    def eager_step():
+        if tracks_elbo:
+            terms = model.training_elbo(rows)
+            loss = terms.loss
+        else:
+            terms = None
+            loss = model.training_loss(rows)
+        values = stats(loss, terms)
+        loss.backward()
+        return loss, terms, values
+
     cache = programs_for(model)
     key = _training_key(model, rows)
     entry = cache.get(key)
     if entry is DYNAMIC:
-        _, terms, loss_value = eager_step()
-        return stats(loss_value, terms)
+        return eager_step()[2]
     if entry is not None:
         program, terms = entry
         feeds = {"rows": rows}
@@ -160,21 +163,19 @@ def training_step_values(model, rows: np.ndarray, check_finite=None):
         if step_feeds is not None:
             feeds.update(step_feeds())
         loss = program.replay(feeds)
-        loss_value = loss.item()
-        if check_finite is not None:
-            check_finite(loss_value)
-        program.replay_backward()
         if terms is not None:
             # The replayed ELBO tensors were refreshed in place; only the
             # python-float β needs to catch up for the history record.
             terms.beta = feeds.get("beta", terms.beta)
-        return stats(loss_value, terms)
+        values = stats(loss, terms)
+        program.replay_backward()
+        return values
     with trace(cache) as tracer:
         record_feed("rows", rows)
-        loss, terms, loss_value = eager_step()
+        loss, terms, values = eager_step()
     program = build_program(tracer, loss, require_backward=True)
     cache.put(key, DYNAMIC if program is None else (program, terms))
-    return stats(loss_value, terms)
+    return values
 
 
 class Trainer:

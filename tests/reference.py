@@ -2,16 +2,17 @@
 
 Production code runs every op one way: attention, layer norm, the
 residual connections, the feed-forward network, the reparameterized
-sample and the training losses through the fused kernels of
-:mod:`repro.tensor.fused`, training steps and scoring forwards through
-compiled trace-and-replay programs (:mod:`repro.tensor.compile`).  The
-parity suites hold those paths against the implementations here:
+sample, the Gaussian KL and the training losses through the fused
+kernels of :mod:`repro.tensor.fused`, training steps and scoring
+forwards through compiled trace-and-replay programs
+(:mod:`repro.tensor.compile`).  The parity suites hold those paths
+against the implementations here:
 
 - composed references built from tape primitives, each with its fused
   counterpart's signature — :func:`composed_attention`,
   :func:`composed_layer_norm`, :func:`composed_residual_dropout_norm`,
   :func:`composed_feedforward`, :func:`composed_reparameterize`,
-  :func:`cross_entropy_reference`,
+  :func:`composed_gaussian_kl`, :func:`cross_entropy_reference`,
   :func:`multi_hot_cross_entropy_reference` and
   :func:`composed_linear_cross_entropy`;
 - :func:`composed_substrate`, which swaps them in under a whole VSAN;
@@ -35,12 +36,13 @@ from repro.tensor import (
     no_grad,
     softmax,
 )
-from repro.tensor.compile import record_host, tracing
+from repro.tensor.compile import mark_dynamic, record_host, tracing
 from repro.tensor.tensor import _retain
 
 __all__ = [
     "composed_attention",
     "composed_feedforward",
+    "composed_gaussian_kl",
     "composed_layer_norm",
     "composed_linear_cross_entropy",
     "composed_reparameterize",
@@ -138,6 +140,42 @@ def composed_reparameterize(mu: Tensor, sigma: Tensor,
     return mu + sigma * Tensor(noise)
 
 
+def composed_gaussian_kl(
+    mu: Tensor,
+    sigma: Tensor,
+    weights: np.ndarray | None = None,
+) -> Tensor:
+    """Composed reference for
+    :func:`repro.tensor.gaussian_kl_standard_normal`:
+    ``0.5 * sum_j (-log sigma_j^2 + mu_j^2 + sigma_j^2 - 1)`` over the
+    last axis, averaged over the (optionally weighted) positions."""
+    sigma_sq = sigma * sigma
+    per_dim = sigma_sq.log() * (-1.0) + mu * mu + sigma_sq - 1.0
+    per_position = per_dim.sum(axis=-1) * 0.5
+    if weights is None:
+        return per_position.mean()
+    weights = np.asarray(weights, dtype=mu.dtype)
+    total = float(weights.sum())
+    if total <= 0:
+        raise ValueError("gaussian_kl weights sum to zero")
+    weight_leaf = Tensor(weights)
+    # The averaging coefficient 1/total depends on the (per-step) weight
+    # mask, so under a trace it lives in a replay-refreshed 0-d buffer.
+    inv = np.asarray(1.0 / total, dtype=get_default_dtype())
+    if tracing():
+        if weight_leaf.data is not weights:
+            mark_dynamic("gaussian_kl weights dtype differs from default")
+
+        def refresh():
+            t = float(weights.sum())
+            if t <= 0:
+                raise ValueError("gaussian_kl weights sum to zero")
+            inv[...] = 1.0 / t
+
+        record_host(refresh)
+    return (per_position * weight_leaf).sum() * Tensor(inv)
+
+
 def cross_entropy_reference(
     logits: Tensor,
     targets: np.ndarray,
@@ -196,7 +234,7 @@ def composed_linear_cross_entropy(
 def composed_substrate(monkeypatch) -> None:
     """Run attention, layer norm, the residual connections, the
     feed-forward network, the reparameterized sample and the ELBO
-    reconstruction on the composed references for the rest of the test
+    reconstruction and KL terms on the composed references for the rest of the test
     (or ``monkeypatch`` context), so a whole VSAN computes on tape
     primitives."""
     patches = {
@@ -211,6 +249,7 @@ def composed_substrate(monkeypatch) -> None:
         "repro.core.elbo": {
             "linear_cross_entropy": composed_linear_cross_entropy,
             "multi_hot_cross_entropy": multi_hot_cross_entropy_reference,
+            "gaussian_kl_standard_normal": composed_gaussian_kl,
         },
     }
     for module_name, names in patches.items():

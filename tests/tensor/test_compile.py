@@ -13,6 +13,7 @@ trainer, and check that the slab is sized to the largest program rather
 than the sum of all.
 """
 
+import functools
 import gc
 import itertools
 import tracemalloc
@@ -31,12 +32,15 @@ from repro.tensor import (
     linear_cross_entropy,
     tape_node_count,
 )
+from repro.tensor.tensor import _retain as retain
 from repro.tensor import compile as compile_module
 from repro.tensor.compile import (
     DYNAMIC,
+    Program,
     ProgramCache,
     build_program,
     programs_for,
+    step_scratch,
     trace,
 )
 from repro.train import Trainer, TrainerConfig
@@ -271,9 +275,15 @@ class TestEvalCompiled:
     def test_cache_is_lru_bounded(self):
         model = MODEL_FACTORIES["gru4rec"]()
         model.eval()
-        for batch in range(1, 21):  # 20 distinct shape buckets
+        capacity = ProgramCache().capacity
+        # More distinct shape buckets than the cache holds.
+        for batch in range(1, capacity + 5):
             model.score_batch([np.arange(1, 4)] * batch)
-        assert len(programs_for(model).keys()) <= 16
+        cache = programs_for(model)
+        assert len(cache.keys()) == capacity
+        # The oldest buckets went first.
+        assert ("hidden", (1, WIDTH), np.dtype(np.float64)) not in cache.keys()
+        assert cache.keys()[-1][1][0] == capacity + 4
 
 
 def make_corpus():
@@ -430,9 +440,68 @@ def poison(model):
         chunk.fill(0xFF)
 
 
+def poison_spans(views):
+    for view in views:
+        view.fill(0xFF)
+
+
+def poison_at_death(monkeypatch):
+    """Make every replayed backward fill each forward span with 0xFF the
+    moment its program's plan (``Program.frees``) says it is dead: a
+    backward closure that reads a span after its death, or a caller
+    that reads a forward result after the backward, sees NaN."""
+    original = Program.replay_backward
+    installed = {}
+
+    def install(program):
+        cursor = [0]
+
+        def poison_through(bucket):
+            while cursor[0] <= bucket:
+                poison_spans(program.frees[cursor[0]])
+                cursor[0] += 1
+
+        for step, node in enumerate(reversed(program.order)):
+            if node._backward is None:
+                continue
+
+            def wrapped(grad, run=node._backward, step=step):
+                poison_through(step)
+                run(grad)
+                poison_through(step + 1)
+
+            node._backward = wrapped
+        return cursor
+
+    def replay_backward(program):
+        cursor = installed.get(id(program))
+        if cursor is None:
+            cursor = installed[id(program)] = install(program)
+        poison_spans(program.frees[0])
+        cursor[0] = 1
+        original(program)
+
+    monkeypatch.setattr(Program, "replay_backward", replay_backward)
+
+
 class TestPoisonedSlabParity:
     @pytest.mark.parametrize("name", sorted(SLAB_FACTORIES))
     def test_bitwise_parity_with_poisoned_slab(self, name, monkeypatch):
+        self.check_parity(name, monkeypatch)
+
+    @pytest.mark.parametrize("name", sorted(SLAB_FACTORIES))
+    def test_bitwise_parity_with_spans_poisoned_at_death(
+        self, name, monkeypatch
+    ):
+        """The backward's placement plan, checked byte by byte: each
+        forward span is poisoned right after the last backward step
+        that may read it, so reusing it early, or reading the loss or
+        ELBO terms after the backward, breaks parity."""
+        poison_at_death(monkeypatch)
+        self.check_parity(name, monkeypatch)
+
+    @staticmethod
+    def check_parity(name, monkeypatch):
         eager = SLAB_FACTORIES[name]()
         compiled = SLAB_FACTORIES[name]()
         eager_scoring(monkeypatch, eager)
@@ -472,6 +541,10 @@ class TestPoisonedSlabParity:
         assert len(train_keys) == 3 * beta_phases, cache.keys()
         assert not any(cache._programs[k] is DYNAMIC for k in cache.keys())
         assert cache.hits >= 9, cache.hits
+        # The plan fails closed, so this checks that the closure walk
+        # sees into everything today's kernels capture.
+        for key in train_keys:
+            assert any(cache._programs[key][0].frees), (name, key)
 
 
 def make_slab_vsan():
@@ -487,6 +560,9 @@ def trace_shapes(model, shapes):
     model.train()
     for batch, width in shapes:
         rows = make_batches(300, width, batch, 1)[0]
+        # As the trainer does: a stale ``.grad`` may alias the slab
+        # (lifetime rule) and keeps every span of the trace live.
+        model.zero_grad()
         training_step_values(model, rows)
     return programs_for(model)
 
@@ -556,6 +632,28 @@ class TestSharedSlab:
         again = slab.take(np.ones(sizes[0], dtype=np.uint8))
         assert again.ctypes.data == views[0].ctypes.data
 
+    def test_backward_buffers_take_the_lowest_hole(self, small_chunks):
+        """After ``begin_backward`` a buffer takes the lowest first-fit
+        hole: released neighbours merge, and a buffer too large for any
+        hole goes to a chunk tail."""
+        chunk = compile_module.SLAB_CHUNK_BYTES
+        slab = compile_module._Slab()
+        sizes = (chunk // 4, chunk // 4, chunk // 4)
+        forward = [slab.take(np.ones(n, dtype=np.uint8)) for n in sizes]
+        spans = slab.begin_backward()
+        assert len(spans) == 3
+        slab.release(spans[1])
+        slab.release(spans[0])
+        # The two released quarters merged into one half-chunk hole.
+        merged = slab.take(np.ones(chunk // 2, dtype=np.uint8))
+        assert merged.ctypes.data == forward[0].ctypes.data
+        # No hole left below the tail quarter: the next one takes it.
+        tail = slab.take(np.ones(chunk // 8, dtype=np.uint8))
+        assert tail.ctypes.data == forward[2].ctypes.data + chunk // 4
+        assert len(slab.chunks) == 1
+        assert slab.trace_placed == 3 * chunk // 4 + chunk // 8
+        assert slab.resident == 3 * chunk // 4 + chunk // 2 + chunk // 8
+
     def test_invalidate_drops_the_slab(self):
         from repro.tensor.compile import invalidate
 
@@ -613,6 +711,8 @@ class TestLinearCrossEntropyReplay:
             for chunk in cache.slab.chunks:
                 chunk.fill(0xFF)
             program.replay()
+            # Read before the backward, which may reuse the loss's bytes.
+            got_loss = loss.data.tobytes()
             program.replay_backward()
             twins = [
                 Tensor(a.copy(), requires_grad=True)
@@ -622,7 +722,7 @@ class TestLinearCrossEntropyReplay:
                 *twins, targets.copy(), weights.copy()
             )
             want.backward()
-            assert loss.data.tobytes() == want.data.tobytes(), supervised
+            assert got_loss == want.data.tobytes(), supervised
             for got, ref in zip(leaves, twins):
                 assert got.grad.tobytes() == ref.grad.tobytes(), supervised
 
@@ -687,3 +787,218 @@ class TestLinearCrossEntropyReplay:
             if int(np.prod(shape)) >= positions * (NUM_ITEMS + 1)
         ]
         assert wide == [(positions, NUM_ITEMS + 1)], wide
+
+
+# ----------------------------------------------------------------------
+# Backward placement over dead forward buffers
+# ----------------------------------------------------------------------
+
+def hand_over(x: Tensor) -> Tensor:
+    """``2 x`` whose backward hands ``x`` a gradient held in a buffer
+    the *forward* placed in the slab."""
+    out = retain(x.data * 2.0)
+    handed = retain(np.empty_like(x.data))
+
+    def forward():
+        np.multiply(x.data, 2.0, out=out)
+
+    def backward(grad):
+        np.multiply(grad, 2.0, out=handed)
+        x._accumulate_owned(handed)
+
+    return Tensor._make(out, (x,), backward, forward)
+
+
+def opaque_scale(x: Tensor) -> Tensor:
+    """``2 x`` whose backward reads a forward buffer only through a
+    ``functools.partial``, which the closure walk cannot see into."""
+    out = retain(x.data * 2.0)
+    saved = retain(np.full_like(x.data, 2.0))
+    scale = functools.partial(np.multiply, saved)
+
+    def forward():
+        np.multiply(x.data, 2.0, out=out)
+        saved.fill(2.0)
+
+    def backward(grad):
+        x._accumulate(scale(grad))
+
+    return Tensor._make(out, (x,), backward, forward)
+
+
+def check_replays(program, loss, leaves, rng):
+    """Replay ``program`` against fresh leaf values; its gradients
+    must equal eager ones bitwise."""
+    for step in range(3):
+        leaves[0].data[...] = rng.normal(size=leaves[0].shape)
+        for leaf in leaves:
+            leaf.grad = None
+        program.replay()
+        program.replay_backward()
+        got = [leaf.grad.copy() for leaf in leaves]
+        for leaf in leaves:
+            leaf.grad = None
+        loss().backward()
+        for mine, leaf in zip(got, leaves):
+            assert mine.tobytes() == leaf.grad.tobytes(), step
+
+
+class TestBackwardPlacement:
+    def test_forward_buffer_handed_on_as_a_gradient_stays_live(
+        self, monkeypatch
+    ):
+        """``handed`` is reached by its own closure only, but becomes
+        the gradient of ``x``, whose closure runs later: it must stay
+        live until then, while the steps in between place buffers."""
+        poison_at_death(monkeypatch)
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
+        w = Tensor(rng.normal(size=(6, 6)), requires_grad=True)
+        c = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
+
+        def loss():
+            x = (a @ w).tanh()
+            y = hand_over(x)
+            return ((y * c).exp() * y).sum()
+
+        cache = ProgramCache()
+        with trace(cache) as tracer:
+            loss().backward()
+        program = build_program(tracer, None, require_backward=True)
+        check_replays(program, loss, (a, w, c), rng)
+
+    def test_opaque_capture_keeps_every_span(self, monkeypatch):
+        """A closure that holds a forward buffer behind an object the
+        walk cannot see into pins every span: nothing is reused."""
+        poison_at_death(monkeypatch)
+        rng = np.random.default_rng(1)
+        a = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
+        c = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
+
+        def loss():
+            return (opaque_scale(a.tanh()) * c).exp().sum()
+
+        with trace(ProgramCache()) as tracer:
+            loss().backward()
+        program = build_program(tracer, None, require_backward=True)
+        assert not any(program.frees)
+        check_replays(program, loss, (a, c), rng)
+
+    def test_stale_gradient_keeps_every_span(self, monkeypatch):
+        """A trace that starts with a leaf holding a ``.grad`` adds the
+        handed buffer into it, while a replay (which clears every
+        ``.grad``) aliases it: such a trace pins every span."""
+        poison_at_death(monkeypatch)
+        rng = np.random.default_rng(2)
+        a = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
+        c = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
+
+        def loss():
+            return ((hand_over(a) * c).exp() * c).sum()
+
+        a.grad = np.ones(a.shape)
+        with trace(ProgramCache()) as tracer:
+            loss().backward()
+        program = build_program(tracer, None, require_backward=True)
+        assert not any(program.frees)
+        check_replays(program, loss, (a, c), rng)
+
+    def test_step_scratch_inside_a_backward_raises(self):
+        """The backward's buffers reuse the step-local span, so a
+        backward may not ask for it, traced or replayed."""
+        x = Tensor(np.arange(6.0), requires_grad=True)
+        asks = [False]
+
+        def scaled():
+            get = step_scratch(x.shape, np.float64)
+            out = retain(x.data * 2.0)
+
+            def forward():
+                np.multiply(x.data, 2.0, out=get())
+                np.copyto(out, get())
+
+            def backward(grad):
+                if asks[0]:
+                    get()
+                x._accumulate(grad * 2.0)
+
+            return Tensor._make(out, (x,), backward, forward)
+
+        with trace(ProgramCache()) as tracer:
+            scaled().sum().backward()
+        program = build_program(tracer, None, require_backward=True)
+        asks[0] = True
+        program.replay()
+        with pytest.raises(RuntimeError, match="step-local scratch"):
+            program.replay_backward()
+        program.replay()  # the forward may use it again
+
+        with trace(ProgramCache()):
+            root = scaled().sum()
+            with pytest.raises(RuntimeError, match="step-local scratch"):
+                root.backward()
+
+    def test_training_layout_reuses_forward_bytes(self):
+        """At the ``perfbench train`` shape (d = 48, batch key
+        ``(123, 27)``, ~1.1k items, float32) a VSAN training program's
+        layout spans at most 0.75x the bytes it keeps in the slab."""
+        rng = np.random.default_rng(0)
+        rows = np.zeros((123, 27), dtype=np.int64)
+        for r in range(len(rows)):
+            length = rng.integers(2, 28)
+            rows[r, 27 - length:] = rng.integers(1, 1111, size=length)
+        with default_dtype(np.float32):
+            model = VSAN(1110, 30, dim=48, h1=1, h2=1, dropout_rate=0.2,
+                         seed=1, annealing=ConstantBeta(0.01))
+            model.train()
+            training_step_values(model, rows)
+            key = _training_key(model, rows)
+        cache = programs_for(model)
+        program, _terms = cache.get(key)
+        assert program.placed_bytes <= 0.75 * program.resident_bytes, (
+            program.placed_bytes, program.resident_bytes
+        )
+        assert cache.slab_placed_bytes == program.placed_bytes
+        assert program.placed_bytes <= cache.slab_bytes
+
+    def test_draw_buffers_share_one_step_local_span(self):
+        """Every float64 draw buffer of a float32 program (dropout masks,
+        the reparameterization noise) and the KL's term buffer live in
+        one span, sized to the largest of them."""
+        rows = make_batches(NUM_ITEMS, WIDTH + 1, 8, 1)[0]
+        with default_dtype(np.float32):
+            model = VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3,
+                         dropout_rate=0.2, annealing=ConstantBeta(0.2))
+            model.train()
+            requests, getters = [], []
+            request = compile_module._StepScratch.request
+
+            def spy(scratch, shape, dtype):
+                requests.append((shape, np.dtype(dtype)))
+                getters.append(request(scratch, shape, dtype))
+                return getters[-1]
+
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(
+                    compile_module._StepScratch, "request", spy
+                )
+                training_step_values(model, rows)
+            training_step_values(model, rows)  # a replay
+            key = _training_key(model, rows)
+        draws = [shape for shape, dtype in requests if dtype == np.float64]
+        assert len(draws) >= 3, requests
+        positions = 8 * WIDTH
+        largest = max(
+            int(np.prod(shape)) * dtype.itemsize for shape, dtype in requests
+        )
+        assert largest == positions * 16 * 8
+        # Every getter hands out the same bytes: one span in the slab.
+        program, _terms = programs_for(model).get(key)
+        span = program.scratch.buffer
+        assert span.nbytes == positions * 16 * 8
+        assert any(np.shares_memory(span, chunk)
+                   for chunk in programs_for(model).slab.chunks)
+        for getter in getters:
+            got = getter()
+            assert got.ctypes.data == span.ctypes.data
+            assert np.shares_memory(got, span)

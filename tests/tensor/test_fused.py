@@ -18,6 +18,7 @@ from repro.tensor import (
     feedforward,
     fused_attention,
     fused_layer_norm,
+    gaussian_kl_standard_normal,
     get_default_dtype,
     gradcheck,
     linear_cross_entropy,
@@ -26,11 +27,13 @@ from repro.tensor import (
     reparameterize,
     residual_dropout_norm,
     set_default_dtype,
+    tape_node_count,
 )
-from repro.tensor.compile import build_program, trace
+from repro.tensor.compile import ProgramCache, build_program, trace
 from tests.reference import (
     composed_attention,
     composed_feedforward,
+    composed_gaussian_kl,
     composed_linear_cross_entropy,
     composed_reparameterize,
     composed_residual_dropout_norm,
@@ -475,6 +478,89 @@ class TestReparameterize:
         expected = np.random.default_rng(4).standard_normal(SHAPE)
         assert z.dtype == np.float32
         np.testing.assert_array_equal(z.numpy(), expected.astype(np.float32))
+
+
+class TestGaussianKL:
+    WEIGHT_CASES = pytest.mark.parametrize(
+        "weighted", [False, True], ids=["mean", "weighted"]
+    )
+
+    @staticmethod
+    def case(rng, weighted):
+        mu, sigma = leaves(rng, SHAPE, SHAPE)
+        sigma.data[...] = np.abs(sigma.data) + 0.1
+        weights = None
+        if weighted:
+            weights = rng.uniform(0.5, 2.0, size=SHAPE[:-1])
+            weights[0, :2] = 0.0  # padded positions
+        return [mu, sigma], weights
+
+    @WEIGHT_CASES
+    def test_forward_matches_reference(self, rng, weighted):
+        (mu, sigma), weights = self.case(rng, weighted)
+        got = gaussian_kl_standard_normal(mu, sigma, weights).item()
+        want = composed_gaussian_kl(mu, sigma, weights).item()
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @WEIGHT_CASES
+    def test_gradients_match_reference_and_gradcheck(self, rng, weighted):
+        inputs, weights = self.case(rng, weighted)
+
+        def kl(fn):
+            return lambda mu, sigma: fn(mu, sigma, weights) * 1.7
+
+        assert_same_gradients(
+            kl(gaussian_kl_standard_normal), kl(composed_gaussian_kl),
+            inputs, atol=1e-10,
+        )
+        gradcheck(kl(gaussian_kl_standard_normal), inputs)
+
+    def test_is_one_tape_node(self, rng):
+        (mu, sigma), weights = self.case(rng, True)
+        before = tape_node_count()
+        gaussian_kl_standard_normal(mu, sigma, weights)
+        assert tape_node_count() - before == 1
+
+    def test_zero_weight_sum_raises(self, rng):
+        (mu, sigma), _ = self.case(rng, False)
+        with pytest.raises(ValueError, match="gaussian_kl weights sum"):
+            gaussian_kl_standard_normal(mu, sigma, np.zeros(SHAPE[:-1]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_replay_refreshes_weights_and_inputs(self, rng, dtype):
+        """Under a trace the coefficients follow the (host-refreshed)
+        weights and the terms go through step-local scratch; a replay
+        after the weights empty out raises like the eager call."""
+        weights = rng.uniform(0.5, 2.0, size=SHAPE[:-1])
+        with default_dtype(dtype):
+            mu, sigma = (
+                Tensor(a, requires_grad=True)
+                for a in (rng.normal(size=SHAPE),
+                          np.abs(rng.normal(size=SHAPE)) + 0.1)
+            )
+            with trace(ProgramCache()) as tracer:
+                loss = gaussian_kl_standard_normal(mu, sigma, weights)
+                loss.backward()
+            program = build_program(tracer, loss, require_backward=True)
+            assert program is not None, tracer.reason
+            for step in range(3):
+                mu.data[...] = rng.normal(size=SHAPE)
+                sigma.data[...] = np.abs(rng.normal(size=SHAPE)) + 0.1
+                weights[...] = rng.uniform(0.5, 2.0, size=SHAPE[:-1])
+                weights[step, :step] = 0.0
+                program.replay()
+                got_loss = loss.data.tobytes()
+                program.replay_backward()
+                got = [mu.grad.copy(), sigma.grad.copy()]
+                mu.grad = sigma.grad = None
+                want = gaussian_kl_standard_normal(mu, sigma, weights)
+                want.backward()
+                assert got_loss == want.data.tobytes(), step
+                assert got[0].tobytes() == mu.grad.tobytes(), step
+                assert got[1].tobytes() == sigma.grad.tobytes(), step
+            weights[...] = 0.0
+            with pytest.raises(ValueError, match="gaussian_kl weights sum"):
+                program.replay()
 
 
 class TestKernelReplayRefreshesCopies:

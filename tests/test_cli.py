@@ -55,13 +55,17 @@ def test_train_reports_compiled_programs(csv_path, tmp_path, capsys):
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("compiled:")]
     assert len(lines) == 1, lines
-    # e.g. "compiled: 5 programs, 5 traces, hit ratio 0.500, slab 16.0 MB"
+    # e.g. "compiled: 5 programs, 5 traces, hit ratio 0.500,
+    #       slab 16.0 MB (3.2 MB placed)"
     words = lines[0].replace(",", "").split()
     programs, traces = int(words[1]), int(words[3])
     hit_ratio, slab_mb = float(words[7]), float(words[9])
+    placed_mb = float(words[11].lstrip("("))
+    assert words[12:] == ["MB", "placed)"], words
     assert programs >= 1 and traces >= programs
     assert 0.0 < hit_ratio < 1.0
     assert slab_mb > 0.0
+    assert 0.0 < placed_mb <= slab_mb
 
     assert main(base + ["--quiet"]) == 0
     assert "compiled:" not in capsys.readouterr().out
