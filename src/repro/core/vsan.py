@@ -207,7 +207,7 @@ class VSAN(NeuralSequentialRecommender):
         if not self.use_latent:
             raise RuntimeError("posterior is undefined when use_latent=False")
         mu = self.mu_head(encoded)
-        sigma = self.sigma_head(encoded).softplus() + 1e-4
+        sigma = self.sigma_head(encoded).softplus(floor=1e-4)
         return mu, sigma
 
     def latent_layer(self, mu: Tensor, sigma: Tensor,

@@ -100,7 +100,7 @@ class SVAE(NeuralSequentialRecommender):
         embedded = self.dropout(self.item_embedding(padded))
         hidden, _ = self.encoder(embedded)
         mu = self.mu_head(hidden)
-        sigma = self.sigma_head(hidden).softplus() + 1e-4
+        sigma = self.sigma_head(hidden).softplus(floor=1e-4)
         return mu, sigma
 
     def decode_hidden(self, z: Tensor) -> Tensor:

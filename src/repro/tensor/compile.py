@@ -47,7 +47,8 @@ module removes the per-step graph construction:
   nodes, zero buffer growth.  :meth:`Program.replay_backward` reruns the
   recorded backward closures in the original reverse-topological order;
   gradients land in each node's reusable ``_grad_buf``, so the steady state
-  allocates nothing.
+  allocates nothing.  :meth:`Program.profile` runs the same replays with
+  a timer around every step and closure, per op kind.
 
 - **Fallback.**  Anything the recorder cannot prove replayable — an op
   without a refire, a data-dependent output shape, an explicit backward
@@ -63,6 +64,7 @@ execution (``tests/tensor/test_compile.py`` proves it model by model).
 from __future__ import annotations
 
 import bisect
+import time
 from collections import OrderedDict
 from types import FunctionType
 
@@ -345,10 +347,8 @@ class _Liveness:
     own buffers take those bytes.
 
     The plan fails closed: when a closure captures something the walk
-    cannot see into (:func:`_reached_arrays`), or a node already holds a
-    ``.grad`` (the trace then accumulates into it, while a replay, which
-    clears every ``.grad``, would alias the handed buffer), every
-    forward span lives to the end of the backward.
+    cannot see into (:func:`_reached_arrays`), every forward span lives
+    to the end of the backward.
 
     A gradient is only ever handed from a node's closure to that node's
     parents, so after step ``i`` the tracer looks at the ``.grad`` of
@@ -396,8 +396,6 @@ class _Liveness:
     def _plan(self) -> bool:
         """Set each span's death from the closures; False when the
         closures cannot bound it."""
-        if any(node.grad is not None for node in self.steps):
-            return False
         for step, node in enumerate(self.steps):
             if node._backward is None:
                 continue
@@ -543,6 +541,10 @@ class _Tracer:
         self.root = root
         self.order = list(order)
         self.seed = np.ones_like(root.data)
+        # The traced backward starts from cleared ``.grad``s, as every
+        # replay does, so both hand gradients over alike.
+        for node in self.order:
+            node.grad = None
         # The forward is over: its step-local scratch takes its span,
         # and the backward's buffers may reuse what it no longer reads.
         self.scratch.place(self.slab)
@@ -698,16 +700,26 @@ class Program:
         The result object is the same one the trace returned; its tensors'
         arrays have been refreshed in place.  No tensors are constructed.
         """
+        self._refresh_feeds(feed_values)
+        for step in self.steps:
+            step()
+        self.replays += 1
+        return self.result
+
+    def _refresh_feeds(self, feed_values) -> None:
         if feed_values:
             feeds = self.feeds
             for name, value in feed_values.items():
                 target = feeds.get(name)
                 if target is not None:
                     np.copyto(target, value)
-        for step in self.steps:
-            step()
-        self.replays += 1
-        return self.result
+
+    def _seed_backward(self) -> None:
+        """Clear every ``.grad`` and seed the root, as the traced
+        backward started."""
+        for node in self.order:
+            node.grad = None
+        self.root._accumulate(self.seed)
 
     def replay_backward(self) -> None:
         """Rerun the recorded backward plan against the refreshed buffers.
@@ -716,17 +728,74 @@ class Program:
         retained closures in the recorded reverse-topological order.
         Gradients accumulate into each node's reusable ``_grad_buf``.
         """
-        order = self.order
-        for node in order:
-            node.grad = None
-        self.root._accumulate(self.seed)
+        self._seed_backward()
         self.scratch.in_backward = True
         try:
-            for node in reversed(order):
+            for node in reversed(self.order):
                 if node._backward is not None and node.grad is not None:
                     node._backward(node.grad)
         finally:
             self.scratch.in_backward = False
+
+    def profile(self, replays: int = 10, feed_values=None) -> dict:
+        """Time ``replays`` replays of this program, op kind by op kind.
+
+        Each replay runs exactly as :meth:`replay` and
+        :meth:`replay_backward` do, with a timer around every forward
+        step and every backward closure.  Returns a dict keyed by the
+        closure's ``__qualname__`` up to ``.<locals>`` — the op or
+        kernel that built it (``linear_cross_entropy``,
+        ``Tensor.__matmul__``, ``dropout_mask``, ...) — of dicts with
+        ``forward_ms`` and ``backward_ms`` (means per replay) and
+        ``forward_steps`` and ``backward_steps`` (how many of the
+        program's steps and closures are of that kind).  The timers add
+        their own overhead, so the totals run above a bare replay.
+
+        Like any replay, each one advances the model's RNG streams
+        (dropout masks, the reparameterization noise) and overwrites the
+        parameters' gradients.
+        """
+        table: dict[str, dict] = {}
+
+        def row(fn, column):
+            name = getattr(fn, "__qualname__", type(fn).__name__)
+            entry = table.setdefault(name.split(".<locals>.")[0], {
+                "forward_ms": 0.0, "backward_ms": 0.0,
+                "forward_steps": 0, "backward_steps": 0,
+            })
+            entry[column] += 1
+            return entry
+
+        forward = [(step, row(step, "forward_steps")) for step in self.steps]
+        backward = [
+            (node, row(node._backward, "backward_steps"))
+            for node in reversed(self.order or ())
+            if node._backward is not None
+        ]
+        clock = time.perf_counter
+        for _ in range(replays):
+            self._refresh_feeds(feed_values)
+            for step, entry in forward:
+                start = clock()
+                step()
+                entry["forward_ms"] += clock() - start
+            self.replays += 1
+            if not backward:
+                continue
+            self._seed_backward()
+            self.scratch.in_backward = True
+            try:
+                for node, entry in backward:
+                    if node.grad is not None:
+                        start = clock()
+                        node._backward(node.grad)
+                        entry["backward_ms"] += clock() - start
+            finally:
+                self.scratch.in_backward = False
+        for entry in table.values():
+            entry["forward_ms"] *= 1e3 / replays
+            entry["backward_ms"] *= 1e3 / replays
+        return table
 
 
 def build_program(tracer: _Tracer, result, require_backward: bool = False):

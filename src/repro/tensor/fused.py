@@ -35,7 +35,12 @@ Derivations (all standard):
   matrix of rows ``c_p · (softmax(x_p) − onehot_p)``, the chain rule
   through ``X = H_P W + b`` gives ``dH_P = G Wᵀ`` (scattered back into
   the full row set, zero at padded rows), ``dW = H_Pᵀ G`` and
-  ``db = Σ_p G_p``.  ``G`` overwrites the one logit buffer in place.
+  ``db = Σ_p G_p``.  Every term is a sum over rows, so the kernel walks
+  ``H_P`` in row tiles ``H_t``: each tile's logits, in an L2-sized
+  step-local buffer, become ``G_t`` in place, and ``dW += H_tᵀ G_t``,
+  ``db += 1ᵀ G_t`` and ``dH_t = G_t Wᵀ`` are formed right away (with
+  ``dloss = 1``; the backward scales them by the incoming gradient).
+  No ``(P, |I|)`` matrix is ever held.
 - **Layer norm** ``y = γ x̂ + β`` with ``x̂ = (x − μ) / √(σ² + ε)``:
   ``dx = (dx̂ − mean(dx̂) − x̂ · mean(dx̂ ∘ x̂)) / √(σ² + ε)`` where
   ``dx̂ = dy ∘ γ``, plus the usual reductions for ``dγ`` / ``dβ``.
@@ -61,7 +66,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compile import record_host, step_scratch, tracing
-from .tensor import Tensor, _retain
+from .tensor import Tensor, _retain, is_grad_enabled
 
 __all__ = [
     "masked_fill_value",
@@ -206,6 +211,20 @@ def _refresh_coeff(weights_src, coeff, dtype, message: str) -> None:
     np.divide(flat, total, out=coeff)
 
 
+#: Bytes of one row tile of logits in :func:`linear_cross_entropy`:
+#: about one core's L2, so each tile's exps, softmax and gradient GEMMs
+#: run on cache-resident data.
+_TILE_BYTES = 1 << 20
+#: Fewest rows per tile, so that very wide catalogues still run GEMMs.
+_MIN_TILE_ROWS = 64
+
+
+def _tile_rows(num_classes: int, dtype) -> int:
+    """Rows per logit tile of :func:`linear_cross_entropy`."""
+    row_bytes = num_classes * np.dtype(dtype).itemsize
+    return max(_MIN_TILE_ROWS, _TILE_BYTES // row_bytes)
+
+
 def linear_cross_entropy(
     hidden: Tensor,
     weight: Tensor,
@@ -224,37 +243,60 @@ def linear_cross_entropy(
     the loss, and their ``hidden`` gradient is exactly zero.  With
     ``weights=None`` every row is supervised with weight 1.
 
-    All buffers are sized for every row, and each call (and each replay
-    of a compiled program) uses their leading ``P`` rows, where ``P`` is
-    this batch's count of supervised rows: one ``(rows, num_classes)``
-    buffer holds the logits, then the exps, then the logit gradient.
-    The loss is the weighted sum of per-row NLL divided by the total
-    weight, and matches the composed-logits reference to float64
-    round-off.
+    The forward walks the ``P`` supervised rows of this batch (or
+    replay) in row tiles of about ``_TILE_BYTES`` of logits, held in
+    step-local scratch: it never holds the ``(P, num_classes)`` logit
+    matrix.  When the node is on the tape, each tile's logits are
+    turned in place into the logit gradient (taken with an upstream
+    gradient of 1) and folded into ``dW``, ``db`` and the scattered
+    ``dH`` right away; the backward only scales those by its incoming
+    gradient when that is not 1.  The loss is the weighted sum of
+    per-row NLL divided by the total weight, and matches the
+    composed-logits reference to float64 round-off.
     """
     dim = hidden.shape[-1]
     num_rows = hidden.size // dim
     num_classes = weight.shape[-1]
     dtype = hidden.dtype
+    tile = min(num_rows, _tile_rows(num_classes, dtype))
     targets_src = targets
     weights_src = weights
     targets = np.asarray(targets, dtype=np.int64).reshape(-1)
     targets_copied = not np.shares_memory(targets, targets_src)
     all_rows = np.arange(num_rows)
-    # Replay rewrites the leading rows of these before reading them.
-    gathered = _retain(np.empty((num_rows, dim), dtype=dtype))
-    logits = _retain(np.empty((num_rows, num_classes), dtype=dtype))
-    row_max = _retain(np.empty(num_rows, dtype=dtype))
-    sum_exp = _retain(np.empty(num_rows, dtype=dtype))
+    parents = (hidden, weight) if bias is None else (hidden, weight, bias)
+    on_tape = is_grad_enabled() and any(p.requires_grad for p in parents)
+
+    # Gradients with an upstream gradient of 1, formed by every forward
+    # and read by the backward; None when no gradient flows there.
+    def gradient_buffer(parent, shape):
+        if parent is None or not (on_tape and parent.requires_grad):
+            return None
+        return _retain(np.empty(shape, dtype=dtype))
+
+    d_weight = gradient_buffer(weight, (dim, num_classes))
+    d_bias = gradient_buffer(bias, (num_classes,))
+    d_hidden = gradient_buffer(hidden, (num_rows, dim))
+    # One step-local span: a tile's logits and gathered rows, its row
+    # maxima and exp sums, every supervised row's NLL, and one tile's
+    # dW and db products.
+    sizes = (
+        tile * num_classes, tile * dim, tile, tile, num_rows,
+        0 if d_weight is None else dim * num_classes,
+        0 if d_bias is None else num_classes,
+    )
+    scratch = step_scratch((sum(sizes),), dtype)
+    offsets = np.cumsum(sizes[:-1])
+    ones = np.ones(tile, dtype=dtype)
+    ones_classes = np.ones(num_classes, dtype=dtype)
     out = _retain(np.zeros((), dtype=dtype))
     # Averaging coefficients of the supervised rows, recomputed by every
     # forward from the (host-refreshed) weights.
     coeff = np.full(num_rows, 1.0 / num_rows, dtype=dtype)
-    index = all_rows  # supervised rows, and their targets: set by
-    picked_targets = None  # every forward, read by the backward
+    index = all_rows  # supervised rows, set by every forward
 
     def forward():
-        nonlocal index, picked_targets
+        nonlocal index
         if targets_copied:
             targets[...] = np.asarray(
                 targets_src, dtype=np.int64
@@ -267,68 +309,72 @@ def linear_cross_entropy(
             index = np.flatnonzero(flat)
             np.divide(flat[index], total, out=coeff[:index.size])
         count = index.size
-        picked_targets = targets[index]
-        rows = gathered[:count]
-        # mode="clip" (the indices are in range) writes ``out`` directly;
-        # the default "raise" would go through a temporary.
-        np.take(hidden.data.reshape(-1, dim), index, axis=0, out=rows,
-                mode="clip")
-        scores = logits[:count]
-        np.matmul(rows, weight.data, out=scores)
-        if bias is not None:
-            np.add(scores, bias.data, out=scores)
-        shift = row_max[:count]
-        np.max(scores, axis=1, out=shift)
-        np.subtract(scores, shift[:, None], out=scores)
-        # Gather the target entries before the in-place exp turns the
-        # shifted logits into the exps the backward normalizes.
-        target_shifted = scores[all_rows[:count], picked_targets]
-        np.exp(scores, out=scores)
-        total_exp = sum_exp[:count]
-        np.sum(scores, axis=1, out=total_exp)
-        nll = np.log(total_exp) - target_shifted
-        out[...] = (nll * coeff[:count]).sum()
+        logits, gathered, row_max, sum_exp, nll, tile_dw, tile_db = (
+            np.split(scratch(), offsets)
+        )
+        gathered = gathered.reshape(tile, dim)
+        tile_dw = tile_dw.reshape(-1, num_classes)
+        hidden_rows = hidden.data.reshape(-1, dim)
+        for buf in (d_weight, d_bias, d_hidden):
+            if buf is not None:
+                buf.fill(0)
+        for start in range(0, count, tile):
+            rows_index = index[start:start + tile]
+            size = rows_index.size
+            picked = targets[rows_index]
+            rows = gathered[:size]
+            # mode="clip" (the indices are in range) writes ``out``
+            # directly; the default "raise" goes through a temporary.
+            np.take(hidden_rows, rows_index, axis=0, out=rows, mode="clip")
+            scores = logits[:size * num_classes].reshape(size, num_classes)
+            np.matmul(rows, weight.data, out=scores)
+            if bias is not None:
+                np.add(scores, bias.data, out=scores)
+            shift, total_exp = row_max[:size], sum_exp[:size]
+            np.max(scores, axis=1, out=shift)
+            np.subtract(scores, shift[:, None], out=scores)
+            # The target entries, before the in-place exp.
+            target_shifted = scores[all_rows[:size], picked]
+            np.exp(scores, out=scores)
+            np.matmul(scores, ones_classes, out=total_exp)
+            tile_nll = nll[start:start + size]
+            np.log(total_exp, out=tile_nll)
+            np.subtract(tile_nll, target_shifted, out=tile_nll)
+            if not on_tape:
+                continue
+            # G = (softmax − onehot) · coeff, in place over the exps,
+            # with one per-row factor coeff / Σexp (over the row maxima).
+            tile_coeff = coeff[start:start + size]
+            factor = np.divide(tile_coeff, total_exp, out=shift)
+            np.multiply(scores, factor[:, None], out=scores)
+            scores[all_rows[:size], picked] -= tile_coeff
+            if d_weight is not None:
+                np.matmul(rows.T, scores, out=tile_dw)
+                np.add(d_weight, tile_dw, out=d_weight)
+            if d_bias is not None:
+                np.matmul(ones[:size], scores, out=tile_db)
+                np.add(d_bias, tile_db, out=d_bias)
+            if d_hidden is not None:
+                # dW has read the gathered rows: they take G Wᵀ.
+                np.matmul(scores, weight.data.T, out=rows)
+                d_hidden[rows_index] = rows
+        out[...] = (nll[:count] * coeff[:count]).sum()
 
     forward()
-    # Backward buffers, allocated by the first backward (eager, or the
-    # traced step) and rewritten in place by every replay.
-    d_weight = d_bias = d_hidden = None
 
     def backward(grad):
-        nonlocal d_weight, d_bias, d_hidden
-        count = index.size
-        rows = gathered[:count]
-        # G = (softmax − onehot) · grad · coeff, in place over the exps.
-        scores = logits[:count]
-        np.divide(scores, sum_exp[:count, None], out=scores)
-        scores[all_rows[:count], picked_targets] -= 1.0
-        scores *= (float(np.asarray(grad)) * coeff[:count])[:, None]
-        # dW and db are copied into the parameters' own gradient
-        # buffers, so no parameter .grad aliases these scratch buffers.
-        if weight.requires_grad:
-            if d_weight is None:
-                d_weight = _retain(rows.T @ scores)
-            else:
-                np.matmul(rows.T, scores, out=d_weight)
+        scale = float(np.asarray(grad))
+        for buf in (d_weight, d_bias, d_hidden):
+            if buf is not None and scale != 1.0:
+                np.multiply(buf, scale, out=buf)
+        # dW and db are copied into the parameters' own gradient buffers.
+        if d_weight is not None:
             weight._accumulate(d_weight)
-        if bias is not None and bias.requires_grad:
-            if d_bias is None:
-                d_bias = _retain(scores.sum(axis=0))
-            else:
-                np.sum(scores, axis=0, out=d_bias)
+        if d_bias is not None:
             bias._accumulate(d_bias)
-        if hidden.requires_grad:
-            # dW has read H_P, so its buffer takes G Wᵀ; the padded rows
-            # of the scattered gradient stay exactly zero.
-            np.matmul(scores, weight.data.T, out=rows)
-            if d_hidden is None:
-                d_hidden = _retain(np.zeros((num_rows, dim), dtype=dtype))
-            else:
-                d_hidden.fill(0)
-            d_hidden[index] = rows
+        if d_hidden is not None:
             hidden._accumulate_owned(d_hidden.reshape(hidden.shape))
 
-    parents = (hidden, weight) if bias is None else (hidden, weight, bias)
     return Tensor._make(out, parents, backward, forward)
 
 

@@ -745,10 +745,15 @@ class Tensor:
 
         return Tensor._make(data, (self,), backward, forward)
 
-    def softplus(self) -> "Tensor":
-        # log(1 + exp(x)) in the stable form max(x, 0) + log1p(exp(-|x|)),
-        # an order of magnitude faster than np.logaddexp in float32.
-        # exp(-|x|) may underflow to 0, which is the exact limit.
+    def softplus(self, floor: float = 0.0) -> "Tensor":
+        """``log(1 + exp(x)) + floor``.
+
+        The stable form ``max(x, 0) + log1p(exp(-|x|))``, an order of
+        magnitude faster than ``np.logaddexp`` in float32; ``exp(-|x|)``
+        may underflow to 0, which is the exact limit.  A nonzero
+        ``floor`` is added last, in the same node, so the result equals
+        ``softplus() + floor`` bitwise.
+        """
         sa = self.data
         data = _retain(np.empty(sa.shape, dtype=sa.dtype))
         tail = _retain(np.empty(sa.shape, dtype=sa.dtype))
@@ -761,6 +766,8 @@ class Tensor:
             np.log1p(tail, out=tail)
             np.maximum(sa, 0, out=data)
             np.add(data, tail, out=data)
+            if floor:
+                np.add(data, floor, out=data)
 
         forward()
         grad_buf = None

@@ -32,6 +32,7 @@ from repro.tensor import (
     linear_cross_entropy,
     tape_node_count,
 )
+from repro.tensor import fused as fused_module
 from repro.tensor.tensor import _retain as retain
 from repro.tensor import compile as compile_module
 from repro.tensor.compile import (
@@ -225,6 +226,39 @@ def eager_scoring(monkeypatch, model):
             model, histories
         )
     )
+
+
+class TestProfile:
+    def test_profile_covers_every_step_and_replays_exactly(self):
+        """``Program.profile`` counts every forward step and backward
+        closure once under its op kind, lists the output head, and
+        leaves the gradients a plain replay leaves (on a twin model)."""
+        profiled, replayed = (
+            VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3, dropout_rate=0.2,
+                 annealing=ConstantBeta(0.2))
+            for _ in range(2)
+        )
+        rows = make_batches(NUM_ITEMS, WIDTH + 1, 8, 1)[0]
+        for model in (profiled, replayed):
+            model.train()
+            training_step_values(model, rows)  # the trace
+        program, _terms = programs_for(profiled).get(
+            _training_key(profiled, rows)
+        )
+        table = program.profile(replays=2, feed_values={"rows": rows})
+        for _ in range(2):
+            training_step_values(replayed, rows)
+        assert program.replays == 2
+        assert_same_grads(grads_of(replayed), grads_of(profiled), "grads")
+        head = table["linear_cross_entropy"]
+        assert (head["forward_steps"], head["backward_steps"]) == (1, 1)
+        assert head["forward_ms"] > 0 and head["backward_ms"] > 0
+        assert sum(
+            entry["forward_steps"] for entry in table.values()
+        ) == len(program.steps)
+        assert sum(
+            entry["backward_steps"] for entry in table.values()
+        ) == sum(node._backward is not None for node in program.order)
 
 
 class TestEvalCompiled:
@@ -759,12 +793,12 @@ class TestLinearCrossEntropyReplay:
         assert len(cache.keys()) == 1, cache.keys()
         assert cache.hits == len(batches) - 1
 
-    def test_vsan_program_retains_one_vocabulary_wide_buffer(
-        self, monkeypatch
-    ):
-        """Re-materialised logits (a GEMM output, a ``+bias`` output, CE
-        exps, a softmax grad) would each add a ``(B·L, |I|+1)`` buffer
-        to the program's slab layout."""
+    def test_vsan_program_retains_no_logit_matrix(self, monkeypatch):
+        """At the ``perfbench train`` shape the head walks its supervised
+        rows in tiles held in step-local scratch: no buffer the program
+        keeps in the slab is as large as one tile of logits plus a row,
+        let alone the ``(P, |I|+1)`` logit matrix, and its layout
+        places at most 35 MB (43 MB with the whole logit matrix)."""
         taken = []
         take = compile_module._Slab.take
 
@@ -773,20 +807,36 @@ class TestLinearCrossEntropyReplay:
             return take(slab, array)
 
         monkeypatch.setattr(compile_module._Slab, "take", spy)
-        model = VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3,
-                     annealing=ConstantBeta(0.2))
-        model.train()
-        batch, width = 8, WIDTH + 1
-        rows = make_batches(NUM_ITEMS, width, batch, 1)[0]
-        training_step_values(model, rows)
-        cache = programs_for(model)
-        assert cache.get(_training_key(model, rows)) is not DYNAMIC
-        positions = batch * (width - 1)
+        program, _cache = perfbench_program()
+        classes = 1111
+        tile = fused_module._tile_rows(classes, np.float32)
+        assert 200 <= tile <= 250, tile
         wide = [
             shape for shape in taken
-            if int(np.prod(shape)) >= positions * (NUM_ITEMS + 1)
+            if int(np.prod(shape)) >= (tile + 1) * classes
         ]
-        assert wide == [(positions, NUM_ITEMS + 1)], wide
+        assert wide == [], wide
+        assert program.placed_bytes <= 35 << 20, program.placed_bytes
+
+
+def perfbench_program():
+    """The largest ``perfbench train`` program, traced on a synthetic
+    batch: VSAN with d = 48 and ~1.1k items in float32, batch key
+    ``(123, 27)``.  Returns it and its model's program cache."""
+    rng = np.random.default_rng(0)
+    rows = np.zeros((123, 27), dtype=np.int64)
+    for r in range(len(rows)):
+        length = rng.integers(2, 28)
+        rows[r, 27 - length:] = rng.integers(1, 1111, size=length)
+    with default_dtype(np.float32):
+        model = VSAN(1110, 30, dim=48, h1=1, h2=1, dropout_rate=0.2,
+                     seed=1, annealing=ConstantBeta(0.01))
+        model.train()
+        training_step_values(model, rows)
+        key = _training_key(model, rows)
+    cache = programs_for(model)
+    program, _terms = cache.get(key)
+    return program, cache
 
 
 # ----------------------------------------------------------------------
@@ -884,24 +934,34 @@ class TestBackwardPlacement:
         assert not any(program.frees)
         check_replays(program, loss, (a, c), rng)
 
-    def test_stale_gradient_keeps_every_span(self, monkeypatch):
-        """A trace that starts with a leaf holding a ``.grad`` adds the
-        handed buffer into it, while a replay (which clears every
-        ``.grad``) aliases it: such a trace pins every span."""
+    def test_traced_backward_clears_stale_gradients(self, monkeypatch):
+        """A training step called while the parameters hold stale
+        ``.grad``s returns the gradients of a zero-started eager step,
+        on the traced call and on every replay alike, and its plan still
+        reuses forward bytes: the traced backward clears every ``.grad``
+        first, as a replay does."""
         poison_at_death(monkeypatch)
-        rng = np.random.default_rng(2)
-        a = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
-        c = Tensor(rng.normal(size=(8, 6)), requires_grad=True)
-
-        def loss():
-            return ((hand_over(a) * c).exp() * c).sum()
-
-        a.grad = np.ones(a.shape)
-        with trace(ProgramCache()) as tracer:
-            loss().backward()
-        program = build_program(tracer, None, require_backward=True)
-        assert not any(program.frees)
-        check_replays(program, loss, (a, c), rng)
+        compiled, eager = (
+            VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3, dropout_rate=0.2,
+                 annealing=ConstantBeta(0.2))
+            for _ in range(2)
+        )
+        rows = make_batches(NUM_ITEMS, WIDTH + 1, 8, 1)[0]
+        for call in range(3):  # the trace, then two replays
+            for model in (compiled, eager):
+                model.train()
+            for param in compiled.parameters():
+                param.grad = np.ones_like(param.data)
+            got = training_step_values(compiled, rows)
+            eager.zero_grad()
+            want = eager_step_values(eager, rows)
+            assert got == want, (call, got, want)
+            assert_same_grads(grads_of(eager), grads_of(compiled), call)
+        program, _terms = programs_for(compiled).get(
+            _training_key(compiled, rows)
+        )
+        assert program.replays == 2
+        assert any(program.frees)
 
     def test_step_scratch_inside_a_backward_raises(self):
         """The backward's buffers reuse the step-local span, so a
@@ -942,19 +1002,7 @@ class TestBackwardPlacement:
         """At the ``perfbench train`` shape (d = 48, batch key
         ``(123, 27)``, ~1.1k items, float32) a VSAN training program's
         layout spans at most 0.75x the bytes it keeps in the slab."""
-        rng = np.random.default_rng(0)
-        rows = np.zeros((123, 27), dtype=np.int64)
-        for r in range(len(rows)):
-            length = rng.integers(2, 28)
-            rows[r, 27 - length:] = rng.integers(1, 1111, size=length)
-        with default_dtype(np.float32):
-            model = VSAN(1110, 30, dim=48, h1=1, h2=1, dropout_rate=0.2,
-                         seed=1, annealing=ConstantBeta(0.01))
-            model.train()
-            training_step_values(model, rows)
-            key = _training_key(model, rows)
-        cache = programs_for(model)
-        program, _terms = cache.get(key)
+        program, cache = perfbench_program()
         assert program.placed_bytes <= 0.75 * program.resident_bytes, (
             program.placed_bytes, program.resident_bytes
         )
@@ -963,8 +1011,9 @@ class TestBackwardPlacement:
 
     def test_draw_buffers_share_one_step_local_span(self):
         """Every float64 draw buffer of a float32 program (dropout masks,
-        the reparameterization noise) and the KL's term buffer live in
-        one span, sized to the largest of them."""
+        the reparameterization noise), the KL's term buffer and the
+        output head's tile scratch live in one span, sized to the
+        largest of them."""
         rows = make_batches(NUM_ITEMS, WIDTH + 1, 8, 1)[0]
         with default_dtype(np.float32):
             model = VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3,
@@ -988,14 +1037,14 @@ class TestBackwardPlacement:
         draws = [shape for shape, dtype in requests if dtype == np.float64]
         assert len(draws) >= 3, requests
         positions = 8 * WIDTH
+        assert max(int(np.prod(shape)) for shape in draws) == positions * 16
         largest = max(
             int(np.prod(shape)) * dtype.itemsize for shape, dtype in requests
         )
-        assert largest == positions * 16 * 8
         # Every getter hands out the same bytes: one span in the slab.
         program, _terms = programs_for(model).get(key)
         span = program.scratch.buffer
-        assert span.nbytes == positions * 16 * 8
+        assert span.nbytes == largest
         assert any(np.shares_memory(span, chunk)
                    for chunk in programs_for(model).slab.chunks)
         for getter in getters:

@@ -3,6 +3,7 @@ forward parity to 1e-10 in float64, gradient parity via finite
 differences, dtype-policy behaviour, and a hypothesis property test for
 attention under random padding masks."""
 
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -24,11 +25,13 @@ from repro.tensor import (
     linear_cross_entropy,
     masked_fill_value,
     multi_hot_cross_entropy,
+    no_grad,
     reparameterize,
     residual_dropout_norm,
     set_default_dtype,
     tape_node_count,
 )
+from repro.tensor import fused as fused_module
 from repro.tensor.compile import ProgramCache, build_program, trace
 from tests.reference import (
     composed_attention,
@@ -188,6 +191,14 @@ def linear_ce_grads(fn, hidden, weight, bias, targets, weights):
     return loss.item(), [leaf.grad for leaf in leaves]
 
 
+@pytest.fixture
+def five_row_tiles(monkeypatch):
+    """Tiles of five rows for any catalogue, so small cases span
+    several tiles and end on a ragged one."""
+    monkeypatch.setattr(fused_module, "_TILE_BYTES", 1)
+    monkeypatch.setattr(fused_module, "_MIN_TILE_ROWS", 5)
+
+
 class TestLinearCrossEntropy:
     """The fused head + loss against composed ``hidden @ W + b`` logits
     and the reference loss, over the supervised rows only."""
@@ -214,17 +225,27 @@ class TestLinearCrossEntropy:
         for name, g, w in zip(("hidden", "weight", "bias"), got, want):
             np.testing.assert_allclose(g, w, atol=1e-10, err_msg=name)
 
-    @pytest.mark.parametrize("variant", [
+    VARIANTS = pytest.mark.parametrize("variant", [
         "weighted", "no_bias", "no_weights", "fractional",
     ])
-    def test_parity_and_gradcheck(self, rng, variant):
-        hidden, weight, bias, targets, weights = self.case(rng)
+
+    # Row tiles: parity, gradients and replays must not depend on where
+    # the tile boundaries fall.  TILED is 28 rows, of which more than ten
+    # are supervised, in counts that five-row tiles leave ragged.
+    TILED = dict(batch=4, length=7)
+
+    def variant_case(self, rng, variant, **shape):
+        hidden, weight, bias, targets, weights = self.case(rng, **shape)
         if variant == "no_bias":
             bias = None
         elif variant == "no_weights":
             weights = None
         elif variant == "fractional":
             weights = weights * rng.uniform(0.1, 2.0, size=weights.shape)
+        return hidden, weight, bias, targets, weights
+
+    def check_parity_and_gradcheck(self, hidden, weight, bias, targets,
+                                   weights):
         self.assert_parity(hidden, weight, bias, targets, weights)
         leaves = [Tensor(a, requires_grad=True) for a in (hidden, weight)]
         if bias is not None:
@@ -235,6 +256,10 @@ class TestLinearCrossEntropy:
             ),
             leaves,
         )
+
+    @VARIANTS
+    def test_parity_and_gradcheck(self, rng, variant):
+        self.check_parity_and_gradcheck(*self.variant_case(rng, variant))
 
     def test_tied_head_parity_and_gradcheck(self, rng):
         """A tied head passes ``item_embedding.weight.T``: a non-leaf
@@ -290,13 +315,21 @@ class TestLinearCrossEntropy:
         )
         assert np.isnan(loss)
 
-    def test_zero_weights_raise(self, rng):
-        hidden, weight, bias, targets, _ = self.case(rng)
+    def test_zero_weights_raise(self, rng, five_row_tiles):
+        """At the call, and on a replay whose weights empty out."""
+        hidden, weight, bias, targets, weights = self.case(rng, **self.TILED)
+        leaves = [
+            Tensor(a, requires_grad=True) for a in (hidden, weight, bias)
+        ]
         with pytest.raises(ValueError, match="weights sum to zero"):
-            linear_cross_entropy(
-                Tensor(hidden), Tensor(weight), Tensor(bias), targets,
-                weights=np.zeros(targets.shape),
-            )
+            linear_cross_entropy(*leaves, targets, np.zeros(targets.shape))
+        with trace(ProgramCache()) as tracer:
+            loss = linear_cross_entropy(*leaves, targets, weights)
+            loss.backward()
+        program = build_program(tracer, loss, require_backward=True)
+        weights[...] = 0.0
+        with pytest.raises(ValueError, match="weights sum to zero"):
+            program.replay()
 
     def test_float32_matches_reference(self, rng):
         hidden, weight, bias, targets, weights = self.case(rng)
@@ -309,6 +342,99 @@ class TestLinearCrossEntropy:
                 targets, weights,
             )
         assert abs(got - want) < 1e-5
+
+    @VARIANTS
+    def test_parity_and_gradcheck_across_tiles(self, rng, five_row_tiles,
+                                               variant):
+        case = self.variant_case(rng, variant, **self.TILED)
+        targets, weights = case[3:]
+        supervised = targets.size if weights is None else \
+            np.count_nonzero(weights)
+        assert supervised > 10 and supervised % 5, supervised
+        self.check_parity_and_gradcheck(*case)
+
+    def test_parity_at_the_tile_row_floor(self, rng):
+        """A catalogue too wide for 64 rows of logits in one tile still
+        walks 64-row tiles: 150 rows take three, the last of 22."""
+        classes = 2100
+        assert fused_module._tile_rows(classes, np.float64) == 64
+        hidden, weight, bias, targets, _ = self.case(
+            rng, batch=3, length=50, dim=8, classes=classes
+        )
+        self.assert_parity(hidden, weight, bias, targets, None)
+
+    def test_upstream_gradient_scales_the_gradients_exactly(
+        self, rng, five_row_tiles
+    ):
+        hidden, weight, bias, targets, weights = self.case(rng, **self.TILED)
+        _, plain = linear_ce_grads(
+            linear_cross_entropy, hidden, weight, bias, targets, weights
+        )
+        _, tripled = linear_ce_grads(
+            lambda *args: linear_cross_entropy(*args) * 3.0,
+            hidden, weight, bias, targets, weights,
+        )
+        for name, got, want in zip(("hidden", "weight", "bias"), tripled,
+                                   plain):
+            assert got.tobytes() == (want * 3.0).tobytes(), name
+
+    def test_replays_cross_tile_boundaries_both_ways(
+        self, rng, five_row_tiles
+    ):
+        """Traced with two tiles, replayed with one, three, an exact
+        multiple of the tile and every row: each replay matches an
+        eager call bitwise, with the slab poisoned before it."""
+        hidden, weight, bias, targets, _ = self.case(rng, **self.TILED)
+        weights = np.zeros(targets.shape)
+        weights.reshape(-1)[:8] = 1.0
+        leaves = [
+            Tensor(a, requires_grad=True) for a in (hidden, weight, bias)
+        ]
+        cache = ProgramCache()
+        with trace(cache) as tracer:
+            loss = linear_cross_entropy(*leaves, targets, weights)
+            loss.backward()
+        program = build_program(tracer, loss, require_backward=True)
+        assert program is not None, tracer.reason
+        for supervised in (3, 14, 5, targets.size, 9):
+            hidden[...] = rng.normal(size=hidden.shape)
+            targets[...] = rng.integers(0, 7, size=targets.shape)
+            weights[...] = 0.0
+            weights.reshape(-1)[
+                rng.choice(weights.size, supervised, replace=False)
+            ] = rng.uniform(0.5, 2.0, size=supervised)
+            for chunk in cache.slab.chunks:
+                chunk.fill(0xFF)
+            program.replay()
+            got_loss = loss.data.tobytes()
+            program.replay_backward()
+            want_loss, want = linear_ce_grads(
+                linear_cross_entropy, hidden, weight, bias, targets, weights
+            )
+            assert got_loss == np.asarray(want_loss).tobytes(), supervised
+            for leaf, ref in zip(leaves, want):
+                assert leaf.grad.tobytes() == ref.tobytes(), supervised
+
+    def test_loss_without_gradients_keeps_no_gradient_buffer(self, rng):
+        """Without a parent that requires grad (or under ``no_grad``)
+        the kernel computes the loss only: the one buffer it keeps is
+        the loss itself."""
+        hidden, weight, bias, targets, weights = self.case(rng, **self.TILED)
+        want = linear_cross_entropy(
+            Tensor(hidden, requires_grad=True), Tensor(weight), Tensor(bias),
+            targets, weights,
+        ).item()
+        for grad_parents in (False, True):
+            leaves = [
+                Tensor(a, requires_grad=grad_parents)
+                for a in (hidden, weight, bias)
+            ]
+            with trace(ProgramCache()) as tracer, \
+                    no_grad() if grad_parents else nullcontext():
+                loss = linear_cross_entropy(*leaves, targets, weights)
+            assert loss.item() == want
+            assert not loss.requires_grad
+            assert tracer.slab.resident == loss.data.nbytes, grad_parents
 
 
 class TestFusedLayerNormParity:

@@ -154,6 +154,24 @@ class TestElementwise:
             else:
                 np.testing.assert_array_max_ulp(out, expected, maxulp=2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softplus_floor_equals_adding_it_after(self, rng, dtype):
+        """``softplus(floor=c)`` is one node whose value and gradient
+        equal those of ``softplus() + c`` bitwise."""
+        x = np.concatenate([30.0 * rng.normal(size=500), [-1e4, 1e4, -0.0]])
+        grad = rng.normal(size=x.shape)
+        with default_dtype(dtype):
+            results = []
+            for floored in (lambda a: a.softplus(floor=1e-4),
+                            lambda a: a.softplus() + 1e-4):
+                a = Tensor(x, requires_grad=True)
+                out = floored(a)
+                out.backward(grad)
+                results.append((out.numpy().tobytes(), a.grad.tobytes()))
+        assert results[0] == results[1]
+        gradcheck(lambda a: a.softplus(floor=0.5).sum(),
+                  [Tensor(rng.normal(size=(3, 4)), requires_grad=True)])
+
     def test_clip(self, rng):
         a = Tensor(rng.normal(size=(4, 4)) * 2, requires_grad=True)
         gradcheck(lambda a: a.clip(-1.0, 1.0).sum(), [a])
