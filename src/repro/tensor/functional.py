@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compile import record_host, step_scratch, tracing
+from .compile import record_host, tracing
 from .fused import fused_multi_hot_cross_entropy, gaussian_kl_standard_normal
+from .random import keep_mask
 from .tensor import Tensor, _retain
 
 __all__ = [
@@ -69,32 +70,22 @@ def multi_hot_cross_entropy(
 
 def dropout_mask(shape: tuple[int, ...], dtype, rate: float,
                  rng: np.random.Generator) -> np.ndarray:
-    """A fresh inverted-dropout scale mask: ``1/(1 − rate)`` where a
-    unit is kept, 0 where it is dropped, in ``dtype``.
+    """A fresh inverted-dropout scale mask in ``dtype``: ``2¹⁶ / T``
+    where a unit is kept, 0 where it is dropped, drawn by
+    :func:`repro.tensor.random.keep_mask` with ``keep = 1 − rate``.
 
-    The keep decisions come from float64 ``rng.random`` draws whatever
-    ``dtype`` is, so the stream does not depend on the compute dtype.
-    Under a trace each replay rewrites the mask in place from the next
-    draws of the same generator object; draws, mask and generator state
-    are bitwise those of ``((rng.random(shape) < keep) / keep)
-    .astype(dtype)``.
+    The keep decisions come from uint16 lanes of raw generator words,
+    so they do not depend on the compute dtype.  Under a trace each
+    replay rewrites the mask in place from the next words of the same
+    generator object, exactly as the eager draw does.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
-    scale = np.dtype(dtype).type(1.0 / keep)
     mask = _retain(np.empty(shape, dtype=dtype))
-    # Non-float64 masks draw into step-local scratch.
-    draws = None if mask.dtype == np.float64 else step_scratch(
-        shape, np.float64
-    )
 
     def refresh():
-        buf = mask if draws is None else draws()
-        rng.random(out=buf)
-        # The 0/1 keep decisions land in the mask itself, then scale.
-        np.less(buf, keep, out=mask)
-        np.multiply(mask, scale, out=mask)
+        keep_mask(rng, keep, mask)
 
     refresh()
     if tracing():

@@ -66,6 +66,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compile import record_host, step_scratch, tracing
+from .random import noise_scratch_size, normal_noise
 from .tensor import Tensor, _retain, is_grad_enabled
 
 __all__ = [
@@ -278,12 +279,13 @@ def linear_cross_entropy(
     d_bias = gradient_buffer(bias, (num_classes,))
     d_hidden = gradient_buffer(hidden, (num_rows, dim))
     # One step-local span: a tile's logits and gathered rows, its row
-    # maxima and exp sums, every supervised row's NLL, and one tile's
-    # dW and db products.
+    # maxima and exp sums, every supervised row's NLL, one tile's dW and
+    # db products, and a contiguous copy of Wᵀ for the dH GEMMs.
     sizes = (
         tile * num_classes, tile * dim, tile, tile, num_rows,
         0 if d_weight is None else dim * num_classes,
         0 if d_bias is None else num_classes,
+        0 if d_hidden is None else num_classes * dim,
     )
     scratch = step_scratch((sum(sizes),), dtype)
     offsets = np.cumsum(sizes[:-1])
@@ -309,11 +311,15 @@ def linear_cross_entropy(
             index = np.flatnonzero(flat)
             np.divide(flat[index], total, out=coeff[:index.size])
         count = index.size
-        logits, gathered, row_max, sum_exp, nll, tile_dw, tile_db = (
-            np.split(scratch(), offsets)
-        )
+        (logits, gathered, row_max, sum_exp, nll, tile_dw, tile_db,
+         weight_t) = np.split(scratch(), offsets)
         gathered = gathered.reshape(tile, dim)
         tile_dw = tile_dw.reshape(-1, num_classes)
+        if d_hidden is not None:
+            # G Wᵀ reads Wᵀ row-major: a strided ``weight.data.T`` would
+            # slow every tile's GEMM.
+            weight_t = weight_t.reshape(num_classes, dim)
+            np.copyto(weight_t, weight.data.T)
         hidden_rows = hidden.data.reshape(-1, dim)
         for buf in (d_weight, d_bias, d_hidden):
             if buf is not None:
@@ -356,7 +362,7 @@ def linear_cross_entropy(
                 np.add(d_bias, tile_db, out=d_bias)
             if d_hidden is not None:
                 # dW has read the gathered rows: they take G Wᵀ.
-                np.matmul(scores, weight.data.T, out=rows)
+                np.matmul(scores, weight_t, out=rows)
                 d_hidden[rows_index] = rows
         out[...] = (nll[:count] * coeff[:count]).sum()
 
@@ -681,24 +687,18 @@ def reparameterize(mu: Tensor, sigma: Tensor,
                    rng: np.random.Generator) -> Tensor:
     """The reparameterized sample ``z = mu + sigma ∘ eps`` of Eq. 13 as
     one tape node, ``eps ~ N(0, I)`` drawn from ``rng`` in ``mu``'s
-    shape.
+    shape by :func:`repro.tensor.random.normal_noise`.
 
-    The draw is float64 whatever the compute dtype (then cast), so the
-    noise stream does not depend on it; under a trace each replay draws
-    the next sample from the same generator object.
+    The noise is computed in float32 whatever the compute dtype (then
+    cast), so its values do not depend on it; under a trace each replay
+    draws the next sample from the same generator object.
     """
     shape, dtype = mu.shape, mu.dtype
     noise = _retain(np.empty(shape, dtype=dtype))
-    # Non-float64 noise is drawn into step-local scratch, then cast.
-    draws = None if dtype == np.float64 else step_scratch(shape, np.float64)
+    scratch = step_scratch((noise_scratch_size(noise.size),), np.float32)
 
     def draw():
-        if draws is None:
-            rng.standard_normal(out=noise)
-        else:
-            buf = draws()
-            rng.standard_normal(out=buf)
-            np.copyto(noise, buf)
+        normal_noise(rng, noise, scratch())
 
     draw()
     if tracing():

@@ -1005,12 +1005,30 @@ class Tensor:
         def forward():
             data[...] = sa[indices]
 
-        zero_bufs = [None]
+        # The canvas, the flat indices and the float64 weights, made by
+        # the first backward and kept for replays (see ``_zeroed``).  A
+        # forward allocates nothing for them: small arrays that every
+        # scoring forward keeps alive fragment a server's heap.
+        bufs = [None, None, None]
 
         def backward(grad):
-            full = _zeroed(zero_bufs, self.data)
-            np.add.at(full, indices.reshape(-1),
-                      grad.reshape(-1, *self.shape[1:]))
+            # One float64 bincount over ``slot · width + column``, slot
+            # the rank of a row among the distinct rows gathered: it sums
+            # each cell's contributions in index order, as ``np.add.at``
+            # would, in one vectorized pass.  The flat indices are formed
+            # here, so a replay sees the refreshed ``indices``.
+            width = self.size // max(len(self.data), 1)
+            rows, slots = np.unique(indices.reshape(-1), return_inverse=True)
+            if bufs[1] is None:
+                bufs[1] = _retain(np.empty((slots.size, width), np.int64))
+                bufs[2] = _retain(np.empty(grad.size, np.float64))
+            full, flat, weights = _zeroed(bufs, self.data), bufs[1], bufs[2]
+            np.add(np.multiply(slots, width)[:, None], np.arange(width),
+                   out=flat)
+            np.copyto(weights, grad.reshape(-1))
+            sums = np.bincount(flat.reshape(-1), weights=weights,
+                               minlength=rows.size * width)
+            full.reshape(-1, width)[rows] = sums.reshape(-1, width)
             self._accumulate(full)
 
         return Tensor._make(data, (self,), backward, forward)

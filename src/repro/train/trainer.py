@@ -116,11 +116,9 @@ def training_step_values(model, rows: np.ndarray, check_finite=None):
     e.g. Caser's supervised windows) pins its key dynamic and runs
     eagerly from then on.
 
-    A compiled step's gradients replace whatever the parameters held:
-    the traced step and every replay start their backward from cleared
-    ``.grad``s.  A key pinned dynamic runs a plain eager backward, which
-    adds to them, so callers zero the gradients first, as the trainer
-    does.
+    Every step's gradients replace whatever the parameters held: the
+    traced step, every replay and every eager step of a key pinned
+    dynamic start their backward from cleared ``.grad``s.
 
     ``check_finite`` (optional ``callable(loss_value)``) runs between
     the forward and the backward, exactly where the eager loop checks.
@@ -154,6 +152,7 @@ def training_step_values(model, rows: np.ndarray, check_finite=None):
             terms = None
             loss = model.training_loss(rows)
         values = stats(loss, terms)
+        model.zero_grad()
         loss.backward()
         return loss, terms, values
 

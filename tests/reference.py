@@ -15,6 +15,8 @@ against the implementations here:
   :func:`composed_gaussian_kl`, :func:`cross_entropy_reference`,
   :func:`multi_hot_cross_entropy_reference` and
   :func:`composed_linear_cross_entropy`;
+- :func:`scatter_rows_reference`, the ``np.add.at`` scatter that
+  ``Tensor.take_rows``'s bincount backward replaces;
 - :func:`composed_substrate`, which swaps them in under a whole VSAN;
 - eager twins of the two compiled entry points, :func:`eager_step_values`
   (``repro.train.trainer.training_step_values``) and
@@ -37,6 +39,7 @@ from repro.tensor import (
     softmax,
 )
 from repro.tensor.compile import mark_dynamic, record_host, tracing
+from repro.tensor.random import normal_noise
 from repro.tensor.tensor import _retain
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "eager_hidden_last",
     "eager_step_values",
     "multi_hot_cross_entropy_reference",
+    "scatter_rows_reference",
 ]
 
 
@@ -130,13 +134,13 @@ def composed_feedforward(
 def composed_reparameterize(mu: Tensor, sigma: Tensor,
                             rng: np.random.Generator) -> Tensor:
     """Composed reference for :func:`repro.tensor.reparameterize`:
-    ``mu + sigma * eps`` with the same float64 draws."""
-    shape = mu.shape
-    noise = _retain(
-        np.asarray(rng.standard_normal(shape), dtype=get_default_dtype())
-    )
+    ``mu + sigma * eps`` with ``eps`` from the same
+    :func:`repro.tensor.random.normal_noise` draw, so the parity suites
+    compare the arithmetic, not the noise stream."""
+    noise = _retain(np.empty(mu.shape, dtype=get_default_dtype()))
+    normal_noise(rng, noise)
     if tracing():
-        record_host(lambda: np.copyto(noise, rng.standard_normal(shape)))
+        record_host(lambda: normal_noise(rng, noise))
     return mu + sigma * Tensor(noise)
 
 
@@ -229,6 +233,17 @@ def composed_linear_cross_entropy(
     if bias is not None:
         logits = logits + bias
     return cross_entropy_reference(logits, targets, weights=weights)
+
+
+def scatter_rows_reference(table_shape, indices: np.ndarray,
+                           grad: np.ndarray) -> np.ndarray:
+    """Reference gradient of :meth:`repro.tensor.Tensor.take_rows`:
+    ``grad``'s rows scatter-added into a zero table with ``np.add.at``,
+    in ``grad``'s dtype and in index order."""
+    full = np.zeros(table_shape, dtype=grad.dtype)
+    np.add.at(full, np.asarray(indices).reshape(-1),
+              grad.reshape(-1, *table_shape[1:]))
+    return full
 
 
 def composed_substrate(monkeypatch) -> None:

@@ -44,6 +44,7 @@ from repro.tensor.compile import (
     step_scratch,
     trace,
 )
+from repro.tensor.random import noise_scratch_size
 from repro.train import Trainer, TrainerConfig
 from repro.train import trainer as trainer_module
 from repro.train.annealing import ConstantBeta, KLAnnealing
@@ -217,6 +218,28 @@ class TestCaserFallback:
         train_keys = [k for k in cache.keys() if k[0] == "train"]
         assert len(train_keys) == 1, train_keys
         assert cache.get(train_keys[0]) is DYNAMIC
+
+    def test_dynamic_steps_replace_stale_gradients(self):
+        """The trace that bails and every later step of a key pinned
+        ``DYNAMIC`` replace the parameters' gradients, as compiled keys
+        do: two steps without ``zero_grad()`` leave bitwise the
+        gradients of the second step taken from zero."""
+        stale, zeroed = (Caser(NUM_ITEMS, WIDTH, dim=16, seed=3)
+                         for _ in range(2))
+        rows = make_batches(NUM_ITEMS, WIDTH + 1, 8, 1)[0]
+        for model in (stale, zeroed):
+            model.train()
+            model.zero_grad()
+        for p in stale.parameters():
+            p.grad = np.ones_like(p.data)  # left by some earlier step
+        training_step_values(stale, rows)  # the trace, which bails
+        training_step_values(stale, rows)  # a DYNAMIC hit
+        training_step_values(zeroed, rows)
+        zeroed.zero_grad()
+        training_step_values(zeroed, rows)
+        assert programs_for(stale).get(_training_key(stale, rows)) is DYNAMIC
+        for got, want in zip(grads_of(stale), grads_of(zeroed)):
+            assert got.tobytes() == want.tobytes()
 
 
 def eager_scoring(monkeypatch, model):
@@ -1010,10 +1033,10 @@ class TestBackwardPlacement:
         assert program.placed_bytes <= cache.slab_bytes
 
     def test_draw_buffers_share_one_step_local_span(self):
-        """Every float64 draw buffer of a float32 program (dropout masks,
-        the reparameterization noise), the KL's term buffer and the
-        output head's tile scratch live in one span, sized to the
-        largest of them."""
+        """The reparameterization noise's float32 Box–Muller scratch,
+        the KL's term buffer and the output head's tile scratch of a
+        float32 program live in one span, sized to the largest of them;
+        dropout masks draw straight into the mask and request none."""
         rows = make_batches(NUM_ITEMS, WIDTH + 1, 8, 1)[0]
         with default_dtype(np.float32):
             model = VSAN(NUM_ITEMS, WIDTH, dim=16, seed=3,
@@ -1034,10 +1057,11 @@ class TestBackwardPlacement:
                 training_step_values(model, rows)
             training_step_values(model, rows)  # a replay
             key = _training_key(model, rows)
-        draws = [shape for shape, dtype in requests if dtype == np.float64]
-        assert len(draws) >= 3, requests
+        assert all(dtype == np.float32 for _shape, dtype in requests)
         positions = 8 * WIDTH
-        assert max(int(np.prod(shape)) for shape in draws) == positions * 16
+        # One request per reparameterized sample, none per dropout mask.
+        noise = noise_scratch_size(positions * 16)
+        assert [shape for shape, _ in requests].count((noise,)) == 1, requests
         largest = max(
             int(np.prod(shape)) * dtype.itemsize for shape, dtype in requests
         )

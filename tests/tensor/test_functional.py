@@ -203,15 +203,18 @@ class TestDropout:
         self, dtype
     ):
         """The eager mask and every replay refresh are bitwise the
-        reference expression, and leave the generator where it leaves
-        its own."""
+        reference expression (uint16 lanes of raw words against
+        ``T = round(keep · 2¹⁶)``), and leave the generator where it
+        leaves its own."""
         shape, rate = (5, 7, 3), 0.3
-        keep = 1.0 - rate
+        size, threshold = 5 * 7 * 3, round(0.7 * 2**16)
         rng = np.random.default_rng(9)
         twin = np.random.default_rng(9)
 
         def reference():
-            return ((twin.random(shape) < keep) / keep).astype(dtype)
+            words = twin.bit_generator.random_raw(-(-size // 4))
+            lanes = words.view(np.uint16)[:size].reshape(shape)
+            return ((lanes < threshold) * (2**16 / threshold)).astype(dtype)
 
         with trace() as tracer:
             mask = dropout_mask(shape, dtype, rate, rng)

@@ -33,6 +33,7 @@ from repro.tensor import (
 )
 from repro.tensor import fused as fused_module
 from repro.tensor.compile import ProgramCache, build_program, trace
+from repro.tensor.random import normal_noise
 from tests.reference import (
     composed_attention,
     composed_feedforward,
@@ -596,14 +597,23 @@ class TestReparameterize:
         assert_same_gradients(fused, reference, inputs)
         gradcheck(lambda *args: weighted_sum(fused(*args)), inputs)
 
-    def test_float32_draws_the_float64_stream(self, rng):
-        with default_dtype(np.float32):
-            mu = Tensor(np.zeros(SHAPE))
-            sigma = Tensor(np.ones(SHAPE))
-            z = reparameterize(mu, sigma, np.random.default_rng(4))
-        expected = np.random.default_rng(4).standard_normal(SHAPE)
-        assert z.dtype == np.float32
-        np.testing.assert_array_equal(z.numpy(), expected.astype(np.float32))
+    def test_noise_does_not_depend_on_the_compute_dtype(self):
+        """Float32 and float64 runs draw the same float32 noise values:
+        ``normal_noise``'s, cast once."""
+        samples = {}
+        for dtype in (np.float32, np.float64):
+            with default_dtype(dtype):
+                mu = Tensor(np.zeros(SHAPE))
+                sigma = Tensor(np.ones(SHAPE))
+                z = reparameterize(mu, sigma, np.random.default_rng(4))
+            assert z.dtype == dtype
+            samples[dtype] = z.numpy()
+        expected = normal_noise(np.random.default_rng(4),
+                                np.empty(SHAPE, dtype=np.float32))
+        assert samples[np.float32].tobytes() == expected.tobytes()
+        assert samples[np.float64].tobytes() == (
+            expected.astype(np.float64).tobytes()
+        )
 
 
 class TestGaussianKL:

@@ -17,6 +17,8 @@ from repro.tensor import (
     stack,
     where,
 )
+from repro.tensor.compile import build_program, trace
+from tests.reference import scatter_rows_reference
 
 
 @pytest.fixture
@@ -280,6 +282,47 @@ class TestIndexing:
         out = emb.take_rows(idx)
         assert out.shape == (2, 3, 3)
         gradcheck(lambda emb: (emb.take_rows(idx) ** 2).sum(), [emb])
+
+    def test_take_rows_gradient_is_the_add_at_scatter_bitwise(self, rng):
+        """In float64 the bincount backward sums every cell in index
+        order, as ``np.add.at`` does: bitwise the same gradient, also
+        on a compiled replay over refreshed indices."""
+        table = leaf(rng, 50, 6)
+        idx = rng.integers(0, 50, size=(40, 7))
+        idx[:, :3] = 7  # many repeats of one row
+        upstream = rng.normal(size=(40, 7, 6))
+
+        def grad_of():
+            return (table.take_rows(idx) * Tensor(upstream)).sum()
+
+        with trace() as tracer:
+            loss = grad_of()
+            loss.backward()
+        program = build_program(tracer, loss, require_backward=True)
+        assert table.grad.tobytes() == (
+            scatter_rows_reference(table.shape, idx, upstream).tobytes()
+        )
+        idx[...] = rng.integers(0, 50, size=idx.shape)
+        program.replay()
+        program.replay_backward()
+        assert table.grad.tobytes() == (
+            scatter_rows_reference(table.shape, idx, upstream).tobytes()
+        )
+
+    def test_take_rows_float32_gradient_with_repeated_indices(self, rng):
+        """In float32 the sums run in float64 and are cast once: within
+        float32 round-off of the float64 scatter."""
+        with default_dtype(np.float32):
+            table = Tensor(rng.normal(size=(30, 8)), requires_grad=True)
+        idx = rng.integers(0, 4, size=(64, 9))  # ~144 repeats per row
+        upstream = rng.normal(size=(64, 9, 8)).astype(np.float32)
+        (table.take_rows(idx) * Tensor(upstream)).sum().backward()
+        assert table.grad.dtype == np.float32
+        want = scatter_rows_reference(
+            table.shape, idx, upstream.astype(np.float64)
+        )
+        np.testing.assert_allclose(table.grad, want, rtol=1e-6, atol=0)
+        assert (table.grad[4:] == 0).all()
 
     def test_masked_fill(self, rng):
         a = leaf(rng, 3, 4)
