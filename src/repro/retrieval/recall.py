@@ -6,7 +6,7 @@ an exact-top-N item missing from the candidate set.  Recall@N of the
 approximate ranking therefore equals *candidate coverage* of the exact
 top-N — which is what this harness measures, swept over ``nprobe`` so
 the recall/latency trade-off curve can be read off one table
-(``benchmarks/test_retrieval.py`` commits it as
+(the ``recall-curve`` row of ``benchmarks/gates.py`` commits it as
 ``benchmarks/results/retrieval_recall.json``).
 """
 

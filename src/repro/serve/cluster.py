@@ -55,7 +55,7 @@ The open-loop load harness lives in :meth:`ServingCluster.run_load`.
 The seeded chaos harness that proves the self-healing story is test
 code: ``tests/chaos.py``, driven by ``tests/serve/test_chaos.py``, the
 chaos scenario of ``tests/integration/test_serve_drills.py`` and the
-``bench-cluster`` recovery gate.
+``recovery`` row of ``benchmarks/gates.py``.
 """
 
 from __future__ import annotations

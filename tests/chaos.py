@@ -27,8 +27,8 @@ request rather than dropped.  That discipline is what makes "a
 replicated shard loses zero requests to a single fault" an assertable
 property rather than a coin flip.
 
-The report carries the recovery metrics the ``bench-cluster`` gate
-bounds: per-death time-to-respawn spans and the goodput dip depth
+The report carries the recovery metrics the ``recovery`` row of
+``benchmarks/gates.py`` bounds: per-death time-to-respawn spans and the goodput dip depth
 (how far the worst inter-checkpoint completion window fell below the
 mean one).
 """

@@ -204,8 +204,8 @@ def test_fault_storm(trained, mode):
     assert retrieval["searches"] > 0
     assert retrieval["narrow_batches"] > 0
     assert stats["narrow_ranked"] > 0
-    # The memory win only shows at catalogue scale (gated in
-    # benchmarks/test_retrieval.py); here the byte accounting must be
+    # The memory win only shows at catalogue scale (the narrow-cache
+    # row of benchmarks/gates.py); here the byte accounting must be
     # live.
     assert snap["cache"]["bytes_per_entry"] > 0
 

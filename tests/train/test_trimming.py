@@ -95,19 +95,26 @@ class TestExactness:
 
 class TestTrainerIntegration:
     def test_trimmed_training_matches_untrimmed(self, mixed_length_corpus):
-        losses = {}
-        for trim in (True, False):
-            model = SASRec(12, 10, dim=12, num_blocks=1,
-                           dropout_rate=0.0, seed=2)
-            config = TrainerConfig(
-                epochs=3, batch_size=8, seed=4, trim_batches=trim
+        builds = {
+            "sasrec": lambda: SASRec(12, 10, dim=12, num_blocks=1,
+                                     dropout_rate=0.0, seed=2),
+            # The deterministic VSAN ablation: no dropout mask and no
+            # latent sample, so trimmed and full runs draw nothing.
+            "vsan-z": lambda: VSAN(12, 10, dim=12, dropout_rate=0.0,
+                                   use_latent=False, seed=2),
+        }
+        for name, build in builds.items():
+            losses = {}
+            for trim in (True, False):
+                config = TrainerConfig(
+                    epochs=3, batch_size=8, seed=4, trim_batches=trim
+                )
+                losses[trim] = Trainer(config).fit(
+                    build(), mixed_length_corpus
+                ).losses
+            np.testing.assert_allclose(
+                losses[True], losses[False], rtol=1e-10, err_msg=name
             )
-            losses[trim] = Trainer(config).fit(
-                model, mixed_length_corpus
-            ).losses
-        np.testing.assert_allclose(
-            losses[True], losses[False], rtol=1e-10
-        )
 
     def test_bucketing_covers_corpus_and_trains(self, mixed_length_corpus):
         model = SASRec(12, 10, dim=12, num_blocks=1,
