@@ -153,7 +153,7 @@ def cmd_recommend(args) -> int:
     scores = model.score(history)
     ranked = rank_items(scores, args.top, exclude=history)
     inverse = corpus.index_to_item
-    originals = [inverse[int(item)] for item in ranked]
+    originals = [inverse[int(item)] for item in ranked if item]
     print(f"user {args.user}: history of {len(history)} items")
     print(f"top-{args.top} recommendations (original item ids): {originals}")
     return 0

@@ -15,11 +15,8 @@ from .significance import (
 from .metrics import (
     NonFiniteScoresError,
     metrics_batch,
-    ndcg_at_n,
-    precision_at_n,
     rank_items,
     rank_items_batch,
-    recall_at_n,
 )
 
 __all__ = [
@@ -31,12 +28,9 @@ __all__ = [
     "evaluate_recommender",
     "history_diversity",
     "metrics_batch",
-    "ndcg_at_n",
     "paired_bootstrap",
     "per_user_metric",
     "posterior_summary",
-    "precision_at_n",
     "rank_items",
     "rank_items_batch",
-    "recall_at_n",
 ]

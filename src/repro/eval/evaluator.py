@@ -18,7 +18,7 @@ from ..retrieval.narrow import TopScores
 from ..tensor import no_grad
 from .metrics import metrics_batch, rank_items_batch, rank_top_scores
 
-__all__ = ["EvaluationResult", "evaluate_recommender"]
+__all__ = ["EvaluationResult", "evaluate_per_user", "evaluate_recommender"]
 
 
 @dataclass
@@ -42,15 +42,17 @@ class EvaluationResult:
         return f"EvaluationResult({parts}, users={self.num_users})"
 
 
-def evaluate_recommender(
+def evaluate_per_user(
     recommender,
     heldout: list[FoldInUser],
     cutoffs: tuple[int, ...] = (10, 20),
     exclude_fold_in: bool = True,
     batch_size: int = 64,
     check_finite: bool = True,
-) -> EvaluationResult:
-    """Score every held-out user and average the Section V-C metrics.
+) -> dict[str, np.ndarray]:
+    """Score every held-out user and return the Section V-C metrics per
+    user, ``{"ndcg@N" | "recall@N" | "precision@N": (users,) array}`` in
+    ``heldout`` order.
 
     Args:
         recommender: any object with ``score_batch(histories)`` returning
@@ -67,8 +69,6 @@ def evaluate_recommender(
     if not heldout:
         raise ValueError("no held-out users to evaluate")
     max_cutoff = max(cutoffs)
-    # Per-user metric values are collected and reduced once at the end so
-    # the result is bit-identical for every batch_size.
     parts: dict[str, list[np.ndarray]] = {
         f"{metric}@{n}": []
         for metric in ("ndcg", "recall", "precision")
@@ -88,9 +88,8 @@ def evaluate_recommender(
         # lookup instead of a per-user Python loop.  A candidate-native
         # recommender (narrow InferenceEngine) returns packed
         # ``TopScores`` instead of a full-width matrix; ranking then
-        # stays O(C log C) per user, and the 0-padded tail of a short
-        # candidate list scores identically to the dense path's
-        # unrankable ``-inf`` tail (neither can hit a target).
+        # stays O(C log C) per user.  Both rankers mark unrankable
+        # slots 0, which never hits a target.
         exclude = (
             [user.fold_in for user in chunk] if exclude_fold_in else None
         )
@@ -115,11 +114,33 @@ def evaluate_recommender(
         )
         for key, values in per_user.items():
             parts[key].append(values)
+    return {key: np.concatenate(chunks) for key, chunks in parts.items()}
+
+
+def evaluate_recommender(
+    recommender,
+    heldout: list[FoldInUser],
+    cutoffs: tuple[int, ...] = (10, 20),
+    exclude_fold_in: bool = True,
+    batch_size: int = 64,
+    check_finite: bool = True,
+) -> EvaluationResult:
+    """Average the per-user metrics of :func:`evaluate_per_user` (same
+    arguments) over the held-out users.
+
+    The per-user values are reduced once over all users, so the result
+    is bit-identical for every ``batch_size``.
+    """
+    per_user = evaluate_per_user(
+        recommender, heldout, cutoffs=cutoffs,
+        exclude_fold_in=exclude_fold_in, batch_size=batch_size,
+        check_finite=check_finite,
+    )
     count = len(heldout)
     return EvaluationResult(
         values={
-            key: float(np.concatenate(chunks).sum()) / count
-            for key, chunks in parts.items()
+            key: float(values.sum()) / count
+            for key, values in per_user.items()
         },
         num_users=count,
     )

@@ -16,9 +16,6 @@ import numpy as np
 
 __all__ = [
     "NonFiniteScoresError",
-    "precision_at_n",
-    "recall_at_n",
-    "ndcg_at_n",
     "rank_items",
     "rank_items_batch",
     "rank_top_scores",
@@ -35,41 +32,6 @@ class NonFiniteScoresError(ValueError):
     flagged: it is the legitimate sentinel for "excluded item" (the
     padding slot and fold-in exclusions are set to ``-inf``).
     """
-
-
-def _as_sets(recommended, relevant) -> tuple[list[int], set[int]]:
-    recommended = [int(item) for item in recommended]
-    relevant = {int(item) for item in relevant}
-    if not relevant:
-        raise ValueError("relevant set must be non-empty")
-    return recommended, relevant
-
-
-def precision_at_n(recommended, relevant, n: int) -> float:
-    """Fraction of the top-``n`` list that is relevant."""
-    recommended, relevant = _as_sets(recommended, relevant)
-    hits = sum(1 for item in recommended[:n] if item in relevant)
-    return hits / n
-
-
-def recall_at_n(recommended, relevant, n: int) -> float:
-    """Fraction of the relevant set found in the top-``n`` list."""
-    recommended, relevant = _as_sets(recommended, relevant)
-    hits = sum(1 for item in recommended[:n] if item in relevant)
-    return hits / len(relevant)
-
-
-def ndcg_at_n(recommended, relevant, n: int) -> float:
-    """Position-discounted gain, normalized by the ideal ordering."""
-    recommended, relevant = _as_sets(recommended, relevant)
-    dcg = sum(
-        1.0 / np.log2(rank + 2)
-        for rank, item in enumerate(recommended[:n])
-        if item in relevant
-    )
-    ideal_hits = min(len(relevant), n)
-    idcg = sum(1.0 / np.log2(rank + 2) for rank in range(ideal_hits))
-    return dcg / idcg
 
 
 def rank_items(
@@ -119,6 +81,9 @@ def rank_items_batch(
 
     Returns:
         ``(users, top_n)`` integer matrix of ranked item ids, best first.
+        Slots whose score is ``-inf`` (the padding slot, exclusions,
+        retrieval misses) carry ``0``, the PAD id, and sink to the end
+        of each row, exactly as in :func:`rank_top_scores`.
     """
     scores = np.asarray(scores, dtype=np.float64).copy()
     num_users = scores.shape[0]
@@ -151,7 +116,9 @@ def rank_items_batch(
     candidates = np.argpartition(negated, top_n, axis=1)[:, :top_n]
     candidate_scores = np.take_along_axis(negated, candidates, axis=1)
     order = np.argsort(candidate_scores, axis=1, kind="stable")
-    return np.take_along_axis(candidates, order, axis=1)
+    ranked = np.take_along_axis(candidates, order, axis=1)
+    ranked[np.take_along_axis(candidate_scores, order, axis=1) == np.inf] = 0
+    return ranked
 
 
 def rank_top_scores(
@@ -166,9 +133,10 @@ def rank_top_scores(
     :class:`repro.retrieval.TopScores` batch (C packed candidates per
     request) instead of a full-width score matrix, so ranking costs
     O(C log C) per request instead of O(|I|).  For distinct candidate
-    scores the ranked prefix is **identical** to running
+    scores the result is **identical** to running
     :func:`rank_items_batch` on the equivalent scattered full-width row
-    (same float64 comparison values, same descending order); exact-score
+    (same float64 comparison values, same descending order, the same
+    ``0`` in every unrankable slot); exact-score
     ties are broken by ascending item id here, where the dense path's
     tie order is partition-dependent — real model scores are continuous
     and never tie, which the equivalence tests pin.
@@ -187,8 +155,7 @@ def rank_top_scores(
     Returns:
         ``(B, top_n)`` int64 ranked item ids, best first.  Slots beyond
         a request's rankable candidates carry ``0`` (the PAD id, which
-        is never a real recommendation — callers strip or ignore it,
-        exactly as they strip the dense path's ``-inf`` tail).
+        is never a real recommendation — callers strip or ignore it).
     """
     top_n = int(top_n)
     if top_n < 1:

@@ -19,26 +19,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.splits import FoldInUser
-from .metrics import ndcg_at_n, precision_at_n, rank_items, recall_at_n
+from .evaluator import evaluate_per_user
 
 __all__ = ["per_user_metric", "BootstrapReport", "paired_bootstrap"]
 
-_METRIC_FUNCTIONS = {
-    "ndcg": ndcg_at_n,
-    "recall": recall_at_n,
-    "precision": precision_at_n,
-}
 
-
-def _parse_metric(name: str):
-    try:
-        metric, cutoff = name.split("@")
-        return _METRIC_FUNCTIONS[metric], int(cutoff)
-    except (ValueError, KeyError):
+def _parse_metric(name: str) -> tuple[str, int]:
+    metric, _, cutoff = name.partition("@")
+    if metric not in ("ndcg", "recall", "precision") or not cutoff.isdigit():
         raise ValueError(
             f"metric must look like 'ndcg@10' / 'recall@20' / "
             f"'precision@10', got {name!r}"
-        ) from None
+        )
+    return metric, int(cutoff)
 
 
 def per_user_metric(
@@ -48,23 +41,13 @@ def per_user_metric(
     exclude_fold_in: bool = True,
     batch_size: int = 64,
 ) -> np.ndarray:
-    """One metric value per held-out user (same protocol as the
-    evaluator, but without averaging)."""
-    function, cutoff = _parse_metric(metric)
-    values = np.empty(len(heldout))
-    for start in range(0, len(heldout), batch_size):
-        chunk = heldout[start:start + batch_size]
-        scores = np.asarray(
-            recommender.score_batch([user.fold_in for user in chunk])
-        )
-        for offset, (user, user_scores) in enumerate(zip(chunk, scores)):
-            ranked = rank_items(
-                user_scores,
-                cutoff,
-                exclude=user.fold_in if exclude_fold_in else None,
-            )
-            values[start + offset] = function(ranked, user.targets, cutoff)
-    return values
+    """One metric value per held-out user: the values
+    :func:`repro.eval.evaluate_recommender` averages."""
+    name, cutoff = _parse_metric(metric)
+    return evaluate_per_user(
+        recommender, heldout, cutoffs=(cutoff,),
+        exclude_fold_in=exclude_fold_in, batch_size=batch_size,
+    )[f"{name}@{cutoff}"]
 
 
 @dataclass

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..tensor.topk import top_k_indices
 
 __all__ = ["IndexConfig", "IVFIndex", "kmeans"]
 
@@ -494,13 +493,3 @@ class IVFIndex:
             held = np.empty(max(needed, 1), dtype=dtype)
             self._scratch[name] = held
         return held[:needed].reshape(shape)
-
-    def probe_centroids(
-        self, queries: np.ndarray, nprobe: int
-    ) -> np.ndarray:
-        """Top-``nprobe`` centroid indices per query, best first (used
-        by the recall harness to sweep nprobe without re-searching)."""
-        queries = np.ascontiguousarray(queries, dtype=np.float32)
-        return top_k_indices(
-            queries @ self.centroids.T, min(nprobe, self.nlist)
-        )

@@ -8,7 +8,7 @@ exact candidate scores and then touches ~400 KB of ``-inf`` per row just
 so downstream layers can re-extract the same C values.  :class:`TopScores`
 is the packed alternative — per request, ``C`` int64 candidate ids and
 ``C`` float32 exact scores (~768 bytes at C=64, a ~500× densification) —
-that the micro-batcher, score cache, and service ranking handle natively.
+that the inference engine, score cache, and service ranking handle natively.
 
 Invariants:
 
@@ -59,9 +59,6 @@ class TopScores:
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    def __getitem__(self, index: int) -> "TopScores":
-        return self.row(index)
 
     @property
     def candidates(self) -> int:

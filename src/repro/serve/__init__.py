@@ -8,8 +8,8 @@ degrade gracefully instead of falling over.  The pieces:
   POP``), retry-with-backoff for transient failures, and full request
   accounting via :meth:`RecommendService.stats`.
 - :class:`InferenceEngine` — the high-throughput serving front-end:
-  guaranteed no-tape forwards, request micro-batching
-  (:class:`MicroBatcher`), and an LRU :class:`ScoreCache` keyed on
+  guaranteed no-tape forwards, cache misses scored in batched forwards
+  of up to ``max_batch`` rows, and an LRU :class:`ScoreCache` keyed on
   (model version, history suffix) with invalidation on hot-swap.
 - :class:`ServingCluster` — self-healing shard replica groups (full
   services forked via :class:`repro.pool.ForkedWorkerPool`) behind a
@@ -40,7 +40,7 @@ from .cluster import (
     RolloutReport,
     ServingCluster,
 )
-from .engine import EngineConfig, InferenceEngine, MicroBatcher, ScoreCache
+from .engine import EngineConfig, InferenceEngine, ScoreCache
 from .errors import (
     AllRungsFailed,
     CheckpointError,
@@ -70,7 +70,6 @@ __all__ = [
     "InferenceEngine",
     "InvalidRequest",
     "LatencyTracker",
-    "MicroBatcher",
     "OPEN",
     "Recommendation",
     "RecommendService",

@@ -1054,14 +1054,12 @@ class ServingCluster:
             for shard in self.live_shards
         }
 
-    def stats(self) -> dict:
-        """Cluster-wide snapshot: router accounting plus the merged
-        worker ``ServiceStats`` (which must satisfy the same
-        ``accounted()`` invariant as a single process would)."""
-        merged = ServiceStats([])
+    def _gather_stats(self) -> dict[int, ServiceStats]:
+        """Each live shard's worker ``ServiceStats``, merged over its
+        replicas (one ``("stats",)`` round trip per live worker)."""
         per_shard = {}
         for shard in self.live_shards:
-            shard_merged = ServiceStats([])
+            merged = ServiceStats([])
             for worker in list(self._groups[shard]):
                 try:
                     reply = self._control_worker(
@@ -1070,8 +1068,17 @@ class ServingCluster:
                 except ClusterError:
                     continue  # its books died with it
                 merged.merge(reply[1])
-                shard_merged.merge(reply[1])
-            per_shard[shard] = shard_merged.snapshot()
+            per_shard[shard] = merged
+        return per_shard
+
+    def stats(self) -> dict:
+        """Cluster-wide snapshot: router accounting plus the merged
+        worker ``ServiceStats`` (which must satisfy the same
+        ``accounted()`` invariant as a single process would)."""
+        per_shard = self._gather_stats()
+        merged = ServiceStats([])
+        for shard_stats in per_shard.values():
+            merged.merge(shard_stats)
         return {
             "cluster": {
                 "submitted": self.submitted,
@@ -1103,21 +1110,17 @@ class ServingCluster:
                 ),
             },
             "service": merged.snapshot(),
-            "per_shard": per_shard,
+            "per_shard": {
+                shard: shard_stats.snapshot()
+                for shard, shard_stats in per_shard.items()
+            },
         }
 
     def merged_service_stats(self) -> ServiceStats:
         """The raw merged :class:`ServiceStats` across live workers."""
         merged = ServiceStats([])
-        for shard in self.live_shards:
-            for worker in list(self._groups[shard]):
-                try:
-                    reply = self._control_worker(
-                        worker, ("stats",), ("stats",)
-                    )
-                except ClusterError:
-                    continue
-                merged.merge(reply[1])
+        for shard_stats in self._gather_stats().values():
+            merged.merge(shard_stats)
         return merged
 
     # ------------------------------------------------------------------

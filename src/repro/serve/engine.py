@@ -12,11 +12,11 @@ works on top of it unchanged):
   the neural models score ``hidden_last(h) @ W (+ b)``: the hidden state
   is sliced to the final position *before* the item-vocabulary GEMM, so
   candidate scoring costs O(|I|) instead of O(L·|I|) per request.
-- **:class:`MicroBatcher`** — coalesces queued scoring requests into
-  padded batched forwards of up to ``max_batch`` rows.  Flush order is
-  deterministic (FIFO submission order, chunked at ``max_batch``); the
-  queue flushes itself when it fills, and callers flush the remainder
-  synchronously once their window is queued.
+- **Chunked forwards** — the requests of one call that miss the cache
+  are scored in padded batched forwards of up to ``max_batch`` rows.
+  Chunk order is deterministic (FIFO request order, chunked at
+  ``max_batch``), and a chunk whose forward fails fails every request
+  in it.
 - **:class:`ScoreCache`** — an LRU of finite score entries keyed on
   ``(model version, most-recent-window suffix)``.  Two users whose
   histories agree on the model's attention window share one entry; a
@@ -30,8 +30,8 @@ works on top of it unchanged):
 
 When approximate retrieval is configured (``EngineConfig(index=...)``),
 the engine serves the candidate-native contract end to end:
-``score_batch`` returns a ``TopScores`` batch, the micro-batcher fans
-narrow rows out to tickets, the cache stores the packed pairs, and
+``score_batch`` returns a ``TopScores`` batch, the chunked forwards
+hand out narrow rows, the cache stores the packed pairs, and
 :class:`repro.serve.RecommendService` ranks straight from the candidate
 list — no full-width row is built on the hot path.  Exact mode, no
 index, or a model without retrieval hooks serve the model's own dense
@@ -53,7 +53,7 @@ import numpy as np
 from ..retrieval import IndexConfig, RetrievalEngine, TopScores
 from ..tensor import no_grad
 
-__all__ = ["EngineConfig", "InferenceEngine", "MicroBatcher", "ScoreCache"]
+__all__ = ["EngineConfig", "InferenceEngine", "ScoreCache"]
 
 
 def _cacheable(entry) -> bool:
@@ -247,123 +247,6 @@ class ScoreCache:
         }
 
 
-class _Ticket:
-    """One queued scoring request; resolved by a batcher flush."""
-
-    __slots__ = ("history", "_scores", "_error", "_done")
-
-    def __init__(self, history: np.ndarray):
-        self.history = history
-        self._scores: np.ndarray | None = None
-        self._error: Exception | None = None
-        self._done = False
-
-    def done(self) -> bool:
-        return self._done
-
-    def scores(self) -> np.ndarray:
-        """The resolved score row; raises the model's error if the flush
-        that carried this ticket failed."""
-        if not self._done:
-            raise RuntimeError("ticket not resolved; flush the batcher")
-        if self._error is not None:
-            raise self._error
-        return self._scores
-
-
-class MicroBatcher:
-    """Coalesce queued scoring requests into batched forwards.
-
-    Args:
-        score_batch: the underlying scorer (one padded batched forward):
-            ``callable(list[np.ndarray])`` returning ``(n, num_items+1)``
-            full-width rows or an ``n``-row narrow
-            :class:`~repro.retrieval.TopScores` batch, fanned out to
-            tickets as row views either way.
-        max_batch: flush chunk size; reaching it triggers an auto-flush.
-
-    Determinism: tickets resolve in FIFO submission order, chunked at
-    ``max_batch``; a chunk whose scorer raises fails *all* its tickets
-    with that error (each request then falls through the service's
-    normal retry/fallback machinery individually).
-    """
-
-    def __init__(self, score_batch, max_batch: int = 32):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self._score_batch = score_batch
-        self.max_batch = max_batch
-        self._queue: list[_Ticket] = []
-        self.flushes = 0
-        self.batched_requests = 0
-        self.largest_flush = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def submit(self, history: np.ndarray) -> _Ticket:
-        """Queue one request; auto-flushes when the batch is full."""
-        ticket = _Ticket(np.asarray(history, dtype=np.int64))
-        self._queue.append(ticket)
-        if len(self._queue) >= self.max_batch:
-            self.flush()
-        return ticket
-
-    def flush(self) -> int:
-        """Drain the queue in FIFO ``max_batch`` chunks; returns how many
-        tickets were resolved."""
-        resolved = 0
-        while self._queue:
-            chunk = self._queue[: self.max_batch]
-            del self._queue[: len(chunk)]
-            self.flushes += 1
-            self.batched_requests += len(chunk)
-            self.largest_flush = max(self.largest_flush, len(chunk))
-            try:
-                scores = self._score_batch(
-                    [ticket.history for ticket in chunk]
-                )
-            except Exception as error:  # noqa: BLE001 — fault isolation
-                for ticket in chunk:
-                    ticket._error = error
-                    ticket._done = True
-            else:
-                narrow = isinstance(scores, TopScores)
-                if not narrow:
-                    scores = np.asarray(scores)
-                if len(scores) != len(chunk):
-                    mismatch = ValueError(
-                        f"scorer returned {len(scores)} rows for a "
-                        f"{len(chunk)}-request chunk"
-                    )
-                    for ticket in chunk:
-                        ticket._error = mismatch
-                        ticket._done = True
-                elif narrow:
-                    for position, ticket in enumerate(chunk):
-                        ticket._scores = scores.row(position)
-                        ticket._done = True
-                else:
-                    for ticket, row in zip(chunk, scores):
-                        ticket._scores = row
-                        ticket._done = True
-            resolved += len(chunk)
-        return resolved
-
-    def snapshot(self) -> dict:
-        return {
-            "max_batch": self.max_batch,
-            "flushes": self.flushes,
-            "batched_requests": self.batched_requests,
-            "largest_flush": self.largest_flush,
-            "queued": len(self._queue),
-            "mean_flush_size": (
-                round(self.batched_requests / self.flushes, 3)
-                if self.flushes else 0.0
-            ),
-        }
-
-
 class InferenceEngine:
     """Batching, caching, no-tape front-end for one recommender.
 
@@ -393,9 +276,10 @@ class InferenceEngine:
             )
             if self.config.cache_capacity else None
         )
-        self.batcher = MicroBatcher(
-            self._score_chunk, max_batch=self.config.max_batch
-        )
+        # Forward accounting, surfaced as ``snapshot()["batcher"]``.
+        self.flushes = 0
+        self.batched_requests = 0
+        self.largest_flush = 0
 
     # ------------------------------------------------------------------
     # Model management (cache-invalidation rule lives here)
@@ -484,12 +368,48 @@ class InferenceEngine:
                 return retrieval.score_topk(histories)
             return self._model.score_batch(histories)
 
-    def score(self, history: np.ndarray) -> np.ndarray:
-        return self.score_batch([history])[0]
+    def _forward(self, histories: list[np.ndarray]) -> list:
+        """Score ``histories`` in FIFO chunks of ``max_batch`` rows.
+
+        Returns one entry per history: its score row (a full-width row
+        or a one-row :class:`~repro.retrieval.TopScores` view) or the
+        exception its chunk raised.  A chunk whose forward fails, or
+        returns the wrong number of rows (a ``ValueError``), fails every
+        request in it; each then falls through the service's normal
+        retry/fallback machinery individually.
+        """
+        out: list = []
+        size = self.config.max_batch
+        for start in range(0, len(histories), size):
+            chunk = histories[start:start + size]
+            self.flushes += 1
+            self.batched_requests += len(chunk)
+            self.largest_flush = max(self.largest_flush, len(chunk))
+            try:
+                scores = self._score_chunk(chunk)
+                if not isinstance(scores, TopScores):
+                    scores = np.asarray(scores)
+                if len(scores) != len(chunk):
+                    raise ValueError(
+                        f"scorer returned {len(scores)} rows for a "
+                        f"{len(chunk)}-request chunk"
+                    )
+            except Exception as error:  # noqa: BLE001 — fault isolation
+                out.extend([error] * len(chunk))
+            else:
+                if isinstance(scores, TopScores):
+                    out.extend(map(scores.row, range(len(chunk))))
+                else:
+                    out.extend(scores)
+        return out
+
+    def score(self, history: np.ndarray):
+        scores = self.score_batch([history])
+        return scores.row(0) if isinstance(scores, TopScores) else scores[0]
 
     def score_batch(self, histories: list[np.ndarray]):
         """Scores for every history — served from cache where possible,
-        micro-batched forwards for the misses, reassembled in order.
+        chunked forwards for the misses, reassembled in order.
 
         On the candidate-native path the result is one narrow
         :class:`~repro.retrieval.TopScores` batch; otherwise a
@@ -506,7 +426,7 @@ class InferenceEngine:
             np.asarray(history, dtype=np.int64) for history in histories
         ]
         results: list = [None] * len(histories)
-        pending: list[tuple[int, object, _Ticket]] = []
+        misses: list[tuple[int, object]] = []
         for index, history in enumerate(histories):
             key = self._key(history)
             if self.cache is not None:
@@ -514,11 +434,11 @@ class InferenceEngine:
                 if row is not None:
                     results[index] = row
                     continue
-            pending.append((index, key, self.batcher.submit(history)))
-        if pending:
-            self.batcher.flush()
-        for index, key, ticket in pending:
-            row = ticket.scores()
+            misses.append((index, key))
+        rows = self._forward([histories[index] for index, _ in misses])
+        for (index, key), row in zip(misses, rows):
+            if isinstance(row, Exception):
+                raise row
             if self.cache is not None and _cacheable(row):
                 self.cache.put(key, row)
             results[index] = row
@@ -530,11 +450,11 @@ class InferenceEngine:
         """Full-width rows straight from the wrapped model — the escape
         hatch for callers the narrow contract cannot serve (a request
         whose candidates, minus its exclusions, fall short of
-        ``top_n``).  Bypasses
-        the cache and batcher: dense rows at catalogue scale are exactly
-        the allocations the narrow path exists to avoid, so they must
-        not displace narrow entries, and fallbacks are rare enough that
-        coalescing them buys nothing.  Counted in ``dense_fallbacks``.
+        ``top_n``).  Bypasses the cache and the chunked forwards: dense
+        rows at catalogue scale are exactly the allocations the narrow
+        path exists to avoid, so they must not displace narrow entries,
+        and fallbacks are rare enough that coalescing them buys nothing.
+        Counted in ``dense_fallbacks``.
         """
         self.dense_fallbacks += len(histories)
         histories = [
@@ -550,10 +470,9 @@ class InferenceEngine:
         indices of the histories whose row is cached, and those rows
         stacked (a :class:`~repro.retrieval.TopScores` batch or a
         full-width matrix; ``None`` without hits).  Read-only: nothing
-        is scored or submitted to the batcher, and no counter or LRU
-        position moves.  A caller that serves a row from this read
-        books the lookup when it serves it, with
-        :meth:`ScoreCache.touch` on the row's key.
+        is scored, and no counter or LRU position moves.  A caller that
+        serves a row from this read books the lookup when it serves it,
+        with :meth:`ScoreCache.touch` on the row's key.
         """
         keys = [
             self._key(np.asarray(history, dtype=np.int64))
@@ -584,23 +503,15 @@ class InferenceEngine:
         """
         if self.cache is None:
             return 0
-        pending: list[tuple[object, _Ticket]] = []
-        seen: set = set()
+        pending: dict = {}
         for history in histories:
             history = np.asarray(history, dtype=np.int64)
             key = self._key(history)
-            if key in self.cache or key in seen:
-                continue
-            seen.add(key)
-            pending.append((key, self.batcher.submit(history)))
-        self.batcher.flush()
+            if key not in self.cache:
+                pending.setdefault(key, history)
         warmed = 0
-        for key, ticket in pending:
-            try:
-                row = ticket.scores()
-            except Exception:  # noqa: BLE001 — warming is best-effort
-                continue
-            if _cacheable(row):
+        for key, row in zip(pending, self._forward(list(pending.values()))):
+            if not isinstance(row, Exception) and _cacheable(row):
                 self.cache.put(key, row)
                 warmed += 1
         return warmed
@@ -618,7 +529,17 @@ class InferenceEngine:
             "cache": (
                 self.cache.snapshot() if self.cache is not None else None
             ),
-            "batcher": self.batcher.snapshot(),
+            "batcher": {
+                "max_batch": self.config.max_batch,
+                "flushes": self.flushes,
+                "batched_requests": self.batched_requests,
+                "largest_flush": self.largest_flush,
+                "queued": 0,
+                "mean_flush_size": (
+                    round(self.batched_requests / self.flushes, 3)
+                    if self.flushes else 0.0
+                ),
+            },
             "retrieval": (
                 self._retrieval.snapshot()
                 if self._retrieval is not None

@@ -148,12 +148,12 @@ class RecommendService:
         clock: monotonic time source (injectable for deterministic
             deadline/breaker tests).
         engine: route every rung through an
-            :class:`repro.serve.engine.InferenceEngine` (micro-batching,
-            LRU score cache, guaranteed no-tape forwards).  Pass an
-            :class:`EngineConfig` to tune it, ``True`` for the defaults,
-            or leave ``None`` for direct model calls.  Breakers, retries,
-            and deadlines see the engine exactly like a model, so the
-            fault machinery composes with batching unchanged.
+            :class:`repro.serve.engine.InferenceEngine` (batched
+            forwards, LRU score cache, guaranteed no-tape forwards).
+            Pass an :class:`EngineConfig`, or leave ``None`` for direct
+            model calls.  Breakers, retries, and deadlines see the
+            engine exactly like a model, so the fault machinery composes
+            with batching unchanged.
     """
 
     def __init__(
@@ -164,7 +164,7 @@ class RecommendService:
         retry: RetryPolicy | None = None,
         breaker_factory=None,
         clock=time.monotonic,
-        engine: EngineConfig | bool | None = None,
+        engine: EngineConfig | None = None,
     ):
         rungs = list(rungs)
         if not rungs:
@@ -180,9 +180,7 @@ class RecommendService:
             max_attempts=2, base_delay=0.01, max_delay=0.1
         )
         self._clock = clock
-        if engine is True:
-            engine = EngineConfig()
-        self.engine_config = engine or None
+        self.engine_config = engine
         if breaker_factory is None:
             breaker_factory = lambda: CircuitBreaker(clock=clock)  # noqa: E731
         self._rungs = [
@@ -537,17 +535,10 @@ class RecommendService:
         ranked = rank_items_batch(
             scores, top_n, exclude=exclude, check_finite=True
         )
-        # Drop the -inf sentinel tail: when fewer than top_n items are
-        # rankable the batch kernel pads the list with excluded/padding
-        # ids, which a service must never actually recommend.
-        masked = scores.copy()
-        masked[:, 0] = -np.inf
-        if exclude is not None:
-            for row, history in enumerate(exclude):
-                masked[row, history] = -np.inf
-        keep = np.take_along_axis(masked, ranked, axis=1) > -np.inf
-        lists = [row[mask] for row, mask in zip(ranked, keep)]
-        return lists, ~keep.any(axis=1)
+        # Unrankable slots are 0 and sink to the end of each row.
+        counts = np.count_nonzero(ranked, axis=1)
+        lists = [row[:count] for row, count in zip(ranked, counts)]
+        return lists, counts == 0
 
     def _rank_narrow(
         self, top: TopScores, histories, top_n: int
@@ -557,10 +548,9 @@ class RecommendService:
         The narrow twin of :meth:`_rank`: O(C log C) per row over the
         packed candidate lists instead of O(|I|) over scattered rows,
         with the same exclusion semantics (history ids masked out, the
-        0-pad tail stripped exactly like the dense path's ``-inf``
-        tail).  Returns the per-row lists and a per-row mask of lists
-        that need the slow path: empty ones, and ones shorter than
-        ``top_n`` although the catalogue could fill more of them (thin
+        0 tail stripped).  Returns the per-row lists and a per-row mask
+        of lists that need the slow path: empty ones, and ones shorter
+        than ``top_n`` although the catalogue could fill more of them (thin
         probed lists, or exclusions swallowing the candidates).  A
         retrieval width ``C < top_n`` asks for short lists, so there
         only an empty list needs it.
@@ -635,19 +625,16 @@ class RecommendService:
             rung.model = model
         rung.breaker.reset()
 
-    def set_engine_config(self, engine: EngineConfig | bool | None) -> None:
+    def set_engine_config(self, engine: EngineConfig | None) -> None:
         """Re-wrap every rung for a different engine configuration.
 
         Shard workers use this to apply a per-shard
         :class:`EngineConfig` override after the (shared) factory has
         built the service — e.g. a retrieval index or a bigger score
         cache on hot shards only.  Each rung's *current* model is kept;
-        engines are rebuilt around it (fresh cache/batcher), and
+        engines are rebuilt around it (fresh cache and counters), and
         ``None`` unwraps back to direct model calls.
         """
-        if engine is True:
-            engine = EngineConfig()
-        engine = engine or None
         self.engine_config = engine
         for rung in self._rungs:
             model = (

@@ -44,15 +44,6 @@ class LatencyTracker:
         )
         self._samples = deque(combined, maxlen=capacity)
 
-    def fraction_under(self, seconds: float) -> float | None:
-        """Fraction of retained samples at or under ``seconds`` —
-        the SLO-attainment view of the reservoir (``None`` when no
-        samples are retained)."""
-        if not self._samples:
-            return None
-        values = np.asarray(self._samples, dtype=np.float64)
-        return float(np.mean(values <= seconds))
-
     def summary(self) -> dict:
         """count/mean/p50/p95/p99/max over the retained window, in ms."""
         if not self._samples:
@@ -137,9 +128,10 @@ class ServiceStats:
         """Aggregate another process's stats into this one.
 
         Counters sum, per-rung stats merge rung-by-rung (rungs the
-        other side has and this side doesn't are adopted), and latency
-        reservoirs pool — so a cluster's merged snapshot satisfies the
-        same :meth:`accounted` invariant as a single-process run.
+        other side has and this side doesn't are merged into fresh
+        ones, never shared), and latency reservoirs pool — so a
+        cluster's merged snapshot satisfies the same :meth:`accounted`
+        invariant as a single-process run.
         """
         self.requests += other.requests
         self.rejected += other.rejected
@@ -150,10 +142,7 @@ class ServiceStats:
         self.narrow_ranked += other.narrow_ranked
         self.dense_fallbacks += other.dense_fallbacks
         for name, rstats in other.rungs.items():
-            if name in self.rungs:
-                self.rungs[name].merge(rstats)
-            else:
-                self.rungs[name] = rstats
+            self.rungs.setdefault(name, RungStats()).merge(rstats)
 
     def snapshot(
         self,

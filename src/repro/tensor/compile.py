@@ -690,10 +690,6 @@ class Program:
         self.placed_bytes = placed_bytes
         self.scratch = scratch if scratch is not None else _StepScratch()
 
-    @property
-    def has_backward(self) -> bool:
-        return self.root is not None
-
     def replay(self, feed_values=None):
         """Refresh feeds, run the step list, return the retained result.
 

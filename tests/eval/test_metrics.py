@@ -1,5 +1,7 @@
 """Ranking metrics against hand-computed examples plus hypothesis
-invariants (bounds, monotonicity in N)."""
+invariants (bounds, monotonicity in N).  The scalar one-list metrics of
+``tests/reference.py`` carry Eq. 21-22 and the NDCG definition; the
+production ``metrics_batch`` is held against them."""
 
 import numpy as np
 import pytest
@@ -9,12 +11,10 @@ from hypothesis import strategies as st
 from repro.eval import (
     NonFiniteScoresError,
     metrics_batch,
-    ndcg_at_n,
-    precision_at_n,
     rank_items,
     rank_items_batch,
-    recall_at_n,
 )
+from tests.reference import ndcg_at_n, precision_at_n, recall_at_n
 
 
 class TestHandComputed:
@@ -93,6 +93,23 @@ def test_precision_recall_relationship(recommended, relevant, n):
     assert hits_by_precision == pytest.approx(hits_by_recall)
 
 
+@settings(max_examples=40, deadline=None)
+@given(**_RANKING_ARGS)
+def test_metrics_batch_matches_scalar_metrics(recommended, relevant, n):
+    ranked = np.zeros((1, 25), dtype=np.int64)  # 0-padded like rankers
+    ranked[0, :len(recommended)] = recommended
+    batch = metrics_batch(ranked, [np.array(sorted(relevant))], (n,), 31)
+    assert batch[f"precision@{n}"][0] == pytest.approx(
+        precision_at_n(recommended, relevant, n)
+    )
+    assert batch[f"recall@{n}"][0] == pytest.approx(
+        recall_at_n(recommended, relevant, n)
+    )
+    assert batch[f"ndcg@{n}"][0] == pytest.approx(
+        ndcg_at_n(recommended, relevant, n)
+    )
+
+
 class TestRankItems:
     def test_orders_by_score(self):
         scores = np.array([-np.inf, 0.1, 0.9, 0.5])
@@ -106,6 +123,15 @@ class TestRankItems:
         scores = np.array([0.0, 3.0, 2.0, 1.0])
         ranked = rank_items(scores, 2, exclude=np.array([1]))
         assert ranked.tolist() == [2, 3]
+
+    def test_unrankable_slots_are_zero(self):
+        # Padding and excluded items score -inf: their slots carry the
+        # PAD id 0 at the end of the list, never an excluded id.
+        scores = np.array([[0.0, 3.0, 2.0, 1.0], [0.0, 1.0, -np.inf, 2.0]])
+        ranked = rank_items_batch(
+            scores, 3, exclude=[np.array([1, 2]), np.array([3])]
+        )
+        np.testing.assert_array_equal(ranked, [[3, 0, 0], [1, 0, 0]])
 
     def test_top_n_clipped_to_catalogue(self):
         scores = np.array([0.0, 1.0, 2.0])

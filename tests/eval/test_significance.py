@@ -10,6 +10,10 @@ from repro.eval.significance import (
     paired_bootstrap,
     per_user_metric,
 )
+from repro.models import SASRec
+from repro.retrieval import IndexConfig, TopScores
+from repro.serve import EngineConfig, InferenceEngine
+from repro.tensor import set_default_dtype
 
 
 class ConstantRecommender:
@@ -51,6 +55,28 @@ class TestPerUserMetric:
     def test_bad_metric_name(self):
         with pytest.raises(ValueError, match="metric"):
             per_user_metric(ConstantRecommender(5), make_heldout(), "mrr@10")
+
+    def test_candidate_native_engine_matches_evaluator_bitwise(self):
+        # An IVF-backed engine answers with narrow TopScores batches,
+        # some shorter than the cutoff after fold-in exclusion.
+        previous = set_default_dtype(np.float32)
+        try:
+            model = SASRec(60, 12, dim=16, num_blocks=1, seed=0,
+                           tie_weights=False)
+            engine = InferenceEngine(model, EngineConfig(
+                index=IndexConfig(nlist=6, nprobe=2, candidates=16, seed=0)
+            ))
+            heldout = make_heldout(num_users=20, num_items=60)
+            assert isinstance(
+                engine.score_batch([heldout[0].fold_in]), TopScores
+            )
+            aggregate = evaluate_recommender(engine, heldout)
+            for metric, mean in aggregate.values.items():
+                values = per_user_metric(engine, heldout, metric)
+                assert values.shape == (20,)
+                assert values.sum() / len(heldout) == mean
+        finally:
+            set_default_dtype(previous)
 
 
 class TestPairedBootstrap:

@@ -20,7 +20,10 @@ against the implementations here:
 - :func:`composed_substrate`, which swaps them in under a whole VSAN;
 - eager twins of the two compiled entry points, :func:`eager_step_values`
   (``repro.train.trainer.training_step_values``) and
-  :func:`eager_hidden_last` (``NeuralSequentialRecommender.hidden_last``).
+  :func:`eager_hidden_last` (``NeuralSequentialRecommender.hidden_last``);
+- one-list scalar forms of the Section V-C metrics, :func:`precision_at_n`
+  (Eq. 21), :func:`recall_at_n` (Eq. 22) and :func:`ndcg_at_n`, that
+  ``repro.eval.metrics_batch`` vectorizes.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ __all__ = [
     "eager_hidden_last",
     "eager_step_values",
     "multi_hot_cross_entropy_reference",
+    "ndcg_at_n",
+    "precision_at_n",
+    "recall_at_n",
     "scatter_rows_reference",
 ]
 
@@ -306,3 +312,38 @@ def eager_hidden_last(model, histories: list[np.ndarray]) -> np.ndarray:
     with no_grad():
         hidden = model.encode_last(padded)
     return hidden.numpy().copy()
+
+
+def _as_sets(recommended, relevant) -> tuple[list[int], set[int]]:
+    recommended = [int(item) for item in recommended]
+    relevant = {int(item) for item in relevant}
+    if not relevant:
+        raise ValueError("relevant set must be non-empty")
+    return recommended, relevant
+
+
+def precision_at_n(recommended, relevant, n: int) -> float:
+    """Fraction of the top-``n`` list that is relevant."""
+    recommended, relevant = _as_sets(recommended, relevant)
+    hits = sum(1 for item in recommended[:n] if item in relevant)
+    return hits / n
+
+
+def recall_at_n(recommended, relevant, n: int) -> float:
+    """Fraction of the relevant set found in the top-``n`` list."""
+    recommended, relevant = _as_sets(recommended, relevant)
+    hits = sum(1 for item in recommended[:n] if item in relevant)
+    return hits / len(relevant)
+
+
+def ndcg_at_n(recommended, relevant, n: int) -> float:
+    """Position-discounted gain, normalized by the ideal ordering."""
+    recommended, relevant = _as_sets(recommended, relevant)
+    dcg = sum(
+        1.0 / np.log2(rank + 2)
+        for rank, item in enumerate(recommended[:n])
+        if item in relevant
+    )
+    ideal_hits = min(len(relevant), n)
+    idcg = sum(1.0 / np.log2(rank + 2) for rank in range(ideal_hits))
+    return dcg / idcg

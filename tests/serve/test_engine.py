@@ -1,4 +1,4 @@
-"""The inference engine: ScoreCache LRU accounting, MicroBatcher
+"""The inference engine: ScoreCache LRU accounting, chunked-forward
 determinism, and the headline invariant — batched serving through
 `InferenceEngine` / `recommend_many` is bitwise-identical to the
 one-at-a-time path, including under fault-driven degradation."""
@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import SASRec
+from repro.retrieval import IndexConfig, TopScores
 from repro.serve import (
     EngineConfig,
     InferenceEngine,
     InvalidRequest,
-    MicroBatcher,
     Recommendation,
     RecommendService,
     RetryPolicy,
@@ -183,11 +183,11 @@ class TestScoreCache:
 
 
 # ----------------------------------------------------------------------
-# MicroBatcher
+# Chunked forwards
 # ----------------------------------------------------------------------
 
 
-class RecordingScorer:
+class RecordingModel:
     """Score = last item id, broadcast over a 4-wide row; records the
     exact batches it was called with."""
 
@@ -195,7 +195,7 @@ class RecordingScorer:
         self.batches: list[list[np.ndarray]] = []
         self.fail_times = fail_times
 
-    def __call__(self, histories):
+    def score_batch(self, histories):
         self.batches.append([h.copy() for h in histories])
         if self.fail_times > 0:
             self.fail_times -= 1
@@ -205,55 +205,40 @@ class RecordingScorer:
         ])
 
 
-class TestMicroBatcher:
+class TestChunkedForwards:
     def test_fifo_order_and_chunking(self):
-        scorer = RecordingScorer()
-        batcher = MicroBatcher(scorer, max_batch=3)
-        tickets = [
-            batcher.submit(np.array([i])) for i in range(1, 8)
-        ]  # auto-flushes at 3 and 6
-        batcher.flush()
-        assert [len(b) for b in scorer.batches] == [3, 3, 1]
-        flat = [int(h[0]) for batch in scorer.batches for h in batch]
+        model = RecordingModel()
+        engine = InferenceEngine(
+            model, EngineConfig(max_batch=3, cache_capacity=0)
+        )
+        scores = engine.score_batch([np.array([i]) for i in range(1, 8)])
+        assert [len(b) for b in model.batches] == [3, 3, 1]
+        flat = [int(h[0]) for batch in model.batches for h in batch]
         assert flat == [1, 2, 3, 4, 5, 6, 7]  # deterministic FIFO
-        for i, ticket in enumerate(tickets, start=1):
-            assert ticket.scores()[0] == float(i)
-
-    def test_auto_flush_at_max_batch(self):
-        scorer = RecordingScorer()
-        batcher = MicroBatcher(scorer, max_batch=2)
-        first = batcher.submit(np.array([1]))
-        assert not first.done()
-        batcher.submit(np.array([2]))
-        assert first.done()  # the second submit filled the batch
-        assert batcher.flushes == 1 and batcher.batched_requests == 2
+        np.testing.assert_array_equal(scores[:, 0], np.arange(1.0, 8.0))
 
     def test_error_fans_out_to_whole_chunk(self):
-        scorer = RecordingScorer(fail_times=1)
-        batcher = MicroBatcher(scorer, max_batch=8)
-        tickets = [batcher.submit(np.array([i])) for i in range(3)]
-        batcher.flush()
-        for ticket in tickets:
-            with pytest.raises(RuntimeError, match="scorer exploded"):
-                ticket.scores()
+        model = RecordingModel(fail_times=1)
+        engine = InferenceEngine(model, EngineConfig(max_batch=2))
+        # The first chunk fails as a whole; the second still warms.
+        assert engine.prefetch([np.array([i]) for i in (1, 2, 3)]) == 1
+        assert [len(b) for b in model.batches] == [2, 1]
+        engine.score_batch([np.array([i]) for i in (1, 2, 3)])
+        assert [len(b) for b in model.batches] == [2, 1, 2]
+        model.fail_times = 1
+        with pytest.raises(RuntimeError, match="scorer exploded"):
+            engine.score_batch([np.array([4]), np.array([5])])
+        assert len(engine.cache) == 3
 
     def test_row_count_mismatch_is_an_error(self):
-        batcher = MicroBatcher(lambda hs: np.zeros((1, 4)), max_batch=8)
-        tickets = [batcher.submit(np.array([i])) for i in range(2)]
-        batcher.flush()
+        class OneRow:
+            def score_batch(self, histories):
+                return np.zeros((1, 4))
+
+        engine = InferenceEngine(OneRow(), EngineConfig(max_batch=8))
         with pytest.raises(ValueError, match="rows"):
-            tickets[0].scores()
-
-    def test_unresolved_ticket_raises(self):
-        batcher = MicroBatcher(RecordingScorer(), max_batch=8)
-        ticket = batcher.submit(np.array([1]))
-        with pytest.raises(RuntimeError, match="flush"):
-            ticket.scores()
-
-    def test_due_by_size(self):
-        batcher = MicroBatcher(RecordingScorer(), max_batch=1)
-        ticket = batcher.submit(np.array([1]))
-        assert ticket.done()  # max_batch=1 auto-flushes immediately
+            engine.score_batch([np.array([1]), np.array([2])])
+        assert engine.prefetch([np.array([1]), np.array([2])]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -329,6 +314,14 @@ class TestInferenceEngine:
         assert after.keys() == before.keys()
         assert all(after[name] is value for name, value in before.items())
 
+    def test_score_returns_one_narrow_row(self):
+        model = SASRec(NUM_ITEMS, max_length=4, dim=8, num_blocks=1)
+        engine = InferenceEngine(model, EngineConfig(
+            index=IndexConfig(nlist=2, nprobe=1, candidates=4, seed=0)
+        ))
+        row = engine.score(np.array([1, 2]))
+        assert isinstance(row, TopScores) and len(row) == 1
+
     def test_key_shares_suffix_beyond_model_window(self):
         model = SASRec(NUM_ITEMS, max_length=4, dim=8, num_blocks=1)
         engine = InferenceEngine(model, EngineConfig(max_batch=4))
@@ -396,8 +389,13 @@ class TestInferenceEngine:
         snap = engine.snapshot()
         assert snap["model_version"] == 0
         assert snap["cache"]["misses"] == 1
+        assert set(snap["batcher"]) == {
+            "max_batch", "flushes", "batched_requests", "largest_flush",
+            "queued", "mean_flush_size",
+        }
         assert snap["batcher"]["flushes"] == 1
         assert snap["batcher"]["max_batch"] == 4
+        assert snap["batcher"]["queued"] == 0
 
 
 # ----------------------------------------------------------------------

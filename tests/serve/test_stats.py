@@ -36,15 +36,6 @@ class TestLatencyMerge:
         assert len(a) == 1
         assert a.summary()["p50_ms"] == 250.0
 
-    def test_fraction_under_is_the_slo_view(self):
-        tracker = LatencyTracker()
-        assert tracker.fraction_under(1.0) is None  # no samples yet
-        for value in (0.05, 0.1, 0.2, 0.4):
-            tracker.add(value)
-        assert tracker.fraction_under(0.2) == pytest.approx(0.75)
-        assert tracker.fraction_under(0.01) == 0.0
-        assert tracker.fraction_under(1.0) == 1.0
-
 
 class TestRungMerge:
     def test_counters_sum_and_failures_pool(self):
@@ -103,6 +94,19 @@ class TestServiceStatsMerge:
         b.rungs["canary"].attempts = 3
         a.merge(b)
         assert a.rungs["canary"].attempts == 3
+
+    def test_adopted_rungs_are_not_shared(self):
+        # A cluster merges each shard into its total, then shard after
+        # shard: merging into the total must leave every source intact.
+        total, first, second = (ServiceStats([]) for _ in range(3))
+        first.merge(ServiceStats(["primary"]))
+        first.rungs["primary"].attempts = 2
+        second.merge(ServiceStats(["primary"]))
+        second.rungs["primary"].attempts = 3
+        total.merge(first)
+        total.merge(second)
+        assert total.rungs["primary"].attempts == 5
+        assert first.rungs["primary"].attempts == 2
 
     def test_narrow_counters_sum_and_snapshot(self):
         a = ServiceStats(["primary"])

@@ -104,6 +104,26 @@ def test_recommend_known_user(csv_path, checkpoint, capsys):
     assert "top-5" in out
 
 
+def test_recommend_never_lists_the_history(csv_path, checkpoint, capsys):
+    # A list longer than the catalogue: only the unseen items fill it.
+    from repro.data import prepare_corpus, read_interactions_csv
+
+    corpus = prepare_corpus(read_interactions_csv(csv_path))
+    user = corpus.user_ids[0]
+    seen = {corpus.index_to_item[int(item)] for item in corpus.sequences[0]}
+    exit_code = main(
+        [
+            "recommend", "--data", str(csv_path),
+            "--checkpoint", str(checkpoint), "--heldout", "6",
+            "--user", str(user), "--top", "100000",
+        ]
+    )
+    assert exit_code == 0
+    listed = json.loads(capsys.readouterr().out.split(": ")[-1])
+    assert len(listed) == corpus.num_items - len(seen)
+    assert not seen & set(listed)
+
+
 def test_recommend_unknown_user_fails(csv_path, checkpoint, capsys):
     exit_code = main(
         [
