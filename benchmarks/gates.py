@@ -40,6 +40,16 @@ when the median per-pair ratio reaches its bar:
   10 pairs (a self-comparison's median ratio spreads about ±0.05);
   peak RSS can (it spreads ±0.005).
 
+**Growth rows** run the same work at two settings of a model knob as
+alternating pairs and bound how much a resource may grow between them:
+
+- ``next-k head``: a 2-epoch VSAN fit on the ``perfbench train``
+  corpus at ``k = 2`` against ``k = 1``, each in its own fresh process,
+  5 pairs on seeds 5001–5005.  The next-``k`` objective scores id slots
+  in the same row-tiled head as next-item training, so the ``k = 2``
+  fit's peak RSS is at most 1.15× the ``k = 1`` fit's (median per-pair
+  ratio); a catalogue-wide target or logit array would show as ~2×.
+
 **Bound rows** check one run against an absolute bound: narrow cache
 entries ≤ 4 KB each and ≤ 64 KB net allocation over 5 fully cached
 calls; the 2-shard cluster ≥ 150 req/s (best of 3) with exact
@@ -146,6 +156,9 @@ RATIO_BARS = {
 #: Compiled training's peak RSS over eager's, at most (median pair).
 TRAIN_RSS_BAR = 0.95
 TRAIN_PAIRS = 10
+#: A k = 2 fit's peak RSS over a k = 1 fit's, at most (median pair).
+NEXT_K_RSS_BAR = 1.15
+NEXT_K_PAIRS = 5
 
 
 # ----------------------------------------------------------------------
@@ -619,6 +632,35 @@ def compiled_train_rows() -> list[Row]:
     return [row]
 
 
+def next_k_arm(k: int, seed: int) -> dict:
+    """One arm of ``next-k head``, in a fresh process: a 2-epoch VSAN
+    fit with next-``k`` targets on the ``perfbench train`` corpus."""
+    dataset = beauty_dataset(SCALE)
+    model = build_model("VSAN", dataset, seed=seed, k=k)
+    config = TrainerConfig(epochs=2, batch_size=128, seed=seed,
+                           compute_dtype="float32")
+    gc.collect()
+    start = time.perf_counter()
+    Trainer(config).fit(model, dataset.split.train)
+    return {"seconds": time.perf_counter() - start, "rss_mb": vm_hwm_mb()}
+
+
+def next_k_rows() -> list[Row]:
+    runs = paired(
+        lambda i: in_child(next_k_arm, 2, 5001 + i),
+        lambda i: in_child(next_k_arm, 1, 5001 + i),
+        pairs=NEXT_K_PAIRS, warmup=0,
+    )
+    rss, wall = runs.of("rss_mb"), runs.of("seconds")
+    growth = median([n / f for n, f in zip(rss.on, rss.off)])
+    return [Row(
+        "next-k head", f"k=2 RSS ≤ {NEXT_K_RSS_BAR}× k=1",
+        growth <= NEXT_K_RSS_BAR, rss, unit="MB", scale=1.0,
+        note=f"peak RSS k=2 over k=1 {growth:.3f}×; wall "
+             f"{median(wall.on):.2f} / {median(wall.off):.2f} s",
+    )]
+
+
 # ----------------------------------------------------------------------
 # Sharded cluster
 # ----------------------------------------------------------------------
@@ -771,7 +813,7 @@ def ceiling_rows() -> list[Row]:
         "VSAN", beauty_dataset(SCALE), seed=0).output_head()[0].shape
     batch, length = rows.shape[0], rows.shape[1] - 1
     supervised = int(np.count_nonzero(
-        reconstruction_targets(rows, 1, classes - 1)[2]))
+        reconstruction_targets(rows, 1)[2]))
     draw = partial(np.random.default_rng(0).standard_normal,
                    dtype=np.float32)
     h, g = draw((supervised, dim)), draw((supervised, classes))
@@ -825,6 +867,7 @@ ROWS = {
     "retrieval": retrieval_rows,
     "cold-forward": cold_forward_rows,
     "compiled-train": compiled_train_rows,
+    "next-k": next_k_rows,
     "cluster": cluster_rows,
     "ceiling": ceiling_rows,
 }

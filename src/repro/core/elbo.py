@@ -5,12 +5,12 @@ Both VAEs in this repository (VSAN and the SVAE baseline) minimize
     L_β = β · KL(q_λ(z|S) || N(0, I)) − E_q[log p_θ(S|z)]
 
 where the reconstruction term is a softmax cross-entropy against the
-next item (one-hot) or the next ``k`` items (multi-hot, Eq. 18), averaged
-over the non-padded sequence positions; the KL term is the closed-form
-Gaussian divergence summed over latent dimensions and averaged over the
-same positions.  The one-hot form fuses the output-head GEMM into the
-loss (:func:`repro.tensor.linear_cross_entropy`), so a padded position
-is never scored.
+next item or the set of the next ``k`` items (Eq. 18), averaged over the
+non-padded sequence positions; the KL term is the closed-form Gaussian
+divergence summed over latent dimensions and averaged over the same
+positions.  Both forms go through one kernel that fuses the output-head
+GEMM into the loss (:func:`repro.tensor.linear_cross_entropy`), so a
+padded position is never scored and no catalogue-wide target is built.
 
 :func:`elbo_terms` returns the pieces separately so callers can log the
 reconstruction/KL trade-off (and so tests can check each in isolation).
@@ -22,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data.batching import next_k_multi_hot, shift_targets
+from ..data.batching import next_k_targets, shift_targets
 from ..tensor import (
     Tensor,
     gaussian_kl_standard_normal,
     get_default_dtype,
     linear_cross_entropy,
-    multi_hot_cross_entropy,
 )
 from ..tensor.compile import record_feed, tracing
 
@@ -70,26 +69,17 @@ class ELBOTerms:
 
 
 def reconstruction_targets(
-    padded: np.ndarray,
-    k: int,
-    num_items: int,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Derive training targets from a padded batch.
-
-    Returns ``(inputs, targets, weights, multi_hot)``: one-hot integer
-    targets for ``k == 1`` (the paper's Eq. 14 mode) or a {0,1} multi-hot
-    tensor over the catalogue for ``k > 1`` (Eq. 18).  ``out`` recycles a
-    caller-owned dense buffer for the ``k > 1`` target (see
-    :func:`repro.data.batching.next_k_multi_hot`); ``k == 1`` ignores it.
+    padded: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Derive ``(inputs, targets, weights)`` from a padded batch: the
+    next item's id per position for ``k == 1`` (the paper's Eq. 14 mode,
+    views of ``padded``), else ``k`` id slots per position holding the
+    set of the next ``k`` items (Eq. 18, see
+    :func:`repro.data.batching.next_k_targets`).
     """
     if k == 1:
-        inputs, targets, weights = shift_targets(padded)
-        return inputs, targets, weights, False
-    inputs, targets, weights = next_k_multi_hot(
-        padded, k, num_items, out=out
-    )
-    return inputs, targets, weights, True
+        return shift_targets(padded)
+    return next_k_targets(padded, k)
 
 
 def elbo_terms(
@@ -100,7 +90,6 @@ def elbo_terms(
     mu: Tensor | None,
     sigma: Tensor | None,
     beta: float,
-    multi_hot: bool,
 ) -> ELBOTerms:
     """Assemble Eq. 20 from model outputs.
 
@@ -108,29 +97,18 @@ def elbo_terms(
         hidden: ``(batch, length, dim)`` hidden states feeding the head.
         head: the output head's ``(weight, bias)`` (see
             ``NeuralSequentialRecommender.output_head``).
-        targets: integer next-item ids, or a multi-hot array when
-            ``multi_hot`` is True.
+        targets: next-item ids, shaped like ``weights``, or ``k`` id
+            slots per position (see :func:`reconstruction_targets`).
         weights: per-position supervision weights (0 at padding).
         mu, sigma: posterior parameters (both None for latent-free
             ablations such as VSAN-z — the KL term is then omitted).
         beta: the KL weight in force (from a
             :class:`repro.train.annealing.BetaSchedule`).
-        multi_hot: selects the reconstruction form: one-hot targets go
-            through :func:`linear_cross_entropy`, multi-hot ones through
-            composed logits and :func:`multi_hot_cross_entropy`.
     """
     weight, bias = head
-    if multi_hot:
-        logits = hidden @ weight
-        if bias is not None:
-            logits = logits + bias
-        reconstruction = multi_hot_cross_entropy(
-            logits, targets, weights=weights
-        )
-    else:
-        reconstruction = linear_cross_entropy(
-            hidden, weight, bias, targets, weights=weights
-        )
+    reconstruction = linear_cross_entropy(
+        hidden, weight, bias, targets, weights=weights
+    )
     if (mu is None) != (sigma is None):
         raise ValueError("mu and sigma must both be given or both None")
     kl = (

@@ -20,7 +20,7 @@ Pipeline (Figure 2):
    evaluation uses ``z = mu`` (posterior mean), as in the paper.
 
 Training minimizes the β-ELBO of Eq. 20 — reconstruction cross-entropy
-(one-hot next item, or multi-hot next ``k`` per Eq. 18) plus
+(next item, or the set of the next ``k`` per Eq. 18) plus
 ``beta * KL(q(z|S) || N(0, I))`` with the annealed β schedule.
 
 Ablation switches reproduce the paper's component studies:
@@ -270,16 +270,7 @@ class VSAN(NeuralSequentialRecommender):
         estimate — our extension; the paper uses a single sample); the
         inference stack runs once and only the decoder repeats.
         """
-        inputs, targets, weights, multi_hot = reconstruction_targets(
-            padded,
-            self.k,
-            self.num_items,
-            out=(
-                self._target_buffer(padded.shape[0], padded.shape[1] - 1)
-                if self.k > 1
-                else None
-            ),
-        )
+        inputs, targets, weights = reconstruction_targets(padded, self.k)
         beta = self.annealing.beta(self._step)
         if self.training:
             self._step += 1
@@ -301,7 +292,7 @@ class VSAN(NeuralSequentialRecommender):
             )
             return elbo_terms(
                 hidden, self.output_head(), targets, weights, mu, sigma,
-                beta, multi_hot,
+                beta,
             )
 
         terms = sample_terms()

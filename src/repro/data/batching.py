@@ -3,8 +3,9 @@
 Implements Section IV-A of the paper: sequences longer than the maximum
 length ``n`` keep their most recent ``n`` items; shorter sequences are
 left-padded with the padding id 0.  For training, the input at position
-``t`` predicts the item at ``t+1`` (one-hot targets), or the next ``k``
-items as a multi-hot target per Eq. 18.
+``t`` predicts the item at ``t+1`` (:func:`shift_targets`), or the set
+of the next ``k`` items per Eq. 18 (:func:`next_k_targets`, as ``k`` id
+slots per position rather than a multi-hot row over the catalogue).
 
 Length-aware utilities (:func:`effective_lengths`, :func:`trim_batch`,
 :func:`bucketed_minibatch_indices`) support the trainer's padding-frugal
@@ -29,7 +30,7 @@ __all__ = [
     "pad_left",
     "pad_left_into",
     "shift_targets",
-    "next_k_multi_hot",
+    "next_k_targets",
     "minibatch_indices",
     "bucketed_minibatch_indices",
     "build_training_matrix",
@@ -94,7 +95,7 @@ def trim_batch(
     Keeps the trailing ``max(effective length) + margin`` columns.
     ``margin`` is the model's supervision window: ``1`` for next-item
     training preserves the leading-pad position whose *target* is the
-    first real item; next-``k`` multi-hot training (Eq. 18) supervises up
+    first real item; next-``k`` training (Eq. 18) supervises up
     to ``k`` leading-pad positions (their windows reach the first real
     item), so such models pass ``margin=k``.  Either way every supervised
     (input, target) pair of the full-width batch survives.  Rows are
@@ -146,81 +147,42 @@ def shift_targets(
     return inputs, targets, weights
 
 
-def next_k_multi_hot(
-    padded: np.ndarray,
-    k: int,
-    num_items: int,
-    dtype=None,
-    out: np.ndarray | None = None,
+def next_k_targets(
+    padded: np.ndarray, k: int, dtype=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inputs plus multi-hot targets over the next ``k`` items (Eq. 18).
+    """Inputs plus the ids of the next ``k`` items per position (Eq. 18).
 
-    Returns ``(inputs, multi_hot, weights)`` where ``multi_hot`` has shape
-    ``(batch, length-1, num_items + 1)`` ({0,1}, column 0 = padding is
-    always 0) and ``weights[b, t]`` is 1 iff at least one of the next
-    ``k`` positions holds a real item.
-
-    The dense target is the single biggest allocation of a VAE training
-    step, so both knobs matter on the hot path:
-
-    - ``dtype`` (default: the engine default) builds the target directly
-      in the compute dtype — the fused loss kernels then use it without
-      a casting copy;
-    - ``out`` recycles a caller-owned buffer of at least
-      ``(batch, length-1, num_items + 1)`` entries across batches; the
-      returned ``multi_hot`` is a zeroed-and-refilled view into it.
+    Returns ``(inputs, targets, weights)`` where ``targets`` is an int64
+    ``(batch, length-1, k)`` array: slot ``j`` of position ``t`` holds
+    ``padded[:, t+1+j]``, or ``PAD_ID`` where that is padding, past the
+    end of the row, or repeats an earlier slot of the position (the
+    target is the *set* of the next ``k`` items).  ``weights[b, t]`` is 1
+    iff at least one slot holds an item, built in ``dtype`` (default:
+    the engine default).  :func:`repro.tensor.linear_cross_entropy`
+    reads the slots directly, so no ``(…, |I|+1)`` target is ever built.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dtype = _target_dtype(dtype)
     inputs = padded[:, :-1]
     batch, length = inputs.shape
-    if out is not None:
-        if out.dtype != dtype:
-            raise ValueError(
-                f"out buffer dtype {out.dtype} != target dtype {dtype}"
-            )
-        if out.ndim != 3 or any(
-            have < need
-            for have, need in zip(out.shape, (batch, length, num_items + 1))
-        ):
-            raise ValueError(
-                f"out buffer shape {out.shape} is smaller than "
-                f"{(batch, length, num_items + 1)}"
-            )
-        multi_hot = out[:batch, :length, :num_items + 1]
-        multi_hot[...] = 0.0
-    else:
-        multi_hot = np.zeros((batch, length, num_items + 1), dtype=dtype)
-    for offset in range(1, k + 1):
-        stop = padded.shape[1] - offset
-        if stop <= 0:
-            continue
-        stop = min(stop, length)
-        future = padded[:, offset:offset + stop]
-        rows, cols = np.nonzero(future != PAD_ID)
-        multi_hot[rows, cols, future[rows, cols]] = 1.0
-    multi_hot[:, :, PAD_ID] = 0.0
-    weights = (multi_hot.sum(axis=-1) > 0).astype(dtype)
-    if tracing():
-        # The scatter uses data-dependent *indices* into fixed-shape
-        # buffers, so it replays as one host step that refills the dense
-        # target and weight mask from the refreshed padded batch.
-        def refill():
-            multi_hot[...] = 0.0
-            for offset in range(1, k + 1):
-                stop = padded.shape[1] - offset
-                if stop <= 0:
-                    continue
-                stop = min(stop, length)
-                future = padded[:, offset:offset + stop]
-                rows, cols = np.nonzero(future != PAD_ID)
-                multi_hot[rows, cols, future[rows, cols]] = 1.0
-            multi_hot[:, :, PAD_ID] = 0.0
-            np.greater(multi_hot.sum(axis=-1), 0, out=weights)
+    targets = np.empty((batch, length, k), dtype=np.int64)
+    weights = np.empty((batch, length), dtype=_target_dtype(dtype))
 
-        record_host(refill)
-    return inputs, multi_hot, weights
+    def fill():
+        targets.fill(PAD_ID)
+        for slot in range(min(k, length)):
+            future = targets[:, :length - slot, slot]
+            future[...] = padded[:, 1 + slot:]
+            for earlier in range(slot):
+                future[future == targets[:, :length - slot, earlier]] = PAD_ID
+        np.greater(targets.max(axis=-1), PAD_ID, out=weights)
+
+    fill()
+    if tracing():
+        # Data-dependent slot values in fixed-shape buffers: one host
+        # step refills them from the refreshed padded batch.
+        record_host(fill)
+    return inputs, targets, weights
 
 
 def minibatch_indices(

@@ -246,17 +246,19 @@ def metrics_batch(
             f"ranked item ids must lie in [0, {num_columns}); got range "
             f"[{int(ranked.min())}, {int(ranked.max())}]"
         )
-    sizes = np.array([len(t) for t in target_lists], dtype=np.int64)
+    lengths = np.array([len(t) for t in target_lists], dtype=np.int64)
     if len(target_lists) != num_users:
         raise ValueError("need one target list per user")
-    if (sizes == 0).any():
+    if (lengths == 0).any():
         raise ValueError("relevant set must be non-empty")
     relevant = np.zeros((num_users, num_columns), dtype=bool)
-    rows = np.repeat(np.arange(num_users), sizes)
+    rows = np.repeat(np.arange(num_users), lengths)
     cols = np.concatenate(
         [np.asarray(t, dtype=np.int64) for t in target_lists]
     )
     relevant[rows, cols] = True
+    # |T| of Eq. 22 is a set size: a repeated target id counts once.
+    sizes = np.count_nonzero(relevant, axis=1)
     hits = np.take_along_axis(relevant, ranked, axis=1)
 
     max_cutoff = max(cutoffs)

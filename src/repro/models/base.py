@@ -114,7 +114,7 @@ class NeuralSequentialRecommender(Module, Recommender):
 
     #: How many future positions each sequence position is supervised
     #: against: 1 for next-item training, ``k`` for the next-``k``
-    #: multi-hot objective of Eq. 18 (whose supervision window reaches
+    #: objective of Eq. 18 (whose supervision window reaches
     #: the first real item from up to ``k`` leading-pad positions).
     #: Used as the :func:`repro.data.batching.trim_batch` margin so
     #: column trimming never drops a supervised position.
@@ -192,28 +192,6 @@ class NeuralSequentialRecommender(Module, Recommender):
 
     def score(self, history: np.ndarray) -> np.ndarray:
         return self.score_batch([history])[0]
-
-    def _target_buffer(self, batch: int, length: int) -> np.ndarray:
-        """A reusable dense ``(batch, length, num_items+1)`` target buffer.
-
-        The multi-hot target of Eq. 18 is the single largest allocation
-        of a VAE training step; this grow-only scratch (in the current
-        default dtype) lets :func:`repro.data.batching.next_k_multi_hot`
-        refill one buffer across batches instead of allocating per step.
-        """
-        dtype = get_default_dtype()
-        buffer = getattr(self, "_multi_hot_scratch", None)
-        if (
-            buffer is None
-            or buffer.dtype != dtype
-            or buffer.shape[0] < batch
-            or buffer.shape[1] < length
-        ):
-            rows = max(batch, buffer.shape[0] if buffer is not None else 0)
-            cols = max(length, buffer.shape[1] if buffer is not None else 0)
-            buffer = np.empty((rows, cols, self.num_items + 1), dtype=dtype)
-            object.__setattr__(self, "_multi_hot_scratch", buffer)
-        return buffer
 
     def _padded_buffer(self, batch: int) -> np.ndarray:
         """A reusable ``(batch, max_length)`` id buffer for scoring.

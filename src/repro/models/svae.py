@@ -3,7 +3,7 @@
 The recurrent counterpart of VSAN: a GRU encodes the sequence, each
 hidden state parameterizes a Gaussian posterior over a per-position
 latent ``z_t``, and an MLP decoder maps ``z_t`` to a softmax over items.
-The target at position ``t`` is the *next k* items (multi-hot), trained
+The target at position ``t`` is the set of the *next k* items, trained
 with the annealed ELBO — exactly the setup the paper compares VSAN's
 next-``k`` flexibility against in Figure 3.
 
@@ -135,16 +135,7 @@ class SVAE(NeuralSequentialRecommender):
         return self.decoder_out.weight, self.decoder_out.bias
 
     def training_loss(self, padded: np.ndarray) -> Tensor:
-        inputs, targets, weights, multi_hot = reconstruction_targets(
-            padded,
-            self.k,
-            self.num_items,
-            out=(
-                self._target_buffer(padded.shape[0], padded.shape[1] - 1)
-                if self.k > 1
-                else None
-            ),
-        )
+        inputs, targets, weights = reconstruction_targets(padded, self.k)
         mu, sigma = self.posterior(inputs)
         z = self._sample(mu, sigma)
         hidden = self.decode_hidden(z)
@@ -152,8 +143,7 @@ class SVAE(NeuralSequentialRecommender):
         if self.training:
             self._step += 1
         return elbo_terms(
-            hidden, self.output_head(), targets, weights, mu, sigma, beta,
-            multi_hot,
+            hidden, self.output_head(), targets, weights, mu, sigma, beta
         ).loss
 
     # ------------------------------------------------------------------

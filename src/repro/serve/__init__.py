@@ -29,7 +29,15 @@ corruption helpers), ``tests/chaos.py`` (seeded kill/stall schedules
 against the cluster) and the end-to-end drills in
 ``tests/integration/test_serve_drills.py``.
 
-See ``docs/SERVING.md`` for the fault model and ladder semantics.
+Pin one BLAS thread per serving process (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1) before numpy is
+first imported: the IVF retrieval path reads 3.7–4.3× dense scoring with
+one thread and 2.5–2.6× under the BLAS library's default (the ``ivf``
+rows of ``benchmarks/gates.py``), and the BLAS library reads those
+variables only when numpy loads.  Forked cluster workers inherit it.
+
+See ``docs/SERVING.md`` for the fault model and ladder semantics and for
+the BLAS thread set-up.
 """
 
 from ..retrieval import IndexConfig, TopScores

@@ -1,9 +1,9 @@
 """Composite differentiable functions built on :class:`repro.tensor.Tensor`.
 
 These are the numerical workhorses of the attention and VAE math:
-numerically-stable softmax / log-softmax, the multi-hot (next-``k``)
-cross-entropy of Eq. 18/20 and inverted dropout with its mask helper.
-The one-hot cross-entropy fuses the output head into the loss
+numerically-stable softmax / log-softmax and inverted dropout with its
+mask helper.  The cross-entropy of Eq. 14 and its next-``k`` form of
+Eq. 18/20 fuse the output head into the loss
 (:func:`repro.tensor.fused.linear_cross_entropy`), and the
 reparameterized sample and the Gaussian KL divergence of Eq. 20 are the
 fused :func:`repro.tensor.fused.reparameterize` and
@@ -15,14 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .compile import record_host, tracing
-from .fused import fused_multi_hot_cross_entropy, gaussian_kl_standard_normal
+from .fused import gaussian_kl_standard_normal
 from .random import keep_mask
 from .tensor import Tensor, _retain
 
 __all__ = [
     "softmax",
     "log_softmax",
-    "multi_hot_cross_entropy",
     "gaussian_kl_standard_normal",
     "dropout",
     "dropout_mask",
@@ -44,28 +43,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - x.max(axis=axis, keepdims=True).detach()
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
-def multi_hot_cross_entropy(
-    logits: Tensor,
-    target_multi_hot: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> Tensor:
-    """Cross-entropy against multi-hot targets (Eq. 18/20, next-``k`` mode).
-
-    Each position's target is a {0,1} vector over items marking the next
-    ``k`` ground-truth items; the loss is ``-sum_i y_i log softmax(x)_i``
-    averaged over (weighted) positions, computed by the fused
-    log-sum-exp kernel.
-
-    Args:
-        logits: shape ``(..., num_classes)``.
-        target_multi_hot: {0,1} array broadcastable to ``logits.shape``.
-        weights: optional per-position weights, shape ``logits.shape[:-1]``.
-    """
-    return fused_multi_hot_cross_entropy(
-        logits, target_multi_hot, weights=weights
-    )
 
 
 def dropout_mask(shape: tuple[int, ...], dtype, rate: float,

@@ -25,14 +25,16 @@ Derivations (all standard):
   ``dS = W ∘ (dW − rowsum(dW ∘ W))``; masked entries carry exactly zero
   weight, so ``dS`` vanishes there without consulting the mask again.
   Finally ``dQ = s · dS K`` and ``dK = s · dSᵀ Q``.
-- **Softmax cross-entropy** via log-sum-exp: per position
-  ``nll = lse(x) − x_target`` and ``d nll/dx = softmax(x) − onehot``;
-  the multi-hot form replaces ``onehot`` with the target vector ``y``
-  and scales the softmax by ``sum(y)``.
+- **Softmax cross-entropy** via log-sum-exp: a row with the ``m``
+  target ids ``t₁ … t_m`` (one for next-item training, up to ``k`` for
+  the next-``k`` objective of Eq. 18) and ``y`` their count vector has
+  ``nll = m · lse(x) − Σ_j x[t_j]`` and
+  ``d nll/dx = m · softmax(x) − y``; with one target this is
+  ``lse(x) − x_t`` and ``softmax(x) − onehot``.
 - **Linear cross-entropy** ``loss = Σ_p c_p · nll(h_p W + b)`` over the
   ``P`` supervised rows ``H_P`` only (``c_p = w_p / Σw``; padded rows
   have ``w = 0`` and drop out of the sum).  With ``G`` the ``(P, |I|)``
-  matrix of rows ``c_p · (softmax(x_p) − onehot_p)``, the chain rule
+  matrix of rows ``c_p · (m_p · softmax(x_p) − y_p)``, the chain rule
   through ``X = H_P W + b`` gives ``dH_P = G Wᵀ`` (scattered back into
   the full row set, zero at padded rows), ``dW = H_Pᵀ G`` and
   ``db = Σ_p G_p``.  Every term is a sum over rows, so the kernel walks
@@ -40,7 +42,7 @@ Derivations (all standard):
   step-local buffer, become ``G_t`` in place, and ``dW += H_tᵀ G_t``,
   ``db += 1ᵀ G_t`` and ``dH_t = G_t Wᵀ`` are formed right away (with
   ``dloss = 1``; the backward scales them by the incoming gradient).
-  No ``(P, |I|)`` matrix is ever held.
+  No ``(P, |I|)`` matrix is ever held, and neither is a dense target.
 - **Layer norm** ``y = γ x̂ + β`` with ``x̂ = (x − μ) / √(σ² + ε)``:
   ``dx = (dx̂ − mean(dx̂) − x̂ · mean(dx̂ ∘ x̂)) / √(σ² + ε)`` where
   ``dx̂ = dy ∘ γ``, plus the usual reductions for ``dγ`` / ``dβ``.
@@ -73,7 +75,6 @@ __all__ = [
     "masked_fill_value",
     "fused_attention",
     "linear_cross_entropy",
-    "fused_multi_hot_cross_entropy",
     "fused_layer_norm",
     "residual_dropout_norm",
     "feedforward",
@@ -184,11 +185,6 @@ def fused_attention(
     return result
 
 
-def _flatten_logits(logits: Tensor) -> tuple[np.ndarray, int]:
-    num_classes = logits.shape[-1]
-    return logits.data.reshape(-1, num_classes), num_classes
-
-
 def _position_scale(
     weights: np.ndarray | None, num_positions: int, dtype
 ) -> np.ndarray:
@@ -238,8 +234,14 @@ def linear_cross_entropy(
     supervised rows only.
 
     ``hidden`` is ``(..., dim)``, ``weight`` ``(dim, num_classes)``,
-    ``bias`` ``(num_classes,)`` or ``None``; ``targets`` and ``weights``
-    match ``hidden``'s leading shape.  Rows with weight 0 (padding) never
+    ``bias`` ``(num_classes,)`` or ``None``; ``weights`` matches
+    ``hidden``'s leading shape.  ``targets`` matches it too (one class
+    per row), or has one more trailing axis of ``k`` slots (a bag of up
+    to ``k`` classes per row, the next-``k`` objective of Eq. 18): there
+    a slot holding 0 is empty, a row with ``m`` filled slots scores
+    ``m · lse(x) − Σ x[t]``, and a class in two slots counts twice.
+    With one filled slot a row's arithmetic is the one-class arithmetic,
+    bit for bit.  Rows with weight 0 (padding) never
     reach the head: their logits are not computed, they add nothing to
     the loss, and their ``hidden`` gradient is exactly zero.  With
     ``weights=None`` every row is supervised with weight 1.
@@ -262,8 +264,21 @@ def linear_cross_entropy(
     tile = min(num_rows, _tile_rows(num_classes, dtype))
     targets_src = targets
     weights_src = weights
-    targets = np.asarray(targets, dtype=np.int64).reshape(-1)
+    targets = np.asarray(targets, dtype=np.int64)
+    slots = targets.ndim == hidden.ndim
+    targets = targets.reshape(num_rows, -1)
+    num_slots = targets.shape[1]
     targets_copied = not np.shares_memory(targets, targets_src)
+    # 1 at every filled slot and the filled count m per row: refreshed
+    # by every forward from slotted targets, broadcast ones (no memory)
+    # for one class per row.
+    if slots:
+        present = _retain(np.empty(targets.shape, dtype=dtype))
+        mass = _retain(np.empty(num_rows, dtype=dtype))
+    else:
+        one = np.ones(1, dtype=dtype)
+        present = np.broadcast_to(one, targets.shape)
+        mass = np.broadcast_to(one, (num_rows,))
     all_rows = np.arange(num_rows)
     parents = (hidden, weight) if bias is None else (hidden, weight, bias)
     on_tape = is_grad_enabled() and any(p.requires_grad for p in parents)
@@ -302,7 +317,10 @@ def linear_cross_entropy(
         if targets_copied:
             targets[...] = np.asarray(
                 targets_src, dtype=np.int64
-            ).reshape(-1)
+            ).reshape(num_rows, -1)
+        if slots:
+            np.not_equal(targets, 0, out=present)
+            np.sum(present, axis=1, out=mass)
         if weights_src is not None:
             flat = np.asarray(weights_src, dtype=dtype).reshape(-1)
             total = float(flat.sum())
@@ -328,6 +346,8 @@ def linear_cross_entropy(
             rows_index = index[start:start + tile]
             size = rows_index.size
             picked = targets[rows_index]
+            real = present[rows_index]
+            row_mass = mass[rows_index]
             rows = gathered[:size]
             # mode="clip" (the indices are in range) writes ``out``
             # directly; the default "raise" goes through a temporary.
@@ -339,21 +359,29 @@ def linear_cross_entropy(
             shift, total_exp = row_max[:size], sum_exp[:size]
             np.max(scores, axis=1, out=shift)
             np.subtract(scores, shift[:, None], out=scores)
-            # The target entries, before the in-place exp.
-            target_shifted = scores[all_rows[:size], picked]
+            # The target entries, before the in-place exp; an empty
+            # slot adds nothing.
+            target_shifted = scores[all_rows[:size, None], picked]
+            np.multiply(target_shifted, real, out=target_shifted)
             np.exp(scores, out=scores)
             np.matmul(scores, ones_classes, out=total_exp)
             tile_nll = nll[start:start + size]
             np.log(total_exp, out=tile_nll)
-            np.subtract(tile_nll, target_shifted, out=tile_nll)
+            np.multiply(tile_nll, row_mass, out=tile_nll)
+            np.subtract(tile_nll, target_shifted.sum(axis=1), out=tile_nll)
             if not on_tape:
                 continue
-            # G = (softmax − onehot) · coeff, in place over the exps,
-            # with one per-row factor coeff / Σexp (over the row maxima).
+            # G = (m · softmax − y) · coeff, in place over the exps, with
+            # one per-row factor coeff · m / Σexp (over the row maxima).
             tile_coeff = coeff[start:start + size]
-            factor = np.divide(tile_coeff, total_exp, out=shift)
+            factor = np.multiply(tile_coeff, row_mass, out=shift)
+            np.divide(factor, total_exp, out=factor)
             np.multiply(scores, factor[:, None], out=scores)
-            scores[all_rows[:size], picked] -= tile_coeff
+            # Slot by slot, so a class in two slots is subtracted twice.
+            for slot in range(num_slots):
+                scores[all_rows[:size], picked[:, slot]] -= (
+                    tile_coeff * real[:, slot]
+                )
             if d_weight is not None:
                 np.matmul(rows.T, scores, out=tile_dw)
                 np.add(d_weight, tile_dw, out=d_weight)
@@ -382,80 +410,6 @@ def linear_cross_entropy(
             hidden._accumulate_owned(d_hidden.reshape(hidden.shape))
 
     return Tensor._make(out, parents, backward, forward)
-
-
-def fused_multi_hot_cross_entropy(
-    logits: Tensor,
-    target_multi_hot: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> Tensor:
-    """Multi-hot softmax cross-entropy (Eq. 18/20) as one tape node.
-
-    Per position ``sum(y) · lse(x) − y · x``, averaged over (optionally
-    weighted) positions; backward is ``sum(y) · softmax(x) − y`` times
-    the averaging coefficients.  Matches
-    :func:`repro.tensor.functional.multi_hot_cross_entropy`.
-    """
-    flat, num_classes = _flatten_logits(logits)
-    target_src = target_multi_hot
-    weights_src = weights
-    target = np.asarray(target_multi_hot, dtype=flat.dtype)
-    target = np.broadcast_to(target, logits.shape).reshape(-1, num_classes)
-    target_copied = not np.shares_memory(target, target_src)
-    if target_copied:  # refreshed by every replay
-        target = _retain(target)
-    # Take ``target · shifted`` before the in-place exp so one
-    # (positions, vocab) buffer is retained.
-    exps = flat - flat.max(axis=-1, keepdims=True)
-    target_dot = (target * exps).sum(axis=-1)
-    np.exp(exps, out=exps)
-    exps = _retain(exps)
-    denom = _retain(exps.sum(axis=-1, keepdims=True))
-    lse = np.log(denom[:, 0])
-    target_mass = _retain(target.sum(axis=-1))
-    per_position = target_mass * lse - target_dot
-    try:
-        coeff = _position_scale(weights, flat.shape[0], flat.dtype)
-    except ValueError:
-        raise ValueError("multi_hot_cross_entropy weights sum to zero")
-    loss = float((per_position * coeff).sum())
-    out = _retain(np.asarray(loss, dtype=logits.dtype))
-    logits_shape = logits.shape
-
-    def forward():
-        if target_copied:
-            target[...] = np.broadcast_to(
-                np.asarray(target_src, dtype=flat.dtype), logits_shape
-            ).reshape(-1, num_classes)
-        np.subtract(flat, flat.max(axis=-1, keepdims=True), out=exps)
-        target_dot = (target * exps).sum(axis=-1)
-        np.exp(exps, out=exps)
-        np.sum(exps, axis=-1, keepdims=True, out=denom)
-        lse = np.log(denom[:, 0])
-        np.sum(target, axis=-1, out=target_mass)
-        per_position = target_mass * lse - target_dot
-        if weights_src is not None:
-            _refresh_coeff(weights_src, coeff, flat.dtype,
-                           "multi_hot_cross_entropy weights sum to zero")
-        out[...] = (per_position * coeff).sum()
-
-    # The softmax grad matrix dominates backward allocations on replayed
-    # programs: cache it on the closure and rewrite it in place.
-    grad_bufs = [None]
-
-    def backward(grad):
-        scalar = float(np.asarray(grad))
-        buf = grad_bufs[0]
-        if buf is not None and buf.shape == exps.shape:
-            softmax = np.divide(exps, denom, out=buf)
-        else:
-            softmax = grad_bufs[0] = _retain(exps / denom)
-        softmax *= target_mass[:, None]
-        softmax -= target
-        softmax *= (scalar * coeff)[:, None]
-        logits._accumulate_owned(softmax.reshape(logits.shape))
-
-    return Tensor._make(out, (logits,), backward, forward)
 
 
 def _host_operand(array, dtype):

@@ -7,7 +7,7 @@ import pytest
 from repro.core import VSAN, ELBOTerms, elbo_terms, reconstruction_targets
 from repro.tensor import Tensor
 from repro.train import ConstantBeta
-from tests.reference import cross_entropy_reference
+from tests.reference import cross_entropy_reference, slot_multi_hot
 
 
 @pytest.fixture
@@ -21,20 +21,25 @@ def padded_batch():
 
 class TestReconstructionTargets:
     def test_k1_is_one_hot_mode(self):
-        inputs, targets, weights, multi_hot = reconstruction_targets(
-            padded_batch(), k=1, num_items=5
-        )
-        assert not multi_hot
+        padded = padded_batch()
+        inputs, targets, weights = reconstruction_targets(padded, k=1)
         assert inputs.shape == (2, 3)
         assert targets.shape == (2, 3)
+        assert targets.base is padded  # views of the batch
         assert weights[1, 0] == 0.0  # padded target
 
     def test_k2_is_multi_hot_mode(self):
-        inputs, targets, weights, multi_hot = reconstruction_targets(
-            padded_batch(), k=2, num_items=5
+        """Two id slots per position, whose count vectors are the
+        multi-hot target of Eq. 18."""
+        inputs, targets, weights = reconstruction_targets(
+            padded_batch(), k=2
         )
-        assert multi_hot
-        assert targets.shape == (2, 3, 6)
+        assert targets.shape == (2, 3, 2)
+        hot = slot_multi_hot(targets, 6)
+        assert hot.max() == 1.0
+        np.testing.assert_array_equal(hot.sum(axis=-1), [[2, 2, 1],
+                                                          [1, 2, 1]])
+        np.testing.assert_array_equal(weights, [[1, 1, 1], [1, 1, 1]])
 
 
 class TestELBOTerms:
@@ -63,14 +68,11 @@ class TestELBOTerms:
     def test_assembly_matches_manual(self, rng):
         hidden = Tensor(rng.normal(size=(2, 3, 4)))
         head = (Tensor(rng.normal(size=(4, 6))), Tensor(rng.normal(size=6)))
-        _, targets, weights, _ = reconstruction_targets(
-            padded_batch(), 1, 5
-        )
+        _, targets, weights = reconstruction_targets(padded_batch(), 1)
         mu = Tensor(rng.normal(size=(2, 3, 4)))
         sigma = Tensor(np.abs(rng.normal(size=(2, 3, 4))) + 0.3)
         terms = elbo_terms(
-            hidden, head, targets, weights, mu, sigma, beta=0.7,
-            multi_hot=False,
+            hidden, head, targets, weights, mu, sigma, beta=0.7
         )
         manual_reconstruction = cross_entropy_reference(
             hidden @ head[0] + head[1], targets, weights=weights
@@ -86,13 +88,11 @@ class TestELBOTerms:
     def test_inconsistent_mu_sigma_raises(self, rng):
         hidden = Tensor(rng.normal(size=(2, 3, 4)))
         head = (Tensor(rng.normal(size=(4, 6))), None)
-        _, targets, weights, _ = reconstruction_targets(
-            padded_batch(), 1, 5
-        )
+        _, targets, weights = reconstruction_targets(padded_batch(), 1)
         with pytest.raises(ValueError, match="mu and sigma"):
             elbo_terms(
                 hidden, head, targets, weights,
-                Tensor(np.zeros((2, 3, 4))), None, 0.5, False,
+                Tensor(np.zeros((2, 3, 4))), None, 0.5,
             )
 
 
@@ -109,3 +109,32 @@ class TestModelIntegration:
             rtol=1e-10,
         )
         assert terms.kl_value > 0
+
+
+class TestNextKMemory:
+    def test_step_holds_no_catalogue_wide_array(self):
+        """A next-k step scores id slots in row tiles: an eager k = 3
+        VSAN loss and backward peaks below one float64
+        ``(B·(L−1), |I|+1)`` array, the size of a dense multi-hot
+        target or of the full logits."""
+        import tracemalloc
+
+        num_items, batch, length = 2000, 32, 20
+        model = VSAN(num_items, length, dim=16, h1=1, h2=1, k=3, seed=0)
+        model.train()
+        rng = np.random.default_rng(0)
+        padded = rng.integers(1, num_items + 1, size=(batch, length + 1))
+        dense_bytes = batch * length * (num_items + 1) * 8
+
+        def step():
+            model.zero_grad()
+            model.training_loss(padded).backward()
+
+        step()  # parameter gradients and cached masks exist from here on
+        tracemalloc.start()
+        try:
+            step()
+            _, high = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert high < dense_bytes, (high, dense_bytes)

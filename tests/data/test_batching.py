@@ -1,5 +1,6 @@
-"""Padding, target shifting, next-k multi-hot targets, minibatching —
-with hypothesis checks on the multi-hot construction."""
+"""Padding, target shifting, next-k target slots, minibatching — with
+hypothesis checks of the slots against the dense multi-hot target of
+Eq. 18."""
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from repro.data import (
     PAD_ID,
     build_training_matrix,
     minibatch_indices,
-    next_k_multi_hot,
+    next_k_targets,
     pad_left,
     shift_targets,
 )
+from tests.reference import next_k_multi_hot_reference, slot_multi_hot
 
 
 class TestPadLeft:
@@ -63,46 +65,54 @@ class TestShiftTargets:
 
 
 class TestNextKMultiHot:
+    """:func:`next_k_targets` holds the set of the next ``k`` items in
+    id slots; their count vector is the dense multi-hot target."""
+
     def test_k1_matches_shift_targets(self):
         padded = np.array([[0, 1, 2, 3], [0, 0, 4, 5]])
-        inputs, multi_hot, weights = next_k_multi_hot(padded, 1, num_items=6)
+        inputs, slots, weights = next_k_targets(padded, 1)
         s_inputs, s_targets, s_weights = shift_targets(padded)
         np.testing.assert_array_equal(inputs, s_inputs)
         np.testing.assert_array_equal(weights, s_weights)
-        for b in range(2):
-            for t in range(3):
-                if s_weights[b, t]:
-                    hot = np.nonzero(multi_hot[b, t])[0]
-                    assert hot.tolist() == [s_targets[b, t]]
+        np.testing.assert_array_equal(slots[..., 0], s_targets)
 
     def test_k2_marks_both_future_items(self):
         padded = np.array([[1, 2, 3, 4]])
-        _, multi_hot, weights = next_k_multi_hot(padded, 2, num_items=5)
-        # position 0 (item 1) -> next items 2, 3
-        assert set(np.nonzero(multi_hot[0, 0])[0].tolist()) == {2, 3}
-        # position 2 (item 3) -> only item 4 remains
-        assert set(np.nonzero(multi_hot[0, 2])[0].tolist()) == {4}
+        _, slots, weights = next_k_targets(padded, 2)
+        # position 0 (item 1) -> next items 2, 3; position 2 (item 3) ->
+        # only item 4 remains, the slot past the end is empty.
+        assert slots.tolist() == [[[2, 3], [3, 4], [4, 0]]]
         assert weights.tolist() == [[1.0, 1.0, 1.0]]
+
+    def test_repeated_item_fills_one_slot(self):
+        padded = np.array([[0, 5, 2, 5, 5]])
+        _, slots, _ = next_k_targets(padded, 3)
+        assert slots.tolist() == [[[5, 2, 0], [2, 5, 0], [5, 0, 0],
+                                   [5, 0, 0]]]
 
     def test_padding_column_never_hot(self):
         padded = np.array([[0, 0, 1, 2]])
-        _, multi_hot, _ = next_k_multi_hot(padded, 3, num_items=4)
-        assert (multi_hot[:, :, PAD_ID] == 0).all()
+        _, slots, weights = next_k_targets(padded, 3)
+        assert slots.tolist() == [[[0, 1, 2], [1, 2, 0], [2, 0, 0]]]
+        assert (slot_multi_hot(slots, 5)[..., PAD_ID] == 0).all()
+        assert weights.tolist() == [[1.0, 1.0, 1.0]]
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            next_k_multi_hot(np.array([[1, 2]]), 0, num_items=3)
+            next_k_targets(np.array([[1, 2]]), 0)
 
     @settings(max_examples=30, deadline=None)
     @given(
         lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4),
-        k=st.integers(1, 4),
+        k=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
     )
-    def test_multi_hot_matches_bruteforce(self, lengths, k):
-        """multi_hot[b, t, i] == 1 iff item i occurs in the next k
-        positions after t (brute-force definition of Eq. 18)."""
-        rng = np.random.default_rng(0)
-        num_items = 7
+    def test_multi_hot_matches_bruteforce(self, lengths, k, seed):
+        """The slots' count vector is the dense multi-hot target: item i
+        counts once iff it occurs in the next k positions after t
+        (Eq. 18), and the weight is 1 iff one does."""
+        rng = np.random.default_rng(seed)
+        num_items = 4
         padded = np.stack(
             [
                 np.concatenate(
@@ -114,16 +124,13 @@ class TestNextKMultiHot:
                 for length in lengths
             ]
         )
-        _, multi_hot, weights = next_k_multi_hot(padded, k, num_items)
-        batch, columns = padded.shape
-        for b in range(batch):
-            for t in range(columns - 1):
-                future = padded[b, t + 1:t + 1 + k]
-                future = future[future != PAD_ID]
-                expected = np.zeros(num_items + 1)
-                expected[future] = 1.0
-                np.testing.assert_array_equal(multi_hot[b, t], expected)
-                assert weights[b, t] == (1.0 if len(future) else 0.0)
+        _, slots, weights = next_k_targets(padded, k)
+        assert slots.shape == (len(lengths), 5, k)
+        dense = next_k_multi_hot_reference(padded, k, num_items)
+        np.testing.assert_array_equal(
+            slot_multi_hot(slots, num_items + 1), dense
+        )
+        np.testing.assert_array_equal(weights, dense.any(axis=-1))
 
 
 class TestMinibatchIndices:
@@ -165,12 +172,14 @@ class TestTargetDtypes:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_next_k_multi_hot_follows_default_dtype(self, dtype):
+        """The weights of the next-k targets follow it; the slots are
+        int64 ids whatever it is."""
         from repro.tensor import default_dtype
 
         padded = np.array([[0, 1, 2, 3]])
         with default_dtype(dtype):
-            _, multi_hot, weights = next_k_multi_hot(padded, 2, 4)
-        assert multi_hot.dtype == np.dtype(dtype)
+            _, slots, weights = next_k_targets(padded, 2)
+        assert slots.dtype == np.int64
         assert weights.dtype == np.dtype(dtype)
 
     def test_float32_dtype_reaches_training_loss_gradients(self):
@@ -191,49 +200,6 @@ class TestTargetDtypes:
                 for param in model.parameters()
                 if param.grad is not None
             )
-
-
-class TestNextKMultiHotOutBuffer:
-    def test_out_buffer_reused_and_equal(self):
-        padded = np.array([[0, 1, 2, 3], [0, 0, 4, 1]])
-        reference = next_k_multi_hot(padded, 2, 4)
-        out = np.full((4, 5, 5), 7.0)  # oversized + dirty
-        _, multi_hot, weights = next_k_multi_hot(padded, 2, 4, out=out)
-        assert multi_hot.base is out
-        np.testing.assert_array_equal(multi_hot, reference[1])
-        np.testing.assert_array_equal(weights, reference[2])
-
-    def test_out_buffer_dtype_mismatch_rejected(self):
-        out = np.zeros((2, 3, 5), dtype=np.float32)
-        with pytest.raises(ValueError, match="dtype"):
-            next_k_multi_hot(np.array([[0, 1, 2, 3]]), 2, 4, out=out)
-
-    def test_out_buffer_too_small_rejected(self):
-        out = np.zeros((1, 1, 5))
-        with pytest.raises(ValueError, match="smaller"):
-            next_k_multi_hot(np.array([[0, 1, 2, 3]]), 2, 4, out=out)
-
-    def test_peak_allocation_shrinks_with_buffer(self):
-        """Regression: with `out` the dense float64 target must no longer
-        dominate the allocation profile of target construction."""
-        import tracemalloc
-
-        rng = np.random.default_rng(0)
-        num_items = 400
-        padded = rng.integers(0, num_items + 1, size=(64, 41))
-        dense_bytes = 64 * 40 * (num_items + 1) * 8
-
-        def peak(**kwargs):
-            next_k_multi_hot(padded, 3, num_items, **kwargs)  # warm up
-            tracemalloc.start()
-            next_k_multi_hot(padded, 3, num_items, **kwargs)
-            _, high = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return high
-
-        assert peak() >= dense_bytes  # allocates the dense target
-        buffer = np.empty((64, 40, num_items + 1))
-        assert peak(out=buffer) < dense_bytes / 4
 
 
 class TestEffectiveLengthsAndTrim:

@@ -98,7 +98,9 @@ def test_precision_recall_relationship(recommended, relevant, n):
 def test_metrics_batch_matches_scalar_metrics(recommended, relevant, n):
     ranked = np.zeros((1, 25), dtype=np.int64)  # 0-padded like rankers
     ranked[0, :len(recommended)] = recommended
-    batch = metrics_batch(ranked, [np.array(sorted(relevant))], (n,), 31)
+    # A repeated target id is one relevant item (|T| is a set size).
+    targets = np.array(sorted(relevant) + [min(relevant)])
+    batch = metrics_batch(ranked, [targets], (n,), 31)
     assert batch[f"precision@{n}"][0] == pytest.approx(
         precision_at_n(recommended, relevant, n)
     )

@@ -15,6 +15,10 @@ against the implementations here:
   :func:`composed_gaussian_kl`, :func:`cross_entropy_reference`,
   :func:`multi_hot_cross_entropy_reference` and
   :func:`composed_linear_cross_entropy`;
+- dense forms of the next-``k`` target (Eq. 18), which production
+  code never builds: :func:`slot_multi_hot` (the count vector of ``k``
+  id slots) and :func:`next_k_multi_hot_reference` (the set of the
+  next ``k`` items, from a padded batch);
 - :func:`scatter_rows_reference`, the ``np.add.at`` scatter that
   ``Tensor.take_rows``'s bincount backward replaces;
 - :func:`composed_substrate`, which swaps them in under a whole VSAN;
@@ -59,9 +63,11 @@ __all__ = [
     "eager_step_values",
     "multi_hot_cross_entropy_reference",
     "ndcg_at_n",
+    "next_k_multi_hot_reference",
     "precision_at_n",
     "recall_at_n",
     "scatter_rows_reference",
+    "slot_multi_hot",
 ]
 
 
@@ -213,7 +219,9 @@ def multi_hot_cross_entropy_reference(
     target_multi_hot: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> Tensor:
-    """Composed reference for :func:`repro.tensor.multi_hot_cross_entropy`."""
+    """Dense multi-hot cross-entropy (Eq. 18/20): per position
+    ``-Σ_i y_i log softmax(x)_i`` against the ``(..., num_classes)``
+    target ``y``, averaged over the (optionally weighted) positions."""
     target = np.asarray(target_multi_hot, dtype=logits.dtype)
     logp = log_softmax(logits, axis=-1)
     per_position = -(logp * Tensor(target)).sum(axis=-1)
@@ -234,11 +242,42 @@ def composed_linear_cross_entropy(
     weights: np.ndarray | None = None,
 ) -> Tensor:
     """Composed reference for :func:`repro.tensor.linear_cross_entropy`:
-    full ``hidden @ weight + bias`` logits, then the reference loss."""
+    full ``hidden @ weight + bias`` logits, then the reference loss —
+    against the dense :func:`slot_multi_hot` target when ``targets``
+    carries a trailing axis of id slots."""
     logits = hidden @ weight
     if bias is not None:
         logits = logits + bias
-    return cross_entropy_reference(logits, targets, weights=weights)
+    if np.ndim(targets) < hidden.ndim:
+        return cross_entropy_reference(logits, targets, weights=weights)
+    dense = slot_multi_hot(targets, logits.shape[-1], logits.dtype)
+    return multi_hot_cross_entropy_reference(logits, dense, weights=weights)
+
+
+def slot_multi_hot(slots: np.ndarray, num_classes: int,
+                   dtype=np.float64) -> np.ndarray:
+    """The dense ``(..., num_classes)`` target of ``(..., k)`` id slots:
+    entry ``i`` counts the slots holding ``i``; 0 is an empty slot."""
+    slots = np.asarray(slots, dtype=np.int64)
+    flat = slots.reshape(-1, slots.shape[-1])
+    dense = np.zeros((flat.shape[0], num_classes), dtype=dtype)
+    rows = np.repeat(np.arange(flat.shape[0]), flat.shape[1])
+    np.add.at(dense, (rows, flat.reshape(-1)), 1.0)
+    dense[:, 0] = 0.0
+    return dense.reshape(slots.shape[:-1] + (num_classes,))
+
+
+def next_k_multi_hot_reference(padded: np.ndarray, k: int,
+                               num_items: int) -> np.ndarray:
+    """The {0,1} ``(batch, length-1, num_items+1)`` target of Eq. 18:
+    position ``t`` marks every real item among the next ``k``."""
+    batch, width = padded.shape
+    dense = np.zeros((batch, width - 1, num_items + 1))
+    for offset in range(1, k + 1):
+        future = padded[:, offset:]
+        rows, cols = np.nonzero(future != 0)
+        dense[rows, cols, future[rows, cols]] = 1.0
+    return dense
 
 
 def scatter_rows_reference(table_shape, indices: np.ndarray,
@@ -269,7 +308,6 @@ def composed_substrate(monkeypatch) -> None:
         "repro.models.svae": {"reparameterize": composed_reparameterize},
         "repro.core.elbo": {
             "linear_cross_entropy": composed_linear_cross_entropy,
-            "multi_hot_cross_entropy": multi_hot_cross_entropy_reference,
             "gaussian_kl_standard_normal": composed_gaussian_kl,
         },
     }

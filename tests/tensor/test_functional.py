@@ -1,7 +1,9 @@
 """Composite functions: softmax/log-softmax, cross-entropies, Gaussian
 KL, and dropout — values against closed forms, gradients via gradcheck.
 The one-hot cross-entropy here is the composed oracle of
-``tests/reference.py`` that the fused head is held in parity with."""
+``tests/reference.py`` that the fused head is held in parity with; the
+next-``k`` (multi-hot) cross-entropy is the fused head with id slots,
+on identity-head logits."""
 
 import numpy as np
 import pytest
@@ -12,8 +14,8 @@ from repro.tensor import (
     dropout_mask,
     gaussian_kl_standard_normal,
     gradcheck,
+    linear_cross_entropy,
     log_softmax,
-    multi_hot_cross_entropy,
     softmax,
 )
 from repro.tensor.compile import build_program, trace
@@ -98,38 +100,41 @@ class TestCrossEntropy:
             )
 
 
+def multi_hot_cross_entropy(logits, slots, weights=None):
+    """The next-``k`` loss of ``(..., k)`` id slots on ``logits``."""
+    identity = Tensor(np.eye(logits.shape[-1]))
+    return linear_cross_entropy(logits, identity, None, slots, weights)
+
+
 class TestMultiHotCrossEntropy:
     def test_reduces_to_cross_entropy_for_one_hot(self, rng):
         logits = rng.normal(size=(3, 6))
         targets = np.array([1, 4, 2])
-        one_hot = np.zeros((3, 6))
-        one_hot[np.arange(3), targets] = 1.0
+        slots = np.stack([targets, np.zeros(3, dtype=int)], axis=-1)
         np.testing.assert_allclose(
-            multi_hot_cross_entropy(Tensor(logits), one_hot).item(),
+            multi_hot_cross_entropy(Tensor(logits), slots).item(),
             cross_entropy_reference(Tensor(logits), targets).item(),
             rtol=1e-10,
         )
 
     def test_multi_hot_sums_per_position(self, rng):
         logits = rng.normal(size=(1, 5))
-        multi = np.zeros((1, 5))
-        multi[0, [1, 3]] = 1.0
         log_probs = logits - np.log(np.exp(logits).sum())
         expected = -(log_probs[0, 1] + log_probs[0, 3])
         np.testing.assert_allclose(
-            multi_hot_cross_entropy(Tensor(logits), multi).item(),
+            multi_hot_cross_entropy(Tensor(logits), np.array([[1, 3]])).item(),
             expected,
             rtol=1e-10,
         )
 
     def test_gradient(self, rng):
         logits = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-        multi = (rng.random((2, 3, 5)) < 0.4).astype(float)
-        multi[..., 0] = 1.0  # every position supervised
+        slots = rng.integers(0, 5, size=(2, 3, 3))
+        slots[..., 0] = 1  # every position supervised
         weights = np.ones((2, 3))
         gradcheck(
             lambda logits: multi_hot_cross_entropy(
-                logits, multi, weights=weights
+                logits, slots, weights=weights
             ),
             [logits],
         )

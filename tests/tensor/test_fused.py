@@ -24,7 +24,6 @@ from repro.tensor import (
     gradcheck,
     linear_cross_entropy,
     masked_fill_value,
-    multi_hot_cross_entropy,
     no_grad,
     reparameterize,
     residual_dropout_norm,
@@ -44,6 +43,7 @@ from tests.reference import (
     composed_substrate,
     cross_entropy_reference,
     multi_hot_cross_entropy_reference,
+    slot_multi_hot,
 )
 
 
@@ -156,28 +156,29 @@ class TestFusedCrossEntropyParity:
             assert abs(fused.item() - reference.item()) < 1e-10
 
     def test_multi_hot_parity_and_gradcheck(self, rng):
+        """Id slots against the dense multi-hot loss of their count
+        vectors, on identity-head logits."""
         logits = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
-        target = (rng.random((2, 4, 8)) > 0.6).astype(float)
+        slots = rng.integers(0, 8, size=(2, 4, 3))
         weights = (rng.random((2, 4)) > 0.2).astype(float)
+        identity = Tensor(np.eye(8))
         for w in (None, weights):
-            fused = multi_hot_cross_entropy(logits, target, weights=w)
+            fused = linear_cross_entropy(logits, identity, None, slots, w)
             reference = multi_hot_cross_entropy_reference(
-                logits, target, weights=w
+                logits, slot_multi_hot(slots, 8), weights=w
             )
             assert abs(fused.item() - reference.item()) < 1e-10
             gradcheck(
-                lambda x: multi_hot_cross_entropy(x, target, weights=w),
+                lambda x: linear_cross_entropy(x, identity, None, slots, w),
                 [logits],
             )
 
     def test_zero_weights_raise(self, rng):
         logits = Tensor(rng.normal(size=(2, 3)))
-        with pytest.raises(ValueError):
-            linear_cross_entropy(logits, Tensor(np.eye(3)), None,
-                                 np.zeros(2, dtype=int), weights=np.zeros(2))
-        with pytest.raises(ValueError):
-            multi_hot_cross_entropy(logits, np.ones((2, 3)),
-                                    weights=np.zeros(2))
+        for targets in (np.zeros(2, dtype=int), np.ones((2, 2), dtype=int)):
+            with pytest.raises(ValueError):
+                linear_cross_entropy(logits, Tensor(np.eye(3)), None,
+                                     targets, weights=np.zeros(2))
 
 
 def linear_ce_grads(fn, hidden, weight, bias, targets, weights):
@@ -227,7 +228,8 @@ class TestLinearCrossEntropy:
             np.testing.assert_allclose(g, w, atol=1e-10, err_msg=name)
 
     VARIANTS = pytest.mark.parametrize("variant", [
-        "weighted", "no_bias", "no_weights", "fractional",
+        "weighted", "no_bias", "no_weights", "fractional", "slots",
+        "slots_no_weights",
     ])
 
     # Row tiles: parity, gradients and replays must not depend on where
@@ -243,7 +245,22 @@ class TestLinearCrossEntropy:
             weights = None
         elif variant == "fractional":
             weights = weights * rng.uniform(0.1, 2.0, size=weights.shape)
+        elif variant.startswith("slots"):
+            targets = self.slots(rng, targets.shape, weight.shape[-1])
+            weights[1, 0] = 1.0  # the repeated id is supervised
+            if variant == "slots_no_weights":
+                weights = None
         return hidden, weight, bias, targets, weights
+
+    @staticmethod
+    def slots(rng, shape, classes, k=3):
+        """``k`` id slots per row, some empty, one row holding a
+        repeated id, and one (weight-0, in :meth:`case`) holding none."""
+        slots = rng.integers(1, classes, size=shape + (k,))
+        slots[rng.random(slots.shape) < 0.3] = 0
+        slots[1, 0] = [2, 2, 5]
+        slots[0, 0] = 0
+        return slots
 
     def check_parity_and_gradcheck(self, hidden, weight, bias, targets,
                                    weights):
@@ -261,6 +278,24 @@ class TestLinearCrossEntropy:
     @VARIANTS
     def test_parity_and_gradcheck(self, rng, variant):
         self.check_parity_and_gradcheck(*self.variant_case(rng, variant))
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_one_slot_is_bitwise_the_plain_targets(
+        self, rng, five_row_tiles, weighted
+    ):
+        hidden, weight, bias, _, weights = self.case(rng, **self.TILED)
+        targets = rng.integers(1, weight.shape[-1], size=hidden.shape[:-1])
+        weights = weights if weighted else None
+        plain_loss, plain = linear_ce_grads(
+            linear_cross_entropy, hidden, weight, bias, targets, weights
+        )
+        slot_loss, slotted = linear_ce_grads(
+            linear_cross_entropy, hidden, weight, bias, targets[..., None],
+            weights,
+        )
+        assert slot_loss == plain_loss
+        for got, want in zip(slotted, plain):
+            assert got.tobytes() == want.tobytes()
 
     def test_tied_head_parity_and_gradcheck(self, rng):
         """A tied head passes ``item_embedding.weight.T``: a non-leaf
