@@ -1,19 +1,18 @@
 """High-throughput inference engine for the serving hot path.
 
-PR 1 made the *training* substrate fast (fused kernels, float32); this
-module applies the same bench-gated playbook to *serving*.  Three pieces
-compose into :class:`InferenceEngine`, which slots in anywhere a
-``score_batch(histories)`` recommender is expected (so the whole
-breaker/retry/deadline machinery of :class:`repro.serve.RecommendService`
-works on top of it unchanged):
+Three pieces compose into :class:`InferenceEngine`, which slots in
+anywhere a ``score_batch(histories)`` recommender is expected (so the
+whole breaker/retry/deadline machinery of
+:class:`repro.serve.RecommendService` works on top of it unchanged):
 
 - **No-tape, last-position forwards** — every model call runs under
   :class:`repro.tensor.no_grad` (serving allocates no autodiff tape) and
   the neural models score ``hidden_last(h) @ W (+ b)``: the hidden state
   is sliced to the final position *before* the item-vocabulary GEMM, so
   candidate scoring costs O(|I|) instead of O(L·|I|) per request.
-- **Chunked forwards** — the requests of one call that miss the cache
-  are scored in padded batched forwards of up to ``max_batch`` rows.
+- **Chunked forwards** — :meth:`InferenceEngine.prefetch` looks every
+  request of one call up in the cache once and scores the distinct
+  missed keys in padded batched forwards of up to ``max_batch`` rows.
   Chunk order is deterministic (FIFO request order, chunked at
   ``max_batch``), and a chunk whose forward fails fails every request
   in it.
@@ -83,8 +82,8 @@ class EngineConfig:
     Args:
         max_batch: most requests coalesced into one padded forward.
             Bigger batches amortize per-call overhead and turn many thin
-            GEMVs into one fat GEMM, at the cost of per-request latency
-            while the batch fills; 8–32 is the useful range here.
+            GEMVs into one fat GEMM, at the cost of a larger padded
+            buffer per forward; 8–32 is the useful range here.
         cache_capacity: LRU entries held by the :class:`ScoreCache`
             (``0`` disables caching entirely).
         cache_capacity_bytes: optional byte budget for the cache on top
@@ -160,40 +159,33 @@ class ScoreCache:
         return len(self._entries)
 
     def __contains__(self, key) -> bool:
-        """Membership peek that moves nothing and counts nothing (used
-        by prefetch, which must not inflate the hit/miss counters)."""
+        """Membership test that moves nothing and counts nothing."""
         return key in self._entries
 
     @staticmethod
     def _clone(entry):
+        """An owning copy of ``entry`` whose arrays are read-only."""
         if isinstance(entry, TopScores):
-            return entry.copy()
-        return np.array(entry, copy=True)
+            entry = entry.copy()
+            arrays = (entry.ids, entry.scores)
+        else:
+            entry = np.array(entry, copy=True)
+            arrays = (entry,)
+        for array in arrays:
+            array.flags.writeable = False
+        return entry
 
     def get(self, key):
         """The cached entry for ``key`` (marked most-recently-used), or
-        ``None``.  Returns a copy so callers can never poison the cache."""
+        ``None``.  The stored entry itself: its arrays are read-only,
+        so callers can never poison the cache."""
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return self._clone(entry)
-
-    def peek(self, key):
-        """The stored entry for ``key`` or ``None``, moving and counting
-        nothing.  Not a copy: callers must not write to it."""
-        return self._entries.get(key)
-
-    def touch(self, key) -> bool:
-        """Book a hit on ``key`` like :meth:`get`, without the copy;
-        ``False`` (nothing counted) when ``key`` is not cached."""
-        if key not in self._entries:
-            return False
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return True
+        return entry
 
     def put(self, key, entry) -> None:
         """Insert or **refresh** the entry for ``key``.
@@ -408,8 +400,8 @@ class InferenceEngine:
         return scores.row(0) if isinstance(scores, TopScores) else scores[0]
 
     def score_batch(self, histories: list[np.ndarray]):
-        """Scores for every history — served from cache where possible,
-        chunked forwards for the misses, reassembled in order.
+        """Scores for every history: :meth:`prefetch`'s rows stacked in
+        order.
 
         On the candidate-native path the result is one narrow
         :class:`~repro.retrieval.TopScores` batch; otherwise a
@@ -418,33 +410,17 @@ class InferenceEngine:
         a model swap that changes it also bumps the cache version, so
         stale entries of the other shape are unreachable.
 
-        Raises the underlying model's error if a needed chunk failed
-        (cached requests are unaffected; the caller's retry/fallback
-        logic sees exactly what it would see calling the model directly).
+        Raises the first error among the needed chunks (cached requests
+        are unaffected; the caller's retry/fallback logic sees exactly
+        what it would see calling the model directly).
         """
-        histories = [
-            np.asarray(history, dtype=np.int64) for history in histories
-        ]
-        results: list = [None] * len(histories)
-        misses: list[tuple[int, object]] = []
-        for index, history in enumerate(histories):
-            key = self._key(history)
-            if self.cache is not None:
-                row = self.cache.get(key)
-                if row is not None:
-                    results[index] = row
-                    continue
-            misses.append((index, key))
-        rows = self._forward([histories[index] for index, _ in misses])
-        for (index, key), row in zip(misses, rows):
-            if isinstance(row, Exception):
-                raise row
-            if self.cache is not None and _cacheable(row):
-                self.cache.put(key, row)
-            results[index] = row
-        if results and isinstance(results[0], TopScores):
-            return TopScores.stack(results)
-        return np.stack(results)
+        entries = self.prefetch(histories)
+        for entry in entries:
+            if isinstance(entry, Exception):
+                raise entry
+        if entries and isinstance(entries[0], TopScores):
+            return TopScores.stack(entries)
+        return np.stack(entries)
 
     def score_batch_dense(self, histories: list[np.ndarray]) -> np.ndarray:
         """Full-width rows straight from the wrapped model — the escape
@@ -463,58 +439,40 @@ class InferenceEngine:
         with no_grad():
             return np.asarray(self._model.score_batch(histories))
 
-    def cached_rows(self, histories: list[np.ndarray]):
-        """Read the rows the cache already holds for ``histories``.
+    def prefetch(self, histories: list[np.ndarray]) -> list:
+        """Look every history up in the cache once and score the misses.
 
-        Returns ``(keys, hits, rows)``: every history's cache key, the
-        indices of the histories whose row is cached, and those rows
-        stacked (a :class:`~repro.retrieval.TopScores` batch or a
-        full-width matrix; ``None`` without hits).  Read-only: nothing
-        is scored, and no counter or LRU position moves.  A caller that
-        serves a row from this read books the lookup when it serves it,
-        with :meth:`ScoreCache.touch` on the row's key.
+        The distinct missed keys are scored in FIFO chunks of
+        ``max_batch`` rows (:meth:`_forward`), and every finite row is
+        cached.  Each lookup books a cache hit or miss, so a window with
+        a key twice books both lookups but scores the key once.
+
+        Returns one entry per history: its score row (a full-width row
+        or a one-row :class:`~repro.retrieval.TopScores`; a cached row
+        is the read-only stored entry) or the exception its chunk
+        raised.  Non-finite rows are returned as scored.
         """
-        keys = [
-            self._key(np.asarray(history, dtype=np.int64))
-            for history in histories
+        histories = [
+            np.asarray(history, dtype=np.int64) for history in histories
         ]
-        if self.cache is None:
-            return keys, [], None
-        found = [self.cache.peek(key) for key in keys]
-        hits = [
-            index for index, entry in enumerate(found) if entry is not None
+        keys = [self._key(history) for history in histories]
+        entries = [
+            None if self.cache is None else self.cache.get(key)
+            for key in keys
         ]
-        if not hits:
-            return keys, hits, None
-        rows = [found[index] for index in hits]
-        if isinstance(rows[0], TopScores):
-            return keys, hits, TopScores.stack(rows)
-        return keys, hits, np.stack(rows)
-
-    def prefetch(self, histories: list[np.ndarray]) -> int:
-        """Warm the cache with one coalesced pass over ``histories``.
-
-        Returns how many rows were freshly cached.  Model failures are
-        swallowed per chunk (each request will surface them individually
-        through the normal serving path) and the cache counters are left
-        untouched — only real request traffic moves hit/miss stats.
-        No-op when caching is disabled: without a cache there is nowhere
-        to scatter the batch to.
-        """
-        if self.cache is None:
-            return 0
         pending: dict = {}
-        for history in histories:
-            history = np.asarray(history, dtype=np.int64)
-            key = self._key(history)
-            if key not in self.cache:
+        for key, history, entry in zip(keys, histories, entries):
+            if entry is None:
                 pending.setdefault(key, history)
-        warmed = 0
-        for key, row in zip(pending, self._forward(list(pending.values()))):
-            if not isinstance(row, Exception) and _cacheable(row):
-                self.cache.put(key, row)
-                warmed += 1
-        return warmed
+        scored = dict(zip(pending, self._forward(list(pending.values()))))
+        if self.cache is not None:
+            for key, row in scored.items():
+                if not isinstance(row, Exception) and _cacheable(row):
+                    self.cache.put(key, row)
+        return [
+            scored[key] if entry is None else entry
+            for key, entry in zip(keys, entries)
+        ]
 
     # ------------------------------------------------------------------
     # Observability

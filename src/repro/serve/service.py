@@ -222,8 +222,9 @@ class RecommendService:
     def _serve(self, history, top_n, budget, ready=None) -> Recommendation:
         """Walk the fallback chain for one validated request.
 
-        ``ready`` is a window-ranked ``(cache key, ranked, narrow)``
-        entry for the first rung (see :meth:`recommend_many`).
+        ``ready`` is a window-ranked ``(ranked, narrow)`` entry that
+        the first rung serves in place of a scoring call (see
+        :meth:`recommend_many`).
         """
         start = self._clock()
         causes: dict[str, str] = {}
@@ -267,25 +268,24 @@ class RecommendService:
     ) -> list:
         """Serve a window of requests as a batch.
 
-        The valid histories are pushed through the first rung's engine
-        in micro-batches (one padded forward per ``max_batch`` chunk,
-        warming the score cache) unless its breaker is open.  The rows
-        the cache then holds are ranked in one call, and each of those
-        requests walks the same fallback chain as :meth:`recommend`,
-        in window order, taking its window-ranked list in place of a
-        fresh cache lookup and ranking while its row is still cached.
+        Unless the first rung's breaker is open, the valid histories
+        are scored by one :meth:`InferenceEngine.prefetch` through its
+        engine and the rows it returns are ranked in one pass.  Each of
+        those requests walks the same fallback chain as
+        :meth:`recommend`, in window order, with its window-ranked list
+        in place of a scoring call.
 
         Every other request goes through :meth:`recommend` unchanged:
-        invalid ones, cache misses, lists that need the slow path (a
-        short narrow list that densifies, or an empty dense one), the
-        whole window when its ranking raised, and every request when
-        the first rung's breaker is open or there is no engine.
-        Breaker, retry, deadline and stats bookings happen per request
-        in window order, so rankings, provenance and every counter
-        (latency values aside) equal those of prefetching and then
-        calling :meth:`recommend` in a loop.  Prefetch and window
-        ranking are attributed to the batch; the per-request latency
-        stats measure the serve itself.
+        invalid ones, rows whose chunk failed or that carry NaN/+inf,
+        lists that need the slow path (a short narrow list that
+        densifies, or an empty one), the whole window when its ranking
+        raised, and every request when the first rung's breaker is
+        open or there is no engine.  Breaker, retry, deadline and stats
+        bookings happen per request in window order, so rankings,
+        provenance and every service counter (latency values aside)
+        equal those of a prefetch followed by a :meth:`recommend` loop.
+        Prefetch and window ranking are attributed to the batch; the
+        per-request latency stats measure the serve itself.
 
         Returns a list aligned with ``histories`` whose elements are
         :class:`Recommendation` on success and the raised
@@ -318,40 +318,42 @@ class RecommendService:
         return results
 
     def _rank_window(self, valid: dict) -> dict:
-        """Prefetch a window's validated requests (``{position:
-        (history, top_n)}``) through the first rung's engine and rank
-        the rows its cache then holds in one call.
+        """Score a window's validated requests (``{position: (history,
+        top_n)}``) with one prefetch through the first rung's engine,
+        and rank the rows it returned in one pass.
 
-        Returns ``{position: (cache key, ranked, narrow)}`` for the
-        requests whose list needs no slow path.
+        Returns ``{position: (ranked, narrow)}`` for the requests whose
+        list needs no slow path.
         """
         rung = self._rungs[0]
         engine = rung.engine
-        # Only the first rung is warmed: lower rungs see traffic only
+        # Only the first rung is scored: lower rungs see traffic only
         # when requests degrade.  An open breaker means "stop hammering
-        # this model": prefetch respects it, and the window then serves
-        # request by request.
+        # this model": the window then serves request by request.
         if not valid or engine is None or not rung.breaker.allow():
             return {}
         positions = list(valid)
         histories = [valid[position][0] for position in positions]
         top_n = valid[positions[0]][1]
-        engine.prefetch(histories)
-        keys, hits, rows = engine.cached_rows(histories)
-        if not hits:
+        entries = engine.prefetch(histories)
+        scored = [
+            index for index, entry in enumerate(entries)
+            if not isinstance(entry, Exception)
+        ]
+        if not scored:
             return {}
-        picked = [histories[index] for index in hits]
-        narrow = isinstance(rows, TopScores)
+        rows = [entries[index] for index in scored]
+        narrow = isinstance(rows[0], TopScores)
         try:
-            if narrow:
-                lists, slow = self._rank_narrow(rows, picked, top_n)
-            else:
-                lists, slow = self._rank(rows, picked, top_n)
-        except (NonFiniteScoresError, ValueError):
+            rows = TopScores.stack(rows) if narrow else np.stack(rows)
+            lists, slow = self._rank(
+                rows, [histories[index] for index in scored], top_n
+            )
+        except ValueError:
             return {}
         return {
-            positions[index]: (keys[index], ranked, narrow)
-            for index, ranked, needs_slow_path in zip(hits, lists, slow)
+            positions[index]: (ranked, narrow)
+            for index, ranked, needs_slow_path in zip(scored, lists, slow)
             if not needs_slow_path
         }
 
@@ -364,8 +366,7 @@ class RecommendService:
         Returns the ranking, or ``None`` (with breaker/stats updated and
         ``causes[rung]`` set) to fall through to the next rung.  A
         ``ready`` window entry stands in for the scoring call and the
-        ranking while its row is still cached; touching the row books
-        the cache hit that the lookup would have booked.
+        ranking.
         """
         rstats = self._stats.rungs[rung.name]
         for attempt in range(self.retry.max_attempts):
@@ -377,10 +378,8 @@ class RecommendService:
             remaining = (
                 None if budget is None else budget - (called_at - start)
             )
-            outcome = None
-            if ready is not None and rung.engine.cache.touch(ready[0]):
-                outcome = ready[1:]
-            else:
+            outcome = ready
+            if outcome is None:
                 try:
                     scores = rung.model.score_batch([history])
                 except Exception as error:  # noqa: BLE001 — rung isolation
@@ -498,82 +497,62 @@ class RecommendService:
         the full catalogue can still be ranked, it just costs the
         allocation the narrow path normally avoids.  A rung without that
         hatch serves a short list as it is and fails an empty one.
-        Raises ``ValueError`` when nothing is rankable.
+        Raises ``ValueError`` when the scores carry NaN/+inf or nothing
+        is rankable.
         """
-        if isinstance(scores, TopScores):
-            lists, slow = self._rank_narrow(scores, [history], top_n)
-            dense = getattr(rung.model, "score_batch_dense", None)
-            if not slow[0] or (dense is None and lists[0].size):
-                return lists[0], True
-            if dense is None:
-                raise ValueError(
-                    "no rankable candidates after exclusions and the "
-                    "rung has no dense fallback"
-                )
+        lists, slow = self._rank(scores, [history], top_n)
+        narrow = isinstance(scores, TopScores)
+        dense = getattr(rung.model, "score_batch_dense", None)
+        if narrow and slow[0] and lists[0] is not None and dense is not None:
             self._stats.dense_fallbacks += 1
-            scores = dense([history])
-        lists, empty = self._rank(scores, [history], top_n)
-        if empty[0]:
+            lists, slow = self._rank(dense([history]), [history], top_n)
+            narrow = False
+        if lists[0] is None:
+            raise NonFiniteScoresError("scores contain NaN/+inf entries")
+        if slow[0] and not (narrow and lists[0].size):
             raise ValueError("no rankable items after exclusions")
-        return lists[0], False
+        return lists[0], narrow
 
     def _rank(
         self, scores, histories, top_n: int
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Rank full-width rows, one per history.
+    ) -> tuple[list, np.ndarray]:
+        """Rank one score row per history: full-width rows, or narrow
+        :class:`~repro.retrieval.TopScores` candidate lists ranked in
+        O(C log C) per row without densifying them.
 
-        Returns the per-row lists and a per-row mask of empty lists (no
-        rankable item left), which need the slow path.
+        Returns the per-row lists (history ids excluded, the 0 tail
+        stripped; ``None`` for a row carrying NaN or +inf) and a
+        per-row mask of rows that need the slow path: those non-finite
+        rows, empty lists, and narrow lists shorter than ``top_n``
+        although the catalogue could fill more of them (thin probed
+        lists, or exclusions swallowing the candidates).  A retrieval
+        width ``C < top_n`` asks for short lists, so there only an
+        empty list needs it.
         """
-        scores = np.asarray(scores, dtype=np.float64)
+        narrow = isinstance(scores, TopScores)
+        if narrow:
+            shape = (len(scores), scores.width)
+            values = np.where(scores.ids >= 1, scores.scores, -np.inf)
+        else:
+            values = scores = np.asarray(scores, dtype=np.float64)
+            shape = scores.shape
         expected = (len(histories), self.num_items + 1)
-        if scores.shape != expected:
+        if shape != expected:
             raise ValueError(
-                f"expected scores of shape {expected}, got {scores.shape}"
+                f"expected scores of shape {expected}, got {shape}"
             )
+        poisoned = (np.isnan(values) | (values == np.inf)).any(axis=1)
         exclude = histories if self.config.exclude_history else None
-        ranked = rank_items_batch(
-            scores, top_n, exclude=exclude, check_finite=True
-        )
+        rank = rank_top_scores if narrow else rank_items_batch
+        ranked = rank(scores, top_n, exclude=exclude, check_finite=False)
         # Unrankable slots are 0 and sink to the end of each row.
         counts = np.count_nonzero(ranked, axis=1)
-        lists = [row[:count] for row, count in zip(ranked, counts)]
-        return lists, counts == 0
-
-    def _rank_narrow(
-        self, top: TopScores, histories, top_n: int
-    ) -> tuple[list[np.ndarray], np.ndarray]:
-        """Rank candidate-native responses without densifying them.
-
-        The narrow twin of :meth:`_rank`: O(C log C) per row over the
-        packed candidate lists instead of O(|I|) over scattered rows,
-        with the same exclusion semantics (history ids masked out, the
-        0 tail stripped).  Returns the per-row lists and a per-row mask
-        of lists that need the slow path: empty ones, and ones shorter
-        than ``top_n`` although the catalogue could fill more of them (thin
-        probed lists, or exclusions swallowing the candidates).  A
-        retrieval width ``C < top_n`` asks for short lists, so there
-        only an empty list needs it.
-        """
-        if len(top) != len(histories):
-            raise ValueError(
-                f"expected a {len(histories)}-row narrow response, got "
-                f"{len(top)} rows"
-            )
-        if top.width != self.num_items + 1:
-            raise ValueError(
-                f"narrow width {top.width} does not match the service "
-                f"vocabulary ({self.num_items + 1})"
-            )
-        exclude = histories if self.config.exclude_history else None
-        ranked = rank_top_scores(
-            top, top_n, exclude=exclude, check_finite=True
-        )
-        # Unrankable slots are 0 and sink to the end of each row.
-        counts = np.count_nonzero(ranked, axis=1)
-        lists = [row[:count] for row, count in zip(ranked, counts)]
-        slow = counts == 0
-        if top_n <= top.candidates:
+        lists = [
+            None if bad else row[:count]
+            for row, count, bad in zip(ranked, counts, poisoned)
+        ]
+        slow = poisoned | (counts == 0)
+        if narrow and top_n <= scores.candidates:
             for row in np.flatnonzero((counts < top_n) & ~slow):
                 slow[row] = counts[row] < self._rankable(histories[row])
         return lists, slow
@@ -663,8 +642,8 @@ class RecommendService:
         replica's first real flushes *replay* programs instead of paying
         the trace.  Dense and retrieval flushes share one compiled
         program (``hidden_last``), so the probe warms both.  Sizes are
-        translated to the model-level shapes the engine's micro-batcher
-        will actually produce (``max_batch`` chunks plus the ragged
+        translated to the model-level shapes the engine's chunked
+        forwards will actually produce (``max_batch`` chunks plus the ragged
         remainder); probes call the model directly, so no score cache or
         stats counter moves.  Returns how many programs were traced.
         """

@@ -124,22 +124,27 @@ def serve_loop(service, histories, top_n=None):
 
 
 def comparable_stats(service) -> dict:
-    """``stats()`` with each latency summary reduced to its count."""
+    """``stats()`` with each latency summary reduced to its count and
+    the cache's lookup counters dropped: the window looks each request
+    up once, the loop once in its prefetch and again in ``recommend``."""
     stats = service.stats()
     for rung in stats["rungs"].values():
         rung["latency"] = rung["latency"].get("count", 0)
+        engine = rung.get("engine")
+        if engine and engine["cache"]:
+            for name in ("hits", "misses", "hit_rate"):
+                del engine["cache"][name]
     return stats
 
 
 def assert_window_parity(build, histories, top_n=None, prepare=None):
     """Serve ``histories`` through ``recommend_many`` on one fresh
     service and through :func:`serve_loop` on another; every result,
-    every stats counter, breaker state and engine cache counter must
-    agree.  ``prepare(service)`` runs on both first.  Returns how many
-    requests the window path ranked one by one (the rest were served
-    from the window's single ranking call)."""
-    from repro.serve import Recommendation
-
+    every stats counter, breaker state and engine counter must agree
+    (the cache's lookup counters aside, see :func:`comparable_stats`).
+    ``prepare(service)`` runs on both first.  Returns how many requests
+    the window path ranked one by one (the rest were served from the
+    window's single ranking call)."""
     reference, windowed = build(), build()
     if prepare is not None:
         prepare(reference)
@@ -154,15 +159,43 @@ def assert_window_parity(build, histories, top_n=None, prepare=None):
 
     windowed._rank_one = counting
     window = windowed.recommend_many(histories, top_n=top_n)
-    assert len(window) == len(loop)
-    for want, got in zip(loop, window):
-        assert type(got) is type(want)
-        if isinstance(want, Recommendation):
-            np.testing.assert_array_equal(got.items, want.items)
-            assert (got.rung, got.degraded, got.fallbacks) == (
-                want.rung, want.degraded, want.fallbacks
-            )
-        else:
-            assert str(got) == str(want)
+    assert_same_results(loop, window)
     assert comparable_stats(windowed) == comparable_stats(reference)
     return len(one_by_one)
+
+
+def assert_same_results(want, got):
+    """Equal results, in order: the same rankings with the same
+    provenance, or the same errors."""
+    from repro.serve import Recommendation
+
+    assert len(got) == len(want)
+    for one, other in zip(want, got):
+        assert type(other) is type(one)
+        if isinstance(one, Recommendation):
+            np.testing.assert_array_equal(other.items, one.items)
+            assert (other.rung, other.degraded, other.fallbacks) == (
+                one.rung, one.degraded, one.fallbacks
+            )
+        else:
+            assert str(other) == str(one)
+
+
+def window_forwards(service) -> tuple[int, int]:
+    """The first rung's engine forwards: ``(flushes, rows)``."""
+    rung = service._rungs[0]
+    batcher = service.stats()["rungs"][rung.name]["engine"]["batcher"]
+    return batcher["flushes"], batcher["batched_requests"]
+
+
+def assert_same_window(build_reference, build, histories):
+    """Serve ``histories`` through ``recommend_many`` on a service from
+    each builder: results and provenance must agree, and so must the
+    first rung's forwards.  Returns those ``(flushes, rows)``."""
+    reference, service = build_reference(), build()
+    assert_same_results(
+        reference.recommend_many(histories), service.recommend_many(histories)
+    )
+    forwards = window_forwards(service)
+    assert forwards == window_forwards(reference)
+    return forwards

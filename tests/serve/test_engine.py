@@ -27,7 +27,9 @@ from .conftest import (
     NUM_ITEMS,
     FakeClock,
     StubModel,
+    assert_same_window,
     assert_window_parity,
+    window_forwards,
 )
 
 # ----------------------------------------------------------------------
@@ -45,11 +47,12 @@ class TestScoreCache:
         assert cache.hits == 1 and cache.misses == 1
         assert len(cache) == 1
 
-    def test_get_returns_a_copy(self):
+    def test_get_returns_a_read_only_entry(self):
         cache = ScoreCache(capacity=2)
         cache.put("a", np.arange(3.0))
         stolen = cache.get("a")
-        stolen[:] = -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            stolen[:] = -1.0
         assert np.array_equal(cache.get("a"), np.arange(3.0))
 
     def test_lru_eviction_order(self):
@@ -66,26 +69,6 @@ class TestScoreCache:
         cache.put("a", np.zeros(1))
         assert "a" in cache and "b" not in cache
         assert cache.hits == 0 and cache.misses == 0
-
-    def test_peek_moves_and_counts_nothing(self):
-        cache = ScoreCache(capacity=2)
-        cache.put("a", np.zeros(1))
-        cache.put("b", np.ones(1))
-        assert np.array_equal(cache.peek("a"), np.zeros(1))
-        assert cache.peek("z") is None
-        cache.put("c", np.full(1, 2.0))  # 'a' is still the LRU entry
-        assert "a" not in cache
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_touch_books_a_hit_like_get(self):
-        cache = ScoreCache(capacity=2)
-        cache.put("a", np.zeros(1))
-        cache.put("b", np.ones(1))
-        assert cache.touch("a")
-        assert not cache.touch("z")
-        assert cache.hits == 1 and cache.misses == 0
-        cache.put("c", np.full(1, 2.0))  # 'a' was touched: 'b' goes
-        assert "a" in cache and "b" not in cache
 
     def test_zero_capacity_disables(self):
         cache = ScoreCache(capacity=0)
@@ -152,12 +135,14 @@ class TestScoreCache:
         cache = ScoreCache(capacity=4, capacity_bytes=1024)
         cache.put("a", entry)
         assert cache.bytes == entry.nbytes
-        # Mutating what the caller handed in (or got back) never
-        # touches the stored entry.
+        # Mutating what the caller handed in never touches the stored
+        # entry, and what it gets back cannot be written.
         entry.scores[0, 0] = 99.0
         got = cache.get("a")
         assert got.scores[0, 0] == 1.0
-        got.scores[0, 0] = -5.0
+        for array in (got.ids, got.scores):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 5
         assert cache.get("a").scores[0, 0] == 1.0
 
     def test_clear_resets_bytes(self):
@@ -220,9 +205,13 @@ class TestChunkedForwards:
     def test_error_fans_out_to_whole_chunk(self):
         model = RecordingModel(fail_times=1)
         engine = InferenceEngine(model, EngineConfig(max_batch=2))
-        # The first chunk fails as a whole; the second still warms.
-        assert engine.prefetch([np.array([i]) for i in (1, 2, 3)]) == 1
+        # The first chunk fails as a whole; the second still scores.
+        entries = engine.prefetch([np.array([i]) for i in (1, 2, 3)])
+        assert isinstance(entries[0], RuntimeError)
+        assert entries[1] is entries[0]
+        np.testing.assert_array_equal(entries[2], np.full(4, 3.0))
         assert [len(b) for b in model.batches] == [2, 1]
+        assert len(engine.cache) == 1
         engine.score_batch([np.array([i]) for i in (1, 2, 3)])
         assert [len(b) for b in model.batches] == [2, 1, 2]
         model.fail_times = 1
@@ -238,7 +227,9 @@ class TestChunkedForwards:
         engine = InferenceEngine(OneRow(), EngineConfig(max_batch=8))
         with pytest.raises(ValueError, match="rows"):
             engine.score_batch([np.array([1]), np.array([2])])
-        assert engine.prefetch([np.array([1]), np.array([2])]) == 0
+        entries = engine.prefetch([np.array([1]), np.array([2])])
+        assert all(isinstance(entry, ValueError) for entry in entries)
+        assert len(engine.cache) == 0
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +243,10 @@ class TestInferenceEngine:
         engine = InferenceEngine(
             model, EngineConfig(max_batch=16, cache_capacity=0)
         )
-        histories = [np.array([i % NUM_ITEMS + 1]) for i in range(40)]
+        histories = [  # 40 distinct histories
+            np.array([i // NUM_ITEMS + 1, i % NUM_ITEMS + 1])
+            for i in range(40)
+        ]
         scores = engine.score_batch(histories)
         assert scores.shape == (40, NUM_ITEMS + 1)
         assert model.calls == 3  # ceil(40 / 16) forwards, not 40
@@ -343,8 +337,11 @@ class TestInferenceEngine:
     def test_prefetch_warms_and_swallows_errors(self):
         model = StubModel()
         engine = InferenceEngine(model, EngineConfig(max_batch=8))
-        warmed = engine.prefetch([np.array([1]), np.array([2])])
-        assert warmed == 2 and len(engine.cache) == 2
+        rows = engine.prefetch([np.array([1]), np.array([2])])
+        for row in rows:
+            np.testing.assert_array_equal(row, np.arange(NUM_ITEMS + 1.0))
+        assert len(engine.cache) == 2
+        assert engine.cache.misses == 2 and engine.cache.hits == 0
         # real traffic is now pure cache hits
         engine.score_batch([np.array([1]), np.array([2])])
         assert model.calls == 1 and engine.cache.hits == 2
@@ -354,7 +351,8 @@ class TestInferenceEngine:
                 raise RuntimeError("boom")
 
         broken = InferenceEngine(Exploding(), EngineConfig(max_batch=8))
-        assert broken.prefetch([np.array([1])]) == 0  # swallowed
+        (entry,) = broken.prefetch([np.array([1])])  # returned, not raised
+        assert isinstance(entry, RuntimeError) and len(broken.cache) == 0
 
     def test_no_tape_even_for_unguarded_models(self):
         class TapeBuilder:
@@ -434,6 +432,25 @@ def ragged_histories(seed, count=37):
     return histories
 
 
+def window_keys(histories, window=8) -> int:
+    """Distinct cache keys among ``histories`` for a model attending to
+    ``window`` items."""
+    return len({tuple(history[-window:]) for history in histories})
+
+
+def distinct_histories(seed, count=64):
+    """``count`` ragged histories that differ within an 8-item window."""
+    rng = np.random.default_rng(seed)
+    histories = []
+    while window_keys(histories) < count:
+        histories.append(
+            rng.integers(1, NUM_REAL_ITEMS + 1, size=rng.integers(1, 14))
+        )
+        if window_keys(histories) < len(histories):
+            histories.pop()
+    return histories
+
+
 class TestBatchedSequentialEquivalence:
     def test_engine_service_matches_plain_service_bitwise(self, sasrec):
         plain = make_service(sasrec)
@@ -459,10 +476,25 @@ class TestBatchedSequentialEquivalence:
         for one, many in zip(sequential, batched):
             assert isinstance(many, Recommendation)
             assert np.array_equal(one.items, many.items)
-        # the batch really was coalesced, not served one-by-one
+        # the batch really was coalesced, not served one-by-one: one
+        # lookup per request, one row per distinct key
         snap = batched_service.stats()["rungs"]["primary"]["engine"]
         assert snap["batcher"]["largest_flush"] == 8
-        assert snap["cache"]["hits"] >= len(histories)
+        assert snap["batcher"]["batched_requests"] == window_keys(histories)
+        assert snap["cache"]["misses"] == len(histories)
+        assert snap["cache"]["hits"] == 0
+
+    def test_cache_counters_count_window_lookups(self, sasrec):
+        service = make_service(sasrec, engine=EngineConfig(max_batch=32))
+        window = distinct_histories(seed=20)
+        service.recommend_many(window)
+        cache = service.stats()["rungs"]["primary"]["engine"]["cache"]
+        assert (cache["misses"], cache["hits"]) == (64, 0)
+        service.recommend_many(window)
+        cache = service.stats()["rungs"]["primary"]["engine"]["cache"]
+        assert (cache["misses"], cache["hits"]) == (64, 64)
+        assert cache["hit_rate"] == 0.5
+        assert window_forwards(service) == (2, 64)
 
     def test_recommend_many_returns_errors_in_place(self, sasrec):
         service = make_service(sasrec, engine=EngineConfig(max_batch=4))
@@ -520,28 +552,41 @@ class TestBatchedSequentialEquivalence:
         assert isinstance(before, Recommendation)
 
     @settings(max_examples=15, deadline=None)
-    @given(st.lists(
+    @given(
         st.lists(
-            st.integers(min_value=1, max_value=NUM_REAL_ITEMS),
-            min_size=1, max_size=12,
+            st.lists(
+                st.integers(min_value=1, max_value=NUM_REAL_ITEMS),
+                min_size=1, max_size=12,
+            ),
+            min_size=1, max_size=24,
         ),
-        min_size=1, max_size=24,
-    ))
-    def test_property_batched_rankings_bitwise_identical(self, raw):
+        st.sampled_from([0, 1, 3, 4096]),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_property_batched_rankings_bitwise_identical(
+        self, raw, cache_capacity, max_batch
+    ):
+        # Window batching does not depend on the cache: whatever its
+        # size, each distinct key is scored once, max_batch at a time.
         model = _property_model()
         histories = [np.array(h, dtype=np.int64) for h in raw]
         sequential = make_service(model)
-        engined = make_service(model, engine=EngineConfig(max_batch=8))
+        engined = make_service(model, engine=EngineConfig(
+            max_batch=max_batch, cache_capacity=cache_capacity
+        ))
         loop = [sequential.recommend(h) for h in histories]
         many = engined.recommend_many(histories)
         for one, result in zip(loop, many):
             assert isinstance(result, Recommendation)
             assert np.array_equal(one.items, result.items)
+        flushes, _ = window_forwards(engined)
+        assert flushes == -(-window_keys(histories) // max_batch)
 
 
 class TestWindowParity:
     """``recommend_many`` ranks a window in one call, yet every result
-    and counter equals prefetch + a ``recommend`` loop (dense rows)."""
+    and service counter equals prefetch + a ``recommend`` loop (dense
+    rows)."""
 
     @staticmethod
     def _build(sasrec, engine=None, clock=None, faulty=None, **config):
@@ -626,22 +671,22 @@ class TestWindowParity:
             prepare=trip,
         )
 
+    # Without a cache, or with one smaller than the window, the window
+    # still scores each request once: the same two forwards of 64 rows
+    # and the same rankings as with the default cache.
     def test_cache_disabled(self, sasrec):
-        assert_window_parity(
-            self._build(sasrec, engine=EngineConfig(cache_capacity=0)),
-            ragged_histories(seed=13, count=10),
-        )
+        assert self._same_window_as_default_cache(sasrec, 0, 13) == (2, 64)
 
     def test_cache_smaller_than_the_window(self, sasrec):
-        # Misses put rows that evict rows the window read as cached;
-        # those requests must miss at their turn, as in the loop.
-        assert_window_parity(
-            self._build(
-                sasrec,
-                engine=EngineConfig(max_batch=4, cache_capacity=3),
-                faulty=lambda: FaultInjector(nan_rate=0.5, seed=4),
-            ),
-            ragged_histories(seed=14, count=12),
+        assert self._same_window_as_default_cache(sasrec, 3, 14) == (2, 64)
+
+    def _same_window_as_default_cache(self, sasrec, capacity, seed):
+        return assert_same_window(
+            self._build(sasrec, engine=EngineConfig(max_batch=32)),
+            self._build(sasrec, engine=EngineConfig(
+                max_batch=32, cache_capacity=capacity
+            )),
+            distinct_histories(seed=seed),
         )
 
 

@@ -24,7 +24,12 @@ from repro.serve import (
 from repro.tensor import Tensor, set_default_dtype
 from tests.faults import FaultInjector, FaultyRecommender
 
-from .conftest import FakeClock, StubModel, assert_window_parity
+from .conftest import (
+    FakeClock,
+    StubModel,
+    assert_same_window,
+    assert_window_parity,
+)
 
 NUM_ITEMS = 60
 MAX_LENGTH = 12
@@ -422,7 +427,8 @@ class TestNarrowExclusionFallback:
 
 class TestWindowParity:
     """``recommend_many`` ranks a window's narrow rows in one call, yet
-    every result and counter equals prefetch + a ``recommend`` loop."""
+    every result and service counter equals prefetch + a ``recommend``
+    loop."""
 
     @staticmethod
     def _build(inner, index=APPROX, engine=None, faulty=None, clock=None,
@@ -499,13 +505,16 @@ class TestWindowParity:
         )
 
     def test_cache_disabled(self, model, histories):
-        assert_window_parity(
+        # Without a cache the window still scores each request once:
+        # the same forward and rankings as with the default cache.
+        assert assert_same_window(
+            self._build(lambda: model, engine=EngineConfig(index=APPROX)),
             self._build(
                 lambda: model,
                 engine=EngineConfig(cache_capacity=0, index=APPROX),
             ),
             histories,
-        )
+        ) == (1, len(histories))
 
 
 class TestSnapshotObservability:
