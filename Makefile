@@ -38,14 +38,16 @@ serve-smoke:
 		-k "not test_chaos_drill"
 
 # Seeded chaos drill against the self-healing replicated cluster:
-# SIGKILLs and stall injections fired on a deterministic schedule under
+# SIGKILLs and SIGSTOP stalls fired on a deterministic schedule under
 # paced load; replicated shards must lose zero requests, the accounting
 # invariants must hold at every checkpoint, and the supervisor must
-# respawn back to full capacity.  The hard wall-clock cap keeps a hung
+# respawn back to full capacity.  Also runs the harness's own tests
+# (tests/serve/test_chaos.py).  The hard wall-clock cap keeps a hung
 # drill from wedging CI — a timeout here IS a failure.
 chaos-smoke:
 	timeout 180 env PYTHONPATH=src python -m pytest -q \
-		tests/integration/test_serve_drills.py -k test_chaos_drill
+		tests/integration/test_serve_drills.py::test_chaos_drill \
+		tests/serve/test_chaos.py
 
 bench-all:
 	python -m pytest benchmarks/ --benchmark-only

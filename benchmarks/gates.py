@@ -53,9 +53,13 @@ alternating pairs and bound how much a resource may grow between them:
 **Bound rows** check one run against an absolute bound: narrow cache
 entries ≤ 4 KB each and ≤ 64 KB net allocation over 5 fully cached
 calls; the 2-shard cluster ≥ 150 req/s (best of 3) with exact
-accounting; overload shed at admission and drained in under 20 s; and
+accounting; overload shed at admission and drained in under 20 s;
 the replicated cluster's chaos drill (availability ≥ 0.95, worst heal
-≤ 5 s, goodput ``dip_depth < 1.0``, no failed request).
+≤ 5 s, goodput ``dip_depth < 1.0``, no failed request); and a healthy
+canary rolled across a 2×2 cluster between two halves of paced traffic
+(rollout ok, availability ≥ 0.95, no failed request, the canary served
+on every shard).  All cluster rows drive load and faults through the
+open-loop driver of ``tests/chaos.py``.
 
 **Report rows** have no bar: the recall@N-vs-nprobe curve (committed
 as ``benchmarks/results/retrieval_recall.json``, with its monotonicity
@@ -709,12 +713,13 @@ def cluster_rows() -> list[Row]:
 
     # Sustained throughput: best of 3 unpaced replays of 200 requests.
     traffic = list(cluster_traffic(200, seed=0))
+    unpaced = ChaosConfig(pace=False, probe_requests=0, drain_timeout=20.0)
     reports = []
     for _ in range(3):
         with ServingCluster(factory, config=ClusterConfig(
             num_shards=2, batch_size=16, max_queue=256, worker_timeout=20.0,
         )) as cluster:
-            reports.append(cluster.run_load(traffic, drain_timeout=20.0))
+            reports.append(run_chaos(cluster, traffic, [], unpaced))
     best = max(reports, key=lambda r: r["sustained_rps"])
     checks = [("sustained req/s", best["sustained_rps"] >= CLUSTER_MIN_RPS)]
     for report in reports:
@@ -735,8 +740,8 @@ def cluster_rows() -> list[Row]:
     with ServingCluster(factory, config=ClusterConfig(
         num_shards=2, batch_size=64, max_queue=8, worker_timeout=20.0,
     )) as cluster:
-        report = cluster.run_load(cluster_traffic(300, seed=3),
-                                  drain_timeout=20.0)
+        report = run_chaos(cluster, cluster_traffic(300, seed=3), [],
+                           unpaced)
     elapsed = time.perf_counter() - start
     rows.append(bound_row("shed", "sheds, drains < 20 s", [
         ("shed at admission", report["shed"] > 0),
@@ -778,6 +783,40 @@ def cluster_rows() -> list[Row]:
         f"{report['faults_applied']} faults, availability "
         f"{report['availability']:.3f}, worst heal "
         f"{report['max_recovery_seconds']:.2f} s, dip {dip}",
+    ))
+
+    # A healthy canary (a SASRec in the VSAN rung) rolled across a 2x2
+    # cluster between two halves of paced traffic.
+    canary = SASRec(CLUSTER_ITEMS, max_length=20, dim=16, seed=1)
+    canary.eval()
+    paced = ChaosConfig(probe_requests=0, drain_timeout=20.0)
+    with ServingCluster(factory, config=ClusterConfig(
+        num_shards=2, replicas_per_shard=2, batch_size=8, max_queue=256,
+        worker_timeout=20.0,
+    )) as cluster:
+        halves = [run_chaos(
+            cluster, cluster_traffic(120, seed=4, rate=400.0), [], paced
+        )]
+        probes = [history for _, history, _ in cluster_traffic(8, seed=5)]
+        rollout = cluster.rollout("vsan", canary, probes)
+        halves.append(run_chaos(
+            cluster, cluster_traffic(120, seed=6, rate=400.0), [], paced
+        ))
+        serving = {shard: rungs["vsan"]["model"]
+                   for shard, rungs in cluster.describe().items()}
+    availability = sum(h["completed"] for h in halves) / max(
+        sum(h["submitted"] for h in halves), 1)
+    checks = [
+        ("rollout ok", rollout.ok),
+        ("no failed request", all(h["failed"] == 0 for h in halves)),
+        ("availability", availability >= 0.95),
+        *accounted(halves[0]), *accounted(halves[1]),
+        ("canary on every shard", serving == {0: "SASRec", 1: "SASRec"}),
+    ]
+    rows.append(bound_row(
+        "rollout", "ok, avail ≥ 0.95, 0 failed, canary served", checks,
+        f"ok {rollout.ok}, availability {availability:.3f}, serving "
+        f"{serving}",
     ))
     return rows
 

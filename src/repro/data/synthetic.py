@@ -169,14 +169,15 @@ class _World:
             self.next_category[category] = ring[
                 (position + 1) % config.num_categories
             ]
-        # Zipf popularity within each category.
-        self.popularity_in_category: list[np.ndarray] = []
+        # Zipf popularity within each category, kept as the CDF that
+        # ``sample_item`` inverts.
+        self.popularity_cdf: list[np.ndarray] = []
         for chunk in self.items_in_category:
             ranks = np.arange(1, len(chunk) + 1, dtype=np.float64)
             weights = ranks ** (-config.zipf_exponent)
             # Random order so the popular item isn't always the lowest id.
             rng.shuffle(weights)
-            self.popularity_in_category.append(weights / weights.sum())
+            self.popularity_cdf.append(_cdf(weights / weights.sum()))
         # Item-level successor: each item points at one item in the ring-
         # next category, inducing sharp pairwise transitions.
         self.successor_of = np.empty(config.num_items, dtype=np.int64)
@@ -187,8 +188,20 @@ class _World:
 
     def sample_item(self, category: int, rng: np.random.Generator) -> int:
         pool = self.items_in_category[category]
-        weights = self.popularity_in_category[category]
-        return int(rng.choice(pool, p=weights))
+        return int(pool[_draw(self.popularity_cdf[category], rng)])
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF ``numpy.random.Generator.choice`` builds from ``p``."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    """One index drawn from ``cdf``: the same draw, off the same stream,
+    as ``rng.choice(len(cdf), p=p)``, without re-validating ``p``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _sample_user_mixture(
@@ -270,7 +283,8 @@ def generate_with_info(
             np.argsort(mixture)[-config.preferred_categories:]
         )
         length = _sample_length(config, rng)
-        category = int(rng.choice(config.num_categories, p=mixture))
+        mixture_cdf = _cdf(mixture)
+        category = _draw(mixture_cdf, rng)
         item = world.sample_item(category, rng)
         previous_item = -1
         for step in range(length):
@@ -281,7 +295,7 @@ def generate_with_info(
                 roll = rng.random()
                 if roll < config.drift_prob:
                     # Preference-uncertainty jump to another mode.
-                    category = int(rng.choice(config.num_categories, p=mixture))
+                    category = _draw(mixture_cdf, rng)
                     item = world.sample_item(category, rng)
                 elif roll < config.drift_prob + config.chain_prob:
                     # Follow the routine chain; often to the exact successor.

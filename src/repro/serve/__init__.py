@@ -25,8 +25,9 @@ degrade gracefully instead of falling over.  The pieces:
 
 The fault harness that drives every failure path on purpose is test
 code: ``tests/faults.py`` (seeded latency/exception/NaN injector, file
-corruption helpers), ``tests/chaos.py`` (seeded kill/stall schedules
-against the cluster) and the end-to-end drills in
+corruption helpers), ``tests/chaos.py`` (the cluster's one open-loop
+load driver, firing seeded SIGKILL/``SIGSTOP`` schedules through the
+cluster's worker pool) and the end-to-end drills in
 ``tests/integration/test_serve_drills.py``.
 
 Pin one BLAS thread per serving process (``OPENBLAS_NUM_THREADS``,

@@ -22,9 +22,11 @@ consistent-hash user router in the parent:
   batch or an unanswered heartbeat ping past ``stall_timeout`` gets the
   wedged-but-alive worker killed instead of hanging the router.  Dead
   workers are replaced via :meth:`repro.pool.ForkedWorkerPool.spawn`
-  with capped exponential backoff, warm-loaded with the committed
-  rollout state (canary models included), and the shard rejoins the
-  ring.  A crash-looping shard trips a **flap-breaker** after
+  with capped exponential backoff.  The replacement warm-loads the
+  committed rollout state (canary models included) and pre-traces the
+  shard's hot batch sizes while the router keeps serving; it joins its
+  group, and the shard rejoins the ring, once that warm-up answers.
+  A crash-looping shard trips a **flap-breaker** after
   ``flap_threshold`` deaths inside ``FLAP_WINDOW`` seconds and degrades
   to shed-at-admission instead of fork-bombing the box.
 - **Admission control** — the router tracks per-shard queue depth and
@@ -51,11 +53,10 @@ consistent-hash user router in the parent:
   process would.  Deadline SLO attainment (fraction of submissions
   completing inside ``deadline``) is tracked alongside.
 
-The open-loop load harness lives in :meth:`ServingCluster.run_load`.
-The seeded chaos harness that proves the self-healing story is test
-code: ``tests/chaos.py``, driven by ``tests/serve/test_chaos.py``, the
-chaos scenario of ``tests/integration/test_serve_drills.py`` and the
-``recovery`` row of ``benchmarks/gates.py``.
+The cluster has no load driver and no fault hooks: the open-loop driver
+and seeded chaos harness are test code (``tests/chaos.py``), which pace
+traffic through :meth:`ServingCluster.submit` and kill or ``SIGSTOP``
+workers through :attr:`ServingCluster.pool`.
 """
 
 from __future__ import annotations
@@ -282,8 +283,7 @@ def _shard_loop(
     ``commit`` drops the stash once a rollout has fully succeeded, so a
     later rollback never resurrects a model from *before* an already
     accepted rollout.  ``ping`` answers the supervisor's liveness
-    probe; ``stall`` is the chaos hook that wedges the worker without
-    killing it.
+    probe.
     """
     try:
         service = service_factory()
@@ -303,10 +303,6 @@ def _shard_loop(
                 )
             elif kind == "ping":
                 conn.send(("pong", message[1]))
-            elif kind == "stall":
-                # Chaos hook: wedged-but-alive.  No reply — from the
-                # router's side the worker simply goes quiet.
-                time.sleep(message[1])
             elif kind == "stats":
                 conn.send(("stats", service.raw_stats(), service.stats()))
             elif kind == "describe":
@@ -385,8 +381,6 @@ class ServingCluster:
     :meth:`pump` drains ready replies (and runs one supervisor tick),
     :meth:`drain` settles everything outstanding.  Control plane:
     :meth:`stats`, :meth:`rollout`, :meth:`maintain`, :meth:`close`.
-    Fault drills: :meth:`kill_shard`, :meth:`kill_replica`,
-    :meth:`stall_replica`.
     """
 
     def __init__(
@@ -418,6 +412,9 @@ class ServingCluster:
         self._last_contact: dict[int, float] = {}
         self._ping_at: dict[int, float | None] = {}
         self._live_workers: set[int] = set()
+        # Respawned workers still warming up; they take no traffic
+        # until their ``warmed`` reply arrives.
+        self._warming: set[int] = set()
         # Shard-level books.
         self._groups: dict[int, list[int]] = {s: [] for s in shard_ids}
         self._pending: dict[int, list] = {s: [] for s in shard_ids}
@@ -440,7 +437,7 @@ class ServingCluster:
         }
         for shard in shard_ids:
             for _ in range(self.config.replicas_per_shard):
-                self._spawn_worker(shard)
+                self._groups[shard].append(self._spawn_worker(shard))
         self.ring = ConsistentHashRing(shard_ids)
         self._next_id = 0
         self.submitted = 0
@@ -467,6 +464,7 @@ class ServingCluster:
         """Tear the worker pool down (signal-all, shared join deadline)."""
         self.pool.stop()
         self._live_workers.clear()
+        self._warming.clear()
         for group in self._groups.values():
             group.clear()
 
@@ -478,7 +476,6 @@ class ServingCluster:
             self.engine_overrides.get(shard),
         )
         self._worker_shard[worker] = shard
-        self._groups[shard].append(worker)
         self._inflight[worker] = {}
         self._dispatches[worker] = deque()
         self._last_contact[worker] = self._clock()
@@ -495,8 +492,9 @@ class ServingCluster:
     def live_workers(self) -> list[int]:
         return sorted(self._live_workers)
 
-    def replica_count(self, shard: int) -> int:
-        return len(self._groups[shard])
+    def replicas(self, shard: int) -> tuple[int, ...]:
+        """Pool indices of the live replica group of ``shard``."""
+        return tuple(self._groups[shard])
 
     def full_capacity(self) -> bool:
         """Every shard has a full replica group and owns ring arcs —
@@ -692,6 +690,21 @@ class ServingCluster:
             self._absorb_results(worker, message[1])
         elif kind == "pong":
             self._ping_at[worker] = None
+        elif kind == "warmed" and worker in self._warming:
+            # A replacement finished warming: it takes traffic from now.
+            self._warming.discard(worker)
+            shard = self._worker_shard[worker]
+            self._groups[shard].append(worker)
+            self.respawns += 1
+            self._event(
+                "respawned", shard, worker=worker, warmed_programs=message[1]
+            )
+            if shard not in self.ring.nodes:
+                self.ring.add(shard)
+                self._event("rejoined", shard)
+        elif kind == "swap_failed" and worker in self._warming:
+            self.pool.kill(worker)
+            self._worker_died(worker, cause="warm-load failed")
         elif kind == "error":
             # The worker's loop itself broke: nothing more will come.
             self.pool.kill(worker)
@@ -771,6 +784,7 @@ class ServingCluster:
         if worker not in self._live_workers:
             return
         self._live_workers.discard(worker)
+        self._warming.discard(worker)
         shard = self._worker_shard[worker]
         group = self._groups[shard]
         if worker in group:
@@ -881,49 +895,36 @@ class ServingCluster:
                 self._respawn_replica(shard)
 
     def _respawn_replica(self, shard: int) -> None:
-        """Fork one replacement worker for ``shard``, warm-load the
-        committed rollout state, and rejoin the ring."""
+        """Fork one replacement worker for ``shard`` and queue its
+        warm-up without waiting for it: the committed rollout state,
+        then the shard's hot flush sizes, whose compiled scoring
+        programs it pre-traces.  The router keeps serving meanwhile;
+        the worker joins its group, and the shard the ring, when its
+        ``warmed`` reply arrives (:meth:`_on_message`)."""
         self._respawn_at[shard] = None
         if shard in self._flapped:
             return
-        if len(self._groups[shard]) >= self.config.replicas_per_shard:
+        replicas = len(self._groups[shard]) + sum(
+            self._worker_shard[worker] == shard for worker in self._warming
+        )
+        if replicas >= self.config.replicas_per_shard:
             return
         worker = self._spawn_worker(shard)
-        rejoining = shard not in self.ring.nodes
+        self._warming.add(worker)
+        # The commit empties the stash of factory models the swaps
+        # fill, so a later rollback stops at the warm-loaded state, as
+        # on the worker's peers.
+        messages = [
+            ("swap", rung, payload)
+            for rung, payload in self._swaps[shard].items()
+        ] + [("commit",), ("warm", sorted(self._hot_batches[shard]))]
         try:
-            for rung, payload in self._swaps[shard].items():
-                reply = self._control_worker(
-                    worker, ("swap", rung, payload),
-                    ("swapped", "swap_failed"),
-                )
-                if reply[0] == "swap_failed":
-                    self.pool.kill(worker)
-                    self._worker_died(worker, cause="warm-load failed")
-                    return
-            if self._swaps[shard]:
-                # A fresh worker's stash holds its factory models;
-                # commit so a future rollback stops at the warm-loaded
-                # state, exactly like its peers.
-                self._control_worker(worker, ("commit",), ("committed",))
-            # Replica-aware cache warming: replay the shard's hot flush
-            # sizes so the replacement pre-traces its compiled scoring
-            # programs now, not on its first live batches.
-            hot = sorted(self._hot_batches[shard])
-            warmed = 0
-            if hot:
-                warmed = self._control_worker(
-                    worker, ("warm", hot), ("warmed",)
-                )[1]
-        except ClusterError:
-            return  # died during warm-load; books already settled
-        self.respawns += 1
-        self._event(
-            "respawned", shard, worker=worker, warmed_programs=warmed
-        )
-        if rejoining:
-            self.ring.add(shard)
-            self._event("rejoined", shard)
-        if len(self._groups[shard]) < self.config.replicas_per_shard:
+            for message in messages:
+                self.pool.send(worker, message)
+        except WorkerError:
+            self._worker_died(worker, cause="send failed")
+            return
+        if replicas + 1 < self.config.replicas_per_shard:
             self._respawn_at[shard] = (
                 self._clock() + self.config.respawn_backoff
             )
@@ -932,60 +933,6 @@ class ServingCluster:
         event = {"t": self._clock(), "kind": kind, "shard": shard}
         event.update(details)
         self.events.append(event)
-
-    def recovery_spans(self) -> list[dict]:
-        """Death → replacement-serving spans, from the event log:
-        one entry per completed respawn, oldest unmatched death first."""
-        spans = []
-        open_deaths: dict[int, list[float]] = {}
-        for event in self.events:
-            if event["kind"] == "worker_died":
-                open_deaths.setdefault(event["shard"], []).append(
-                    event["t"]
-                )
-            elif event["kind"] == "respawned":
-                queue = open_deaths.get(event["shard"])
-                if queue:
-                    died = queue.pop(0)
-                    spans.append({
-                        "shard": event["shard"],
-                        "seconds": event["t"] - died,
-                    })
-        return spans
-
-    # ------------------------------------------------------------------
-    # Fault drills
-    # ------------------------------------------------------------------
-    def kill_shard(self, shard: int) -> None:
-        """SIGKILL every replica of one shard mid-run (blackout drill).
-        Discovery is left to the supervisor/data path: the next pump
-        sees the deaths, fails in-flight work, reroutes the queue,
-        shrinks the ring — and, unless the flap-breaker trips, refills
-        the group."""
-        for worker in list(self._groups[shard]):
-            self.pool.kill(worker)
-
-    def kill_replica(self, shard: int, which: int = 0) -> int:
-        """SIGKILL one replica of ``shard`` (failover drill); returns
-        the killed worker's pool index."""
-        group = self._groups[shard]
-        if not group:
-            raise ClusterError(f"shard {shard} has no live replica")
-        worker = group[which % len(group)]
-        self.pool.kill(worker)
-        return worker
-
-    def stall_replica(
-        self, shard: int, seconds: float, which: int = 0
-    ) -> int:
-        """Wedge one replica of ``shard`` for ``seconds`` without
-        killing it (stall-probe drill); returns the worker index."""
-        group = self._groups[shard]
-        if not group:
-            raise ClusterError(f"shard {shard} has no live replica")
-        worker = group[which % len(group)]
-        self.pool.send(worker, ("stall", seconds))
-        return worker
 
     # ------------------------------------------------------------------
     # Control plane
@@ -1090,7 +1037,7 @@ class ServingCluster:
                 "slo_attainment": self.slo_attainment(),
                 "live_shards": self.live_shards,
                 "replicas": {
-                    shard: len(self._groups[shard])
+                    shard: len(self.replicas(shard))
                     for shard in range(self.config.num_shards)
                 },
                 "respawns": self.respawns,
@@ -1153,70 +1100,60 @@ class ServingCluster:
         probe_histories = list(probe_histories)
         if not probe_histories:
             raise ValueError("rollout needs at least one probe history")
+        # A replacement still warming up would join with the old model:
+        # a ping queued behind its warm-up lets it join first.
+        self._tell(self._warming, ("ping", 0.0), ("pong",))
         report = RolloutReport(ok=True, rung=rung)
         for shard in self.live_shards:
+            report.swapped.append(shard)
+            reason = None
             for worker in list(self._groups[shard]):
                 reply = self._control_worker(
                     worker, ("swap", rung, model_or_path),
                     ("swapped", "swap_failed"),
                 )
-                if shard not in report.swapped:
-                    report.swapped.append(shard)
                 if reply[0] == "swap_failed":
-                    report.ok = False
-                    report.failed_shard = shard
-                    report.reason = f"swap failed: {reply[1]}"
+                    reason = f"swap failed: {reply[1]}"
                     break
-            if not report.ok:
-                break
-            healthy, reason = self._probe_shard(
-                shard, rung, probe_histories, probes_per_shard
-            )
-            if not healthy:
+            for worker in list(self._groups[shard]):
+                reason = reason or self._probe_worker(
+                    worker, shard, rung, probe_histories, probes_per_shard
+                )
+            if reason:
                 report.ok = False
                 report.failed_shard = shard
                 report.reason = reason
                 break
-        if not report.ok and report.swapped:
+        if not report.ok:
             for shard in reversed(report.swapped):
-                for worker in list(self._groups[shard]):
-                    try:
-                        self._control_worker(
-                            worker, ("rollback",), ("rolled_back",)
-                        )
-                    except ClusterError:
-                        continue
+                self._tell(self._groups[shard], ("rollback",),
+                           ("rolled_back",))
             report.rolled_back = True
-        if report.ok:
+        else:
             for shard in self.live_shards:
-                for worker in list(self._groups[shard]):
-                    try:
-                        self._control_worker(
-                            worker, ("commit",), ("committed",)
-                        )
-                    except ClusterError:
-                        continue
+                self._tell(self._groups[shard], ("commit",), ("committed",))
             # Recorded for *every* shard — a shard that is down right
             # now warm-loads the committed model when it respawns.
             for shard in range(self.config.num_shards):
                 self._swaps[shard][rung] = model_or_path
         return report
 
-    def _probe_shard(
-        self, shard: int, rung: str, probe_histories, probes: int
-    ) -> tuple[bool, str | None]:
-        for worker in list(self._groups[shard]):
-            healthy, reason = self._probe_worker(
-                worker, shard, rung, probe_histories, probes
-            )
-            if not healthy:
-                return healthy, reason
-        return True, None
+    def _tell(self, workers, message, expected: tuple) -> None:
+        """One control round trip with each of ``workers``, skipping any
+        that die on the way."""
+        for worker in list(workers):
+            try:
+                self._control_worker(worker, message, expected)
+            except ClusterError:
+                continue
 
     def _probe_worker(
         self, worker: int, shard: int, rung: str, probe_histories,
         probes: int,
-    ) -> tuple[bool, str | None]:
+    ) -> str | None:
+        """Why probing ``worker`` found the canary unhealthy, or
+        ``None`` when every probe was served by ``rung`` without a new
+        breaker trip."""
         before = self._control_worker(worker, ("stats",), ("stats",))[2]
         trips_before = self._breaker_trips(before, rung)
         entries = [
@@ -1228,95 +1165,25 @@ class ServingCluster:
         )
         for _, ok, payload in reply[1]:
             if not ok:
-                return False, (
+                return (
                     f"probe failed on shard {shard}: "
                     f"{payload[0]}: {payload[1]}"
                 )
             if payload[1] != rung:
-                return False, (
+                return (
                     f"probe degraded past the canary on shard {shard}: "
                     f"served by {payload[1]!r}, expected {rung!r}"
                 )
         after = self._control_worker(worker, ("stats",), ("stats",))[2]
         trips_after = self._breaker_trips(after, rung)
         if trips_after > trips_before:
-            return False, (
+            return (
                 f"breaker tripped on shard {shard} during probes "
                 f"({trips_after - trips_before} new trips)"
             )
-        return True, None
+        return None
 
     @staticmethod
     def _breaker_trips(snapshot: dict, rung: str) -> int:
         breaker = snapshot.get("rungs", {}).get(rung, {}).get("breaker")
         return int(breaker.get("times_opened", 0)) if breaker else 0
-
-    # ------------------------------------------------------------------
-    # Open-loop load harness
-    # ------------------------------------------------------------------
-    def run_load(
-        self,
-        traffic,
-        pace: bool = False,
-        sleep=time.sleep,
-        drain_timeout: float = 30.0,
-    ) -> dict:
-        """Replay an arrival schedule open-loop and report the run.
-
-        ``traffic`` yields ``(user_id, history, arrival_time)`` with
-        arrival times in seconds from the start of the run (e.g.
-        :func:`repro.data.synthetic.zipf_traffic`).  Open loop means
-        arrivals are *not* gated on completions: each is submitted at
-        its scheduled time (when ``pace`` is true; as fast as possible
-        otherwise), the router sheds what the fleet cannot absorb, and
-        replies are drained opportunistically between submissions.
-        Pacing sleeps in short slices with the pump in between, so the
-        supervisor keeps reaping/respawning while the line is idle.
-
-        Returns a report with sustained throughput (completions /
-        wall-clock), the round-trip latency summary (p50/p95/p99), shed
-        and failure counts, both accounting invariants, and — with a
-        router deadline configured — this run's SLO attainment (the
-        fraction of this run's terminal requests completed inside the
-        deadline at the offered rate).
-        """
-        started = self._clock()
-        offered = 0
-        terminal_before = self.completed + self.shed + self.failed
-        slo_before = self.slo_met
-        for user, history, arrival in traffic:
-            if pace:
-                while True:
-                    lag = arrival - (self._clock() - started)
-                    if lag <= 0:
-                        break
-                    sleep(min(lag, 0.02))
-                    self.pump(timeout=0.0)
-            self.submit(user, history)
-            offered += 1
-            self.pump(timeout=0.0)
-        self.drain(timeout=drain_timeout)
-        wall = max(self._clock() - started, 1e-9)
-        terminal = (
-            self.completed + self.shed + self.failed - terminal_before
-        )
-        if self.config.deadline is None or terminal == 0:
-            slo = None
-        else:
-            slo = round((self.slo_met - slo_before) / terminal, 4)
-        merged = self.merged_service_stats()
-        return {
-            "offered": offered,
-            "wall_seconds": round(wall, 4),
-            "sustained_rps": round(self.completed / wall, 2),
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "shed": self.shed,
-            "failed": self.failed,
-            "slo_attainment": slo,
-            "respawns": self.respawns,
-            "latency": self.latency.summary(),
-            "cluster_accounted": self.accounted(),
-            "service_accounted": merged.accounted(),
-            "live_shards": self.live_shards,
-        }

@@ -1,11 +1,17 @@
-"""Seeded chaos harness for the self-healing serving cluster.
+"""The open-loop load driver and seeded chaos harness for the
+self-healing serving cluster.
 
 :func:`run_chaos` drives a :class:`~repro.serve.cluster.ServingCluster`
-through paced open-loop traffic while firing a **seeded fault
-schedule** (from :func:`chaos_schedule`) at it —
-replica SIGKILLs, whole-group blackouts, and stall injections that
-wedge a worker without killing it — and continuously checks the
-invariants the self-healing story promises:
+through open-loop traffic (paced to its arrival times, or as fast as
+possible) while firing a **seeded fault schedule** (from
+:func:`chaos_schedule`) at it; with an empty schedule it is a plain
+load run.  Faults go through the cluster's own worker pool, so the
+production cluster carries no fault hooks: :func:`kill_replica`
+SIGKILLs one replica, :func:`blackout` SIGKILLs a whole replica group,
+and :func:`stall_replica` wedges a worker without killing it — it
+``SIGSTOP``s the process and a daemon timer ``SIGCONT``s it after the
+stall, unless the process has been reaped by then.  The run
+continuously checks the invariants the self-healing story promises:
 
 - the cluster-level accounting invariant ``accounted()`` holds at
   every checkpoint, after the drain, and after a final probe wave;
@@ -20,35 +26,47 @@ function of ``(ChaosScheduleConfig, seed)``, and targets are resolved
 rank-modulo-topology at fire time, so one printed seed replays the
 whole drill.  Faults only fire at shards with a **full replica group**
 that have not been faulted within a cooldown window (a stalled worker
-is invisible to ``replica_count`` until the stall probe catches it, so
+is still listed by ``replicas`` until the stall probe catches it, so
 back-to-back faults on one shard could silently wedge *both*
 replicas); a fault with no safe target is deferred to the next
 request rather than dropped.  That discipline is what makes "a
 replicated shard loses zero requests to a single fault" an assertable
 property rather than a coin flip.
 
-The report carries the recovery metrics the ``recovery`` row of
-``benchmarks/gates.py`` bounds: per-death time-to-respawn spans and the goodput dip depth
-(how far the worst inter-checkpoint completion window fell below the
-mean one).
+The report describes this run only, even on a cluster that has served
+before: its counts, sustained throughput, round-trip latency and SLO
+attainment, and the recovery metrics the ``recovery`` row of
+``benchmarks/gates.py`` bounds: per-death time-to-respawn spans
+(:func:`recovery_spans`) and the goodput dip depth (how far the worst
+inter-checkpoint completion window fell below the mean one).  The
+``cluster``, ``shed`` and ``rollout`` rows are fault-free runs of the
+same driver.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pool import WorkerError
 from repro.serve import ClusterError
+from repro.serve.stats import LatencyTracker
 from repro.tensor.random import make_rng
 
 __all__ = [
     "ChaosConfig",
     "ChaosScheduleConfig",
+    "blackout",
     "chaos_schedule",
+    "kill_replica",
+    "recovery_spans",
     "run_chaos",
+    "stall_replica",
 ]
 
 
@@ -140,7 +158,7 @@ class ChaosConfig:
         fault_cooldown: seconds a shard stays off-limits after a fault
             lands on it.  ``None`` derives it from the cluster's
             ``stall_timeout`` (1.5x, the window in which a wedged
-            replica can hide from ``replica_count``).
+            replica still counts in ``replicas``).
     """
 
     stall_seconds: float = 0.8
@@ -164,6 +182,68 @@ class ChaosConfig:
             raise ValueError("fault_cooldown must be >= 0")
 
 
+def _replica(cluster, shard: int, which: int) -> int:
+    group = cluster.replicas(shard)
+    if not group:
+        raise ClusterError(f"shard {shard} has no live replica")
+    return group[which % len(group)]
+
+
+def kill_replica(cluster, shard: int, which: int = 0) -> int:
+    """SIGKILL one replica of ``shard`` (failover drill); returns the
+    killed worker's pool index.  The router finds out on its own."""
+    worker = _replica(cluster, shard, which)
+    cluster.pool.kill(worker)
+    return worker
+
+
+def blackout(cluster, shard: int) -> None:
+    """SIGKILL every replica of ``shard`` at once."""
+    for worker in cluster.replicas(shard):
+        cluster.pool.kill(worker)
+
+
+def stall_replica(cluster, shard: int, seconds: float, which: int = 0) -> int:
+    """Wedge one replica of ``shard`` for ``seconds`` without killing it;
+    returns the worker's pool index.
+
+    ``SIGSTOP`` freezes the process wherever it is; a daemon timer sends
+    ``SIGCONT`` after ``seconds`` unless the process has been reaped by
+    then (the stall probe usually kills it first).
+    """
+    worker = _replica(cluster, shard, which)
+    process = cluster.pool.processes[worker]
+    os.kill(process.pid, signal.SIGSTOP)
+
+    def resume():
+        if process.exitcode is None:
+            with contextlib.suppress(ProcessLookupError):  # reaped since
+                os.kill(process.pid, signal.SIGCONT)
+
+    timer = threading.Timer(seconds, resume)
+    timer.daemon = True
+    timer.start()
+    return worker
+
+
+def recovery_spans(events) -> list[dict]:
+    """Death → replacement-serving spans from a cluster's event log:
+    one entry per completed respawn, oldest unmatched death first."""
+    spans = []
+    open_deaths: dict[int, list[float]] = {}
+    for event in events:
+        if event["kind"] == "worker_died":
+            open_deaths.setdefault(event["shard"], []).append(event["t"])
+        elif event["kind"] == "respawned":
+            queue = open_deaths.get(event["shard"])
+            if queue:
+                spans.append({
+                    "shard": event["shard"],
+                    "seconds": event["t"] - queue.pop(0),
+                })
+    return spans
+
+
 def _target_shard(cluster, rank: int, hot: dict, now: float):
     """Resolve a schedule rank onto a *safe* shard: full replica group
     and outside its fault cooldown.  Returns ``None`` (defer the
@@ -172,7 +252,7 @@ def _target_shard(cluster, rank: int, hot: dict, now: float):
     yet, turning an assertable zero-loss fault into a blackout."""
     safe = [
         shard for shard in cluster.live_shards
-        if cluster.replica_count(shard)
+        if len(cluster.replicas(shard))
         >= cluster.config.replicas_per_shard
         and now >= hot.get(shard, -1.0)
     ]
@@ -193,17 +273,17 @@ def _apply_fault(
     hot[shard] = now + cooldown
     try:
         if kind == "kill":
-            worker = cluster.kill_replica(shard, which=rank)
+            worker = kill_replica(cluster, shard, which=rank)
         elif kind == "blackout":
-            cluster.kill_shard(shard)
+            blackout(cluster, shard)
             worker = None
         elif kind == "stall":
-            worker = cluster.stall_replica(
-                shard, config.stall_seconds, which=rank
+            worker = stall_replica(
+                cluster, shard, config.stall_seconds, which=rank
             )
         else:  # pragma: no cover - schedule generator guards kinds
             raise ValueError(f"unknown fault kind {kind!r}")
-    except (ClusterError, WorkerError):
+    except (ClusterError, OSError):
         # The rank landed on a worker that died under our feet — the
         # race itself is the exercise; record and move on.
         return {"kind": kind, "shard": shard, "skipped": True}
@@ -220,6 +300,19 @@ def _check(cluster, where: str) -> None:
         )
 
 
+def _counts(cluster) -> dict:
+    return {
+        "submitted": cluster.submitted,
+        "completed": cluster.completed,
+        "shed": cluster.shed,
+        "failed": cluster.failed,
+        "slo_met": cluster.slo_met,
+        "respawns": cluster.respawns,
+        "records": len(cluster.records),
+        "events": len(cluster.events),
+    }
+
+
 def run_chaos(
     cluster,
     traffic,
@@ -228,14 +321,23 @@ def run_chaos(
     sleep=time.sleep,
     log=None,
 ) -> dict:
-    """Drive one seeded chaos drill; returns the report dict.
+    """Drive one open-loop run, firing a seeded fault schedule at it;
+    returns this run's report.
 
     ``traffic`` is an iterable of ``(user, history, arrival_seconds)``
     (e.g. :func:`repro.data.synthetic.zipf_traffic`); ``schedule`` is
     the sorted ``(request_index, kind, rank)`` list from
-    :func:`chaos_schedule`.  Raises
-    :class:`ClusterError` the moment an accounting invariant breaks —
-    checkpoint asserts are continuous, not post-hoc.
+    :func:`chaos_schedule`, or empty for a fault-free load run.  Open
+    loop means arrivals are not gated on completions: the router sheds
+    what the fleet cannot absorb, and replies are drained between
+    submissions.  Raises :class:`ClusterError` the moment an accounting
+    invariant breaks — checkpoint asserts are continuous, not post-hoc.
+
+    Counts, latency and SLO attainment cover this call only, the
+    recovery probe wave included (``probe_requests=0`` leaves it out).
+    ``wall_seconds`` runs from the first submission until the drain
+    settles, and ``sustained_rps`` divides the completions of that span
+    by it.  Latency is read from ``cluster.records``.
     """
     config = config or ChaosConfig()
     traffic = list(traffic)
@@ -248,8 +350,8 @@ def run_chaos(
     hot: dict[int, float] = {}  # shard -> earliest safe re-fault time
     faults: list[dict] = []
     checkpoints: list[dict] = []
+    before = _counts(cluster)
     started = time.monotonic()
-
     def fire_due(index) -> None:
         still_due = []
         for entry in due:
@@ -306,6 +408,8 @@ def run_chaos(
                 f"target — skipped")
     due.clear()
     cluster.drain(timeout=config.drain_timeout)
+    wall = max(time.monotonic() - started, 1e-9)
+    drained = cluster.completed - before["completed"]
     _check(cluster, "after drain")
     if cluster.inflight:
         raise ClusterError(
@@ -355,19 +459,29 @@ def run_chaos(
     else:
         goodput = {"min_window": None, "mean_window": None,
                    "dip_depth": None}
-    spans = cluster.recovery_spans()
-    offered = len(traffic)
+    run = {key: value - before[key] for key, value in _counts(cluster).items()}
+    latency = LatencyTracker(capacity=max(run["records"], 1))
+    for *_, seconds in cluster.records[before["records"]:]:
+        if seconds is not None:
+            latency.add(seconds)
+    terminal = run["completed"] + run["shed"] + run["failed"]
+    slo = None
+    if cluster.config.deadline is not None and terminal:
+        slo = round(run["slo_met"] / terminal, 4)
+    spans = recovery_spans(cluster.events[before["events"]:])
     return {
-        "offered": offered,
-        "wall_seconds": round(time.monotonic() - started, 4),
-        "submitted": cluster.submitted,
-        "completed": cluster.completed,
-        "shed": cluster.shed,
-        "failed": cluster.failed,
-        "availability": (
-            round((cluster.completed) / max(cluster.submitted, 1), 4)
+        "offered": len(traffic),
+        "wall_seconds": round(wall, 4),
+        "sustained_rps": round(drained / wall, 2),
+        "submitted": run["submitted"],
+        "completed": run["completed"],
+        "shed": run["shed"],
+        "failed": run["failed"],
+        "availability": round(
+            run["completed"] / max(run["submitted"], 1), 4
         ),
-        "slo_attainment": cluster.slo_attainment(),
+        "slo_attainment": slo,
+        "latency": latency.summary(),
         "faults": faults,
         "faults_applied": sum(
             1 for fault in faults if not fault.get("skipped")
@@ -377,7 +491,7 @@ def run_chaos(
         "recovered": recovered,
         "serving_shards": serving_shards,
         "probe_completed": probe_completed,
-        "respawns": cluster.respawns,
+        "respawns": run["respawns"],
         "recovery_spans": spans,
         "max_recovery_seconds": (
             round(max(span["seconds"] for span in spans), 4)

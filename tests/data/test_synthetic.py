@@ -1,6 +1,8 @@
 """Synthetic generators: determinism, config validation, and the
 statistical structure the experiments rely on."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,25 @@ class TestGeneration:
         b = generate(config, seed=9)
         np.testing.assert_array_equal(a.items, b.items)
         np.testing.assert_array_equal(a.ratings, b.ratings)
+
+    def test_beauty_stream_is_pinned(self):
+        # The 3x Beauty-like corpus that ``perfbench train`` fits on:
+        # any change to the draws or to the order they are taken in
+        # changes this digest, and with it every benchmarked number.
+        from repro.data import prepare_corpus
+        from repro.experiments.datasets import BEAUTY
+
+        corpus = prepare_corpus(
+            generate(BEAUTY_LIKE.scaled(3.0), seed=BEAUTY.generation_seed)
+        )
+        digest = hashlib.sha256()
+        for sequence in corpus.sequences:
+            digest.update(np.asarray(sequence, dtype=np.int64).tobytes())
+            digest.update(b"|")
+        assert digest.hexdigest() == (
+            "fc3d80e2abe5708335f90b80a1d6b008"
+            "1c3336fb9f454be8d81b0dfa63069523"
+        )
 
     def test_different_seeds_differ(self):
         config = tiny_config()

@@ -10,10 +10,11 @@ Five scenarios, each seeded (seed 0) so a failure replays exactly:
   must re-close once the faults clear, and the stats must account for
   every request;
 - the **cluster drill**: Zipf load over a 1M-user population through
-  three forked shards, a SIGKILL of one shard with traffic queued
+  three forked shards (fault-free runs of the ``tests/chaos.py``
+  driver), a SIGKILL of one shard with traffic queued
   (must shed, never hang, accounting exact), and a canary rollout that
   must roll back when the canary trips the primary breaker;
-- the **chaos drill**: a seeded kill/stall schedule fired at a
+- the **chaos drill**: a seeded SIGKILL/SIGSTOP schedule fired at a
   self-healing 3 x 2 replicated cluster under paced load; replicated
   shards must lose zero requests and the supervisor must respawn back
   to full capacity.
@@ -55,6 +56,7 @@ from repro.train import Trainer, TrainerConfig
 from tests.chaos import (
     ChaosConfig,
     ChaosScheduleConfig,
+    blackout,
     chaos_schedule,
     run_chaos,
 )
@@ -297,9 +299,9 @@ def test_cluster_drill():
                              flap_threshold=1),
     ) as cluster:
         # Open-loop Zipf load.
-        report = cluster.run_load(
-            zipf_traffic(zipf_config(requests, rate), SEED),
-            drain_timeout=20.0,
+        report = run_chaos(
+            cluster, zipf_traffic(zipf_config(requests, rate), SEED), [],
+            ChaosConfig(pace=False, probe_requests=0, drain_timeout=20.0),
         )
         assert report["cluster_accounted"], report
         assert report["service_accounted"]
@@ -308,12 +310,13 @@ def test_cluster_drill():
         # Paced run, closed to the arrival schedule: SLO attainment
         # (completions inside the router deadline) must reach 90%.
         paced_rate = min(rate, 400.0)
-        paced = cluster.run_load(
+        paced = run_chaos(
+            cluster,
             zipf_traffic(
                 zipf_config(max(requests // 3, 50), paced_rate), SEED + 3
             ),
-            pace=True,
-            drain_timeout=20.0,
+            [],
+            ChaosConfig(probe_requests=0, drain_timeout=20.0),
         )
         assert paced["cluster_accounted"], paced
         assert paced["slo_attainment"] is not None
@@ -329,7 +332,7 @@ def test_cluster_drill():
         ))
         for user, history, _ in drill[: len(drill) // 2]:
             cluster.submit(user, history)
-        cluster.kill_shard(victim)
+        blackout(cluster, victim)
         for user, history, _ in drill[len(drill) // 2:]:
             cluster.submit(user, history)
         started = time.monotonic()

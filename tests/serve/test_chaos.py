@@ -1,6 +1,7 @@
 """Chaos harness: schedule determinism, safe-target resolution with
-deferral, and a real kill drill that must lose zero replicated
-requests and recover to full capacity."""
+deferral, fault-free open-loop load runs and their per-run reports,
+and a real kill drill that must lose zero replicated requests and
+recover to full capacity."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from tests.chaos import (
     run_chaos,
 )
 
-from .test_cluster import make_factory
+from .test_cluster import make_cluster, make_factory
+
+
+def load(users, spacing):
+    return [
+        (user, np.array([1 + user % 3], dtype=np.int64), spacing * index)
+        for index, user in enumerate(users)
+    ]
 
 
 class TestChaosSchedule:
@@ -71,8 +79,8 @@ class _StubTopology:
     def live_shards(self):
         return [s for s, count in self._counts.items() if count]
 
-    def replica_count(self, shard):
-        return self._counts[shard]
+    def replicas(self, shard):
+        return tuple(range(self._counts[shard]))
 
 
 class TestTargeting:
@@ -92,6 +100,53 @@ class TestTargeting:
             assert _target_shard(degraded, rank, {}, now=0.0) == 1
         assert _target_shard(_StubTopology({0: 1, 1: 1}), 0, {},
                              now=0.0) is None
+
+
+class TestOpenLoop:
+    """An empty schedule makes :func:`run_chaos` a plain load run."""
+
+    def test_open_loop_report(self):
+        with make_cluster(num_shards=2) as cluster:
+            report = run_chaos(cluster, load(range(50), 0.001), [],
+                               ChaosConfig(pace=False, probe_requests=0))
+            assert report["offered"] == 50
+            assert report["completed"] == 50
+            assert report["sustained_rps"] > 0
+            assert report["cluster_accounted"]
+            assert report["service_accounted"]
+            assert report["latency"]["count"] == 50
+
+    def test_paced_run_reports_slo_attainment(self):
+        with make_cluster(num_shards=2, deadline=2.0) as cluster:
+            report = run_chaos(cluster, load(range(40), 0.002), [],
+                               ChaosConfig(probe_requests=0,
+                                           drain_timeout=10.0))
+            assert report["completed"] == 40
+            assert report["cluster_accounted"]
+            # A healthy paced run meets its 2s deadline essentially
+            # always; the metric must be present and sane.
+            assert report["slo_attainment"] is not None
+            assert 0.9 <= report["slo_attainment"] <= 1.0
+            assert cluster.stats()["cluster"]["slo_attainment"] == (
+                pytest.approx(report["slo_attainment"])
+            )
+
+    def test_consecutive_runs_report_their_own_counts(self):
+        # The second run on one cluster reports its own 20 requests and
+        # their rate, not the cluster's running totals.
+        config = ChaosConfig(pace=False, probe_requests=0)
+        with make_cluster(num_shards=2, deadline=2.0) as cluster:
+            first = run_chaos(cluster, load(range(30), 0.0), [], config)
+            second = run_chaos(cluster, load(range(20), 0.0), [], config)
+            assert cluster.completed == 50
+        for report, count in ((first, 30), (second, 20)):
+            assert report["submitted"] == report["completed"] == count
+            assert report["shed"] == report["failed"] == 0
+            assert report["latency"]["count"] == count
+            assert 0.9 <= report["slo_attainment"] <= 1.0
+            assert report["sustained_rps"] == pytest.approx(
+                count / report["wall_seconds"], rel=0.02
+            )
 
 
 class TestRunChaos:

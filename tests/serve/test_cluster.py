@@ -1,6 +1,7 @@
 """ServingCluster: consistent-hash routing, shard round trips, merged
 accounting, admission-control shedding, the kill-one-shard drill, and
-canary rollout/rollback."""
+canary rollout/rollback.  Faults come from ``tests/chaos.py``, which
+kills and stalls workers through the cluster's pool."""
 
 import time
 
@@ -19,6 +20,7 @@ from repro.serve import (
     TransientError,
 )
 from repro.serve.cluster import RESPAWN_BACKOFF_MAX
+from tests.chaos import blackout, kill_replica, stall_replica
 
 from .conftest import NUM_ITEMS, FailingModel, StubModel
 
@@ -46,12 +48,24 @@ def _no_sleep_retry(attempts=1):
                        sleep=lambda _: None)
 
 
+#: Seconds a :class:`SlowWarmService` replacement spends warming up.
+SLOW_WARM = 1.0
+
+
+class SlowWarmService(RecommendService):
+    """A service whose warm-up takes :data:`SLOW_WARM` seconds."""
+
+    def warm_programs(self, batch_sizes):
+        time.sleep(SLOW_WARM)
+        return super().warm_programs(batch_sizes)
+
+
 def make_factory(primary_builder=StubModel, retry_attempts=1,
-                 breaker_min_calls=3):
+                 breaker_min_calls=3, service=RecommendService):
     """A service factory closure; runs inside each forked shard."""
 
     def factory():
-        return RecommendService(
+        return service(
             [("primary", primary_builder()), ("pop", StubModel())],
             num_items=NUM_ITEMS,
             config=ServiceConfig(top_n=3, deadline=None),
@@ -216,6 +230,13 @@ class TestDataPlane:
             shed_records = [r for r in cluster.records if r[2] == "shed"]
             assert len(shed_records) == cluster.shed
 
+    def test_slo_attainment_is_none_without_deadline(self):
+        with make_cluster(num_shards=1) as cluster:
+            submit_users(cluster, range(5))
+            cluster.drain()
+            assert cluster.slo_attainment() is None
+            assert cluster.stats()["cluster"]["slo_attainment"] is None
+
 
 class TestKillDrill:
     def test_dead_shard_fails_inflight_and_reroutes(self):
@@ -229,7 +250,7 @@ class TestKillDrill:
                 s for s in cluster.live_shards if cluster._pending[s]
             )
             queued_on_victim = len(cluster._pending[victim])
-            cluster.kill_shard(victim)
+            blackout(cluster, victim)
             # The flush hits the dead shard's broken pipe: its batch is
             # failed, nothing hangs, and the ring drops the shard.
             cluster.drain(timeout=10.0)
@@ -256,7 +277,7 @@ class TestKillDrill:
                           flap_threshold=1) as cluster:
             submit_users(cluster, range(20))
             victim = cluster.live_shards[0]
-            cluster.kill_shard(victim)
+            blackout(cluster, victim)
             start = _time.monotonic()
             cluster.drain(timeout=10.0)
             assert _time.monotonic() - start < 10.0
@@ -357,54 +378,14 @@ class TestCanaryRollout:
                 cluster.rollout("primary", CanaryModel(), [])
 
 
-class TestRunLoad:
-    def test_open_loop_report(self):
-        with make_cluster(num_shards=2) as cluster:
-            traffic = [
-                (user, np.array([1 + user % 3], dtype=np.int64),
-                 0.001 * index)
-                for index, user in enumerate(range(50))
-            ]
-            report = cluster.run_load(traffic)
-            assert report["offered"] == 50
-            assert report["completed"] == 50
-            assert report["sustained_rps"] > 0
-            assert report["cluster_accounted"]
-            assert report["service_accounted"]
-            assert report["latency"]["count"] == 50
-
-    def test_paced_run_reports_slo_attainment(self):
-        with make_cluster(num_shards=2, deadline=2.0) as cluster:
-            traffic = [
-                (user, np.array([1 + user % 3], dtype=np.int64),
-                 0.002 * index)
-                for index, user in enumerate(range(40))
-            ]
-            report = cluster.run_load(traffic, pace=True,
-                                      drain_timeout=10.0)
-            assert report["completed"] == 40
-            assert report["cluster_accounted"]
-            # A healthy paced run meets its 2s deadline essentially
-            # always; the metric must be present and sane.
-            assert report["slo_attainment"] is not None
-            assert 0.9 <= report["slo_attainment"] <= 1.0
-            assert cluster.stats()["cluster"]["slo_attainment"] == (
-                pytest.approx(report["slo_attainment"])
-            )
-
-    def test_slo_attainment_is_none_without_deadline(self):
-        with make_cluster(num_shards=1) as cluster:
-            submit_users(cluster, range(5))
-            cluster.drain()
-            assert cluster.slo_attainment() is None
-            assert cluster.stats()["cluster"]["slo_attainment"] is None
-
-
 class TestReplication:
     def test_replica_groups_spawn_full_capacity(self):
         with make_cluster(num_shards=2, replicas_per_shard=2) as cluster:
             assert len(cluster.live_workers) == 4
-            assert all(cluster.replica_count(s) == 2 for s in (0, 1))
+            assert all(len(cluster.replicas(s)) == 2 for s in (0, 1))
+            assert sorted(cluster.replicas(0) + cluster.replicas(1)) == (
+                cluster.live_workers
+            )
             assert cluster.full_capacity()
             submit_users(cluster, range(20))
             cluster.drain()
@@ -423,21 +404,21 @@ class TestReplication:
         with make_cluster(num_shards=2, replicas_per_shard=2,
                           batch_size=1, flap_threshold=1) as cluster:
             victim_shard = cluster.live_shards[0]
-            cluster.stall_replica(victim_shard, seconds=30.0, which=0)
+            stall_replica(cluster, victim_shard, 30.0)
             submit_users(cluster, range(30))
-            cluster.kill_replica(victim_shard, which=0)
+            kill_replica(cluster, victim_shard)
             cluster.drain(timeout=10.0)
             assert cluster.failed == 0
             assert cluster.completed == 30
             assert cluster.accounted()
-            assert cluster.replica_count(victim_shard) == 1
+            assert len(cluster.replicas(victim_shard)) == 1
             assert any(e["kind"] == "failover" for e in cluster.events)
             assert not cluster.full_capacity()
 
     def test_respawn_restores_full_capacity_and_serves(self):
         with make_cluster(num_shards=2, replicas_per_shard=2,
                           respawn_backoff=0.01) as cluster:
-            cluster.kill_replica(0, which=0)
+            kill_replica(cluster, 0)
             # The kill is only observed on a pump: wait for the
             # supervisor to notice and respawn, then for full capacity.
             assert wait_for(cluster, lambda: cluster.respawns >= 1)
@@ -448,6 +429,43 @@ class TestReplication:
             cluster.drain()
             assert cluster.completed == 20
             assert cluster.accounted()
+
+    def test_replacement_warms_up_without_blocking_the_router(self):
+        # The router forks the replacement and goes on serving; the
+        # replacement takes traffic once its warm-up reply arrives.
+        with make_cluster(num_shards=1, replicas_per_shard=2,
+                          respawn_backoff=0.01,
+                          factory=make_factory(service=SlowWarmService),
+                          ) as cluster:
+            kill_replica(cluster, 0)
+            assert wait_for(cluster, lambda: len(cluster.pool) == 3)
+            assert len(cluster.replicas(0)) == 1
+            started = time.monotonic()
+            submit_users(cluster, range(8))
+            cluster.drain()
+            assert time.monotonic() - started < SLOW_WARM / 2
+            assert cluster.completed == 8
+            assert cluster.respawns == 0
+            assert wait_for(cluster, cluster.full_capacity)
+            assert cluster.respawns == 1
+
+    def test_rollout_reaches_a_warming_replacement(self):
+        with make_cluster(num_shards=1, replicas_per_shard=2,
+                          respawn_backoff=0.01,
+                          factory=make_factory(service=SlowWarmService),
+                          ) as cluster:
+            kill_replica(cluster, 0)
+            assert wait_for(cluster, lambda: len(cluster.pool) == 3)
+            assert cluster.rollout(
+                "primary", CanaryModel(), PROBES, probes_per_shard=2
+            ).ok
+            assert cluster.full_capacity()
+            # Only the replacement is left to answer: it serves the
+            # canary, not the model it was forked with.
+            kill_replica(cluster, 0)
+            assert cluster.describe()[0]["primary"]["model"] == (
+                "CanaryModel"
+            )
 
     def test_blackout_respawn_rejoins_ring_and_warm_loads(self):
         # Single-replica shard: a kill is a blackout (ring removal),
@@ -460,7 +478,7 @@ class TestReplication:
             )
             assert report.ok
             victim = cluster.live_shards[0]
-            cluster.kill_shard(victim)
+            blackout(cluster, victim)
             assert wait_for(cluster, lambda: cluster.respawns >= 1)
             assert wait_for(cluster, cluster.full_capacity)
             assert victim in cluster.live_shards
@@ -476,12 +494,12 @@ class TestReplication:
     def test_flap_breaker_stops_respawn_and_degrades(self):
         with make_cluster(num_shards=1, respawn_backoff=0.01,
                           flap_threshold=2) as cluster:
-            cluster.kill_shard(0)
+            blackout(cluster, 0)
             assert wait_for(cluster, lambda: cluster.respawns >= 1)
             assert wait_for(cluster, cluster.full_capacity)
             # Second death inside the flap window trips the breaker:
             # no more respawns, the shard stays down.
-            cluster.kill_shard(0)
+            blackout(cluster, 0)
             assert wait_for(
                 cluster,
                 lambda: any(e["kind"] == "flap_tripped"
@@ -506,7 +524,7 @@ class TestReplication:
         backoff = 0.01
         with make_cluster(num_shards=1, respawn_backoff=backoff,
                           flap_threshold=1) as cluster:
-            cluster.kill_shard(0)
+            blackout(cluster, 0)
             assert wait_for(
                 cluster,
                 lambda: any(e["kind"] == "flap_tripped"
@@ -527,13 +545,13 @@ class TestStallProbe:
                           batch_size=1, flap_threshold=1,
                           stall_timeout=0.15,
                           heartbeat_interval=0.05) as cluster:
-            cluster.stall_replica(0, 2.0, which=0)
+            stall_replica(cluster, 0, 2.0)
             submit_users(cluster, range(10))
             cluster.drain(timeout=10.0)
             assert cluster.completed == 10
             assert cluster.failed == 0
             assert cluster.accounted()
-            assert cluster.replica_count(0) == 1
+            assert len(cluster.replicas(0)) == 1
             causes = [e.get("cause") for e in cluster.events
                       if e["kind"] == "worker_died"]
             assert any(c in ("stalled batch", "unanswered ping")
@@ -545,7 +563,7 @@ class TestStallProbe:
         with make_cluster(num_shards=1, replicas_per_shard=2,
                           flap_threshold=1, stall_timeout=0.1,
                           heartbeat_interval=0.05) as cluster:
-            cluster.stall_replica(0, 2.0, which=0)
+            stall_replica(cluster, 0, 2.0)
             assert wait_for(
                 cluster,
                 lambda: any(e["kind"] == "worker_died"
@@ -555,7 +573,7 @@ class TestStallProbe:
             died = [e for e in cluster.events
                     if e["kind"] == "worker_died"]
             assert died[0]["cause"] == "unanswered ping"
-            assert cluster.replica_count(0) == 1
+            assert len(cluster.replicas(0)) == 1
 
 
 class TestKillAllShards:
@@ -564,7 +582,7 @@ class TestKillAllShards:
                           flap_threshold=1) as cluster:
             submit_users(cluster, range(30))
             for shard in list(cluster.live_shards):
-                cluster.kill_shard(shard)
+                blackout(cluster, shard)
             start = time.monotonic()
             cluster.drain(timeout=8.0)
             # drain() must return promptly with every request terminal
@@ -589,7 +607,7 @@ class TestKillAllShards:
                           respawn_backoff=0.01) as cluster:
             submit_users(cluster, range(20))
             for shard in list(cluster.live_shards):
-                cluster.kill_shard(shard)
+                blackout(cluster, shard)
             cluster.drain(timeout=8.0)
             assert cluster.accounted()
             assert cluster.inflight == 0
@@ -666,7 +684,7 @@ class TestRolloutCommit:
             # already hold the canary — the rollout swapped them all,
             # not just the group leader.
             for shard in list(cluster.live_shards):
-                cluster.kill_replica(shard, which=0)
+                kill_replica(cluster, shard)
             cluster.drain(timeout=5.0)
             after = cluster.describe()
             assert all(
