@@ -205,28 +205,34 @@ def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _sample_user_mixture(
-    config: SyntheticConfig, rng: np.random.Generator
+    alpha: np.ndarray, base: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Sparse category mixture: mass concentrated on a few modes."""
-    preferred = rng.choice(
-        config.num_categories,
-        size=min(config.preferred_categories, config.num_categories),
-        replace=False,
-    )
-    weights = rng.dirichlet(
-        np.full(len(preferred), config.dirichlet_alpha) + 0.05
-    )
-    mixture = np.full(config.num_categories, 1e-3)
-    mixture[preferred] += weights
+    """Sparse category mixture: mass concentrated on a few modes.
+
+    ``alpha`` is the Dirichlet concentration over the preferred
+    categories and ``base`` the per-category floor; both depend only on
+    the config, so :func:`generate_with_info` builds them once."""
+    preferred = rng.choice(len(base), size=len(alpha), replace=False)
+    mixture = base.copy()
+    mixture[preferred] += rng.dirichlet(alpha)
     return mixture / mixture.sum()
 
 
-def _sample_length(config: SyntheticConfig, rng: np.random.Generator) -> int:
-    """Log-normal-ish sequence length clipped to the configured range."""
-    sigma = 0.45
-    mu = np.log(config.mean_length) - 0.5 * sigma**2
-    length = int(np.round(rng.lognormal(mu, sigma)))
-    return int(np.clip(length, config.min_length, config.max_length))
+_LENGTH_SIGMA = 0.45
+
+
+def _length_mu(mean_length: float) -> float:
+    """Log-normal location whose mean is ``mean_length``."""
+    return np.log(mean_length) - 0.5 * _LENGTH_SIGMA**2
+
+
+def _sample_length(
+    config: SyntheticConfig, mu: float, rng: np.random.Generator
+) -> int:
+    """Log-normal-ish sequence length clipped to the configured range;
+    ``mu`` is :func:`_length_mu` of ``config``."""
+    length = round(rng.lognormal(mu, _LENGTH_SIGMA))
+    return min(max(length, config.min_length), config.max_length)
 
 
 @dataclass
@@ -275,14 +281,20 @@ def generate_with_info(
     ratings: list[float] = []
     timestamps: list[int] = []
     mixtures = np.zeros((config.num_users, config.num_categories))
+    alpha = np.full(
+        min(config.preferred_categories, config.num_categories),
+        config.dirichlet_alpha,
+    ) + 0.05
+    base = np.full(config.num_categories, 1e-3)
+    mu = _length_mu(config.mean_length)
 
     for user in range(config.num_users):
-        mixture = _sample_user_mixture(config, rng)
+        mixture = _sample_user_mixture(alpha, base, rng)
         mixtures[user] = mixture
         top_categories = set(
             np.argsort(mixture)[-config.preferred_categories:]
         )
-        length = _sample_length(config, rng)
+        length = _sample_length(config, mu, rng)
         mixture_cdf = _cdf(mixture)
         category = _draw(mixture_cdf, rng)
         item = world.sample_item(category, rng)
@@ -380,9 +392,9 @@ class ZipfCatalogConfig:
 def _zipf_lengths(
     config: ZipfCatalogConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    sigma = 0.45
-    mu = np.log(config.mean_length) - 0.5 * sigma**2
-    lengths = np.round(rng.lognormal(mu, sigma, size=config.num_users))
+    lengths = np.round(rng.lognormal(
+        _length_mu(config.mean_length), _LENGTH_SIGMA, size=config.num_users
+    ))
     return np.clip(
         lengths, config.min_length, config.max_length
     ).astype(np.int64)
@@ -505,8 +517,7 @@ def zipf_traffic(config: ZipfTrafficConfig, seed: int):
     item_ranks = np.arange(1, config.num_items + 1, dtype=np.float64)
     item_weights = item_ranks ** (-config.item_zipf_exponent)
     item_cum = np.cumsum(item_weights / item_weights.sum())
-    sigma = 0.45
-    mu = np.log(config.mean_length) - 0.5 * sigma**2
+    mu = _length_mu(config.mean_length)
     histories: dict[int, np.ndarray] = {}
     for index in range(config.num_requests):
         user = int(user_of_rank[rank_index[index]])
@@ -516,7 +527,7 @@ def zipf_traffic(config: ZipfTrafficConfig, seed: int):
                 np.random.SeedSequence((seed, user))
             )
             length = int(np.clip(
-                np.round(user_rng.lognormal(mu, sigma)),
+                np.round(user_rng.lognormal(mu, _LENGTH_SIGMA)),
                 config.min_length, config.max_length,
             ))
             history = (1 + np.minimum(

@@ -47,7 +47,7 @@ import numpy as np
 
 __all__ = ["IndexConfig", "IVFIndex", "kmeans"]
 
-#: Bytes of the affinity matrix :func:`_assign` holds per chunk of rows.
+#: Bytes of each work block :func:`_assign` reuses across chunks of rows.
 ASSIGN_CHUNK_BYTES = 32 << 20
 
 
@@ -120,25 +120,33 @@ class IndexConfig:
 def _assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Nearest-centroid assignment under squared Euclidean distance.
 
-    ``argmin ||x - c||²`` = ``argmax x·c - ||c||²/2`` — one GEMM plus a
-    per-centroid scalar.  Chunked over rows so the affinity matrix stays
-    within ``ASSIGN_CHUNK_BYTES`` (32 MB) no matter how large
-    ``n * nlist`` grows (at catalogue scale the full matrix would be
-    gigabytes, and even 128 MB chunks set the serving process's peak
-    memory during index builds).
+    ``argmin ||x - c||²`` = ``argmax x·c - ||c||²/2``, computed as one
+    GEMM in the vectors' dtype (float32 for every index): rows ``[x, 1]``
+    against a ``(d + 1, nlist)`` operand ``[Cᵀ; -||c||²/2]``, so the
+    offset rides in the product instead of a second pass, and float64
+    centroids never promote the GEMM to float64.  Chunked over rows
+    through one rows block and one affinity block, allocated once per
+    call and reused by every chunk, each within ``ASSIGN_CHUNK_BYTES``
+    (32 MB) however large ``n * nlist`` grows (at catalogue scale the
+    full matrix would be gigabytes, and even 128 MB chunks set the
+    serving process's peak memory during index builds).
     """
+    n, d = vectors.shape
+    nlist = centroids.shape[0]
+    dtype = vectors.dtype
     offset = -0.5 * np.einsum("cd,cd->c", centroids, centroids)
-    n = vectors.shape[0]
-    row_bytes = max(1, centroids.shape[0]) * np.result_type(
-        vectors, centroids
-    ).itemsize
-    chunk = max(1, ASSIGN_CHUNK_BYTES // row_bytes)
+    operand = np.vstack([centroids.T, offset]).astype(dtype)
+    width = max(nlist, d + 1)
+    chunk = max(1, min(n, ASSIGN_CHUNK_BYTES // (width * dtype.itemsize)))
+    rows = np.ones((chunk, d + 1), dtype=dtype)
+    affinity = np.empty((chunk, nlist), dtype=dtype)
     out = np.empty(n, dtype=np.int64)
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        affinity = vectors[start:stop] @ centroids.T
-        affinity += offset
-        out[start:stop] = np.argmax(affinity, axis=1)
+        m = stop - start
+        rows[:m, :d] = vectors[start:stop]
+        np.matmul(rows[:m], operand, out=affinity[:m])
+        np.argmax(affinity[:m], axis=1, out=out[start:stop])
     return out
 
 
@@ -155,7 +163,10 @@ def kmeans(
     replacement) — at catalogue scale the centroid estimate converges
     long before the full dataset is needed, and build time stays
     O(sample·nlist·d·iters).  Empty clusters are reseeded onto random
-    training rows so all ``nlist`` lists stay usable.
+    training rows so all ``nlist`` lists stay usable.  Centroid means
+    are float64, as ``np.bincount`` sums them; each assignment pass
+    still runs its GEMM in the vectors' dtype (see :func:`_assign`),
+    and the result is cast back to that dtype.
     """
     n = vectors.shape[0]
     if nlist > n:

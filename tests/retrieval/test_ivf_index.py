@@ -104,7 +104,7 @@ class TestAssign:
             - 0.5 * np.einsum("cd,cd->c", centroids, centroids),
             axis=1,
         )
-        # 3 rows of 8 float32 affinities per chunk: 200 chunks.
+        # Blocks are d + 1 = 13 float32 columns wide: 1 row per chunk.
         monkeypatch.setattr(index_module, "ASSIGN_CHUNK_BYTES", 3 * 8 * 4)
         np.testing.assert_array_equal(
             index_module._assign(vectors, centroids), want
@@ -113,6 +113,53 @@ class TestAssign:
         np.testing.assert_array_equal(
             index_module._assign(vectors, centroids), want
         )
+
+    def test_matches_float64_brute_force(self, monkeypatch):
+        from repro.retrieval import index as index_module
+
+        rng = make_rng(5)
+        vectors = rng.standard_normal((1000, 24)).astype(np.float32)
+        centroids = rng.standard_normal((40, 24))
+        # 7 rows of 40 float32 affinities per block: 142 full chunks
+        # and a last one of 6 rows.
+        monkeypatch.setattr(index_module, "ASSIGN_CHUNK_BYTES", 7 * 40 * 4)
+        got = index_module._assign(vectors, centroids)
+        assert got.dtype == np.int64 and got.shape == (1000,)
+
+        exact = vectors.astype(np.float64)
+        dist = ((exact[:, None, :] - centroids[None]) ** 2).sum(axis=-1)
+        want = dist.argmin(axis=1)
+        top_two = np.sort(dist, axis=1)[:, :2]
+        # Worst-case float32 error of the d + 1 = 25-term affinity dot
+        # product, plus the rounding of the centroids to float32.
+        resolution = (25 + 1) * np.finfo(np.float32).eps * (
+            (exact**2).sum(axis=1) + (centroids**2).sum(axis=1).max()
+        )
+        mismatch = got != want
+        tied = (top_two[:, 1] - top_two[:, 0]) < resolution
+        assert not (mismatch & ~tied).any()
+        assert mismatch.sum() <= 5
+
+    def test_gemm_runs_in_float32_on_one_block(self, monkeypatch):
+        from repro.retrieval import index as index_module
+
+        rng = make_rng(6)
+        vectors = rng.standard_normal((50, 8)).astype(np.float32)
+        centroids = rng.standard_normal((4, 8))
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            calls.append((a.dtype, b.dtype, out.dtype, out))
+            return matmul(a, b, out=out)
+
+        # Blocks are d + 1 = 9 columns wide: 9 rows each, 6 chunks.
+        monkeypatch.setattr(index_module, "ASSIGN_CHUNK_BYTES", 9 * 9 * 4)
+        monkeypatch.setattr(np, "matmul", spy)
+        index_module._assign(vectors, centroids)
+        assert len(calls) == 6
+        assert {call[:3] for call in calls} == {(np.dtype(np.float32),) * 3}
+        assert all(np.shares_memory(call[3], calls[0][3]) for call in calls)
 
 
 class TestIndexBuild:
