@@ -93,6 +93,28 @@ class TestKMeans:
         assert small.shape == (4, vectors.shape[1])
         assert np.isfinite(small).all()
 
+    def test_first_step_means_are_float64(self, vectors):
+        """One Lloyd step gives the float64 per-dimension ``bincount``
+        means of ``_assign``'s assignment, cast to the vectors' float32,
+        as every later step does: the first step's sums are not rounded
+        to the float32 seed rows' dtype."""
+        from repro.retrieval.index import _assign
+
+        got = kmeans(vectors, 8, make_rng(11), iters=1)
+        seeds = vectors[
+            make_rng(11).choice(len(vectors), size=8, replace=False)
+        ]
+        assign = _assign(vectors, seeds)
+        counts = np.bincount(assign, minlength=8)
+        assert counts.all()  # no empty cluster to reseed
+        sums = np.stack([
+            np.bincount(assign, weights=column, minlength=8)
+            for column in vectors.T
+        ], axis=1)
+        want = (sums / counts[:, None]).astype(np.float32)
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+
 
 class TestAssign:
     def test_chunked_equals_one_unchunked_argmax(self, vectors, monkeypatch):
