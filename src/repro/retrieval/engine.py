@@ -23,11 +23,10 @@ Bias handling uses the classic MIPS augmentation: an output head
 extra coordinate of every item vector and ``1.0`` to every query — the
 index then ranks by exactly the quantity the model scores with.
 
-**Exact mode** (``nprobe >= nlist``, no quantization, ``candidates``
-covering the catalogue) builds no index: callers serve the model's own
-``score_batch`` instead, bitwise-identical to dense scoring by
-construction, not merely numerically close — slicing the GEMM
-differently would let BLAS blocking perturb low-order bits.
+Every configuration builds an index; ``nprobe >= nlist`` simply scans
+every list.  Dense scoring that is bitwise equal to the model's own
+``score_batch`` is the engine without an index
+(``EngineConfig(index=None)``), not a mode of this class.
 """
 
 from __future__ import annotations
@@ -71,25 +70,12 @@ class RetrievalEngine:
         # full table per element — at catalogue scale that one layout
         # difference is most of the re-rank cost.
         self._items = items
-        ids = np.arange(1, self.num_items + 1, dtype=np.int64)
-        nlist = config.nlist
-        if nlist is None:
-            nlist = max(1, int(round(np.sqrt(self.num_items))))
-        nlist = min(nlist, self.num_items)
-        self._nlist = nlist
-        self.exact = (
-            config.nprobe >= nlist
-            and config.quantize is None
-            and config.candidates >= self.num_items
-        )
         self.narrow_batches = 0
         self.refreshes = 0
         self.rebuilds = 0
-        if self.exact:
-            # Dense scoring IS the exact search here; skip the build.
-            self.index = None
-        else:
-            self.index = IVFIndex.build(items, ids, config)
+        self.index = IVFIndex.build(
+            items, np.arange(1, self.num_items + 1, dtype=np.int64), config
+        )
 
     @staticmethod
     def _head(model) -> tuple[np.ndarray, np.ndarray | None]:
@@ -136,18 +122,7 @@ class RetrievalEngine:
 
         The returned arrays are freshly allocated (tiny: ``C`` int64 +
         ``C`` float32 per request) and owned by the caller.
-
-        Raises:
-            ValueError: in exact mode — exact retrieval is the model's
-                dense ``score_batch`` and has no narrow form (callers
-                branch on :attr:`exact`, as
-                :class:`repro.serve.engine.InferenceEngine` does).
         """
-        if self.exact:
-            raise ValueError(
-                "exact mode serves dense rows; the narrow contract "
-                "applies to approximate retrieval only"
-            )
         hidden = self._model.hidden_last(histories)
         queries = self.augment_queries(hidden)
         cand = self.index.search(queries)
@@ -203,8 +178,8 @@ class RetrievalEngine:
                 structure as the one this engine was built from).
 
         Returns:
-            ``{"mode": "noop" | "update" | "rebuild" | "exact",
-            "changed": int}`` describing what happened.
+            ``{"mode": "noop" | "update" | "rebuild", "changed": int}``
+            describing what happened.
 
         Raises:
             ValueError: when the new model cannot be adopted in place —
@@ -228,10 +203,6 @@ class RetrievalEngine:
             )
         changed = self._patch_items(weights, bias)
         self._model = model
-        if self.exact:
-            # No index to patch: exact mode always scores through the
-            # live model, so adopting it is the whole refresh.
-            return {"mode": "exact", "changed": 0}
         if changed.size == 0:
             return {"mode": "noop", "changed": 0}
         projected = self.index.updates_since_build + changed.size
@@ -288,18 +259,15 @@ class RetrievalEngine:
         """
         index = self.index
         return {
-            "exact": self.exact,
-            "nlist": index.nlist if index is not None else 0,
-            "nprobe": min(self.config.nprobe, self._nlist),
+            "nlist": index.nlist,
+            "nprobe": min(self.config.nprobe, index.nlist),
             "candidates": self.config.candidates,
             "quantize": self.config.quantize,
-            "searches": index.searches if index else 0,
-            "scanned": index.scanned if index else 0,
+            "searches": index.searches,
+            "scanned": index.scanned,
             "narrow_batches": self.narrow_batches,
-            "staleness": round(index.staleness, 6) if index else 0.0,
-            "updates_since_build": (
-                index.updates_since_build if index else 0
-            ),
+            "staleness": round(index.staleness, 6),
+            "updates_since_build": index.updates_since_build,
             "refreshes": self.refreshes,
             "rebuilds": self.rebuilds,
         }

@@ -63,8 +63,8 @@ class IndexConfig:
             ``round(sqrt(n))`` at build time (the classic IVF heuristic:
             balances centroid-probe cost against list-scan cost).
         nprobe: how many partitions each query scans.  ``nprobe >=
-            nlist`` (with ``quantize=None``) makes retrieval **exact**
-            and the engine short-circuits to dense scoring.
+            nlist`` scans every list (still through the index; the
+            engine's dense path is ``EngineConfig(index=None)``).
         candidates: top-C items returned per query for exact re-ranking.
             Must comfortably exceed the largest N anyone ranks at
             (recall@N can never exceed candidate coverage).

@@ -59,11 +59,6 @@ def recall_curve(
         clipped to ``nlist`` and deduplicated.
     """
     engine = RetrievalEngine(model, config)
-    if engine.exact:
-        raise ValueError(
-            "recall_curve needs an approximate config (exact mode has "
-            "recall 1.0 by construction)"
-        )
     exact = model.score_batch(histories)
     exact_top = top_k_indices(exact, max(top_ns))
     hidden = model.hidden_last(histories)

@@ -7,7 +7,8 @@ degrade gracefully instead of falling over.  The pieces:
   a circuit-breaker-guarded fallback chain (e.g. ``VSAN → SASRec →
   POP``), retry-with-backoff for transient failures, and full request
   accounting via :meth:`RecommendService.stats`.
-- :class:`InferenceEngine` — the high-throughput serving front-end:
+- :class:`InferenceEngine` — the high-throughput serving front-end
+  every rung is served through:
   guaranteed no-tape forwards, cache misses scored in batched forwards
   of up to ``max_batch`` rows, and an LRU :class:`ScoreCache` keyed on
   (model version, history suffix) with invalidation on hot-swap.

@@ -3,7 +3,7 @@
 :class:`ServingCluster` runs N shard key-ranges, each served by a
 **replica group** of R forked worker processes — every worker a full
 :class:`repro.serve.RecommendService` (fallback chain, breakers,
-retries, cumulative deadlines, optionally an
+retries, cumulative deadlines, an
 :class:`~repro.serve.engine.InferenceEngine` per rung) — behind a
 consistent-hash user router in the parent:
 
@@ -181,7 +181,7 @@ class ClusterConfig:
             in-service).
         batch_size: requests coalesced into one pipe message per shard
             (shard-side micro-batching then applies within the
-            service's engine, when configured).
+            service's engines).
         worker_timeout: seconds a control message may wait on a worker
             before the worker is declared hung.
         replicas_per_shard: worker processes per shard key-range.  With
@@ -271,9 +271,7 @@ def _serve_batch(service, entries):
     return replies
 
 
-def _shard_loop(
-    index, conn, service_factory, registry, engine_override=None
-) -> None:
+def _shard_loop(index, conn, service_factory, registry) -> None:
     """Body of one shard worker (runs in the forked child).
 
     The service — and every rung model it wraps — is built/inherited
@@ -287,8 +285,6 @@ def _shard_loop(
     """
     try:
         service = service_factory()
-        if engine_override is not None:
-            service.set_engine_config(engine_override)
         stash: dict = {}
         while True:
             message = conn.recv()
@@ -371,11 +367,6 @@ class ServingCluster:
         registry: ``{class_name: class}`` map for checkpoint-path
             rollouts (forwarded to ``reload_rung``).
         clock: injectable wall clock (latency accounting).
-        engine_overrides: optional ``{shard: EngineConfig}`` map giving
-            individual shards a different engine configuration than the
-            factory default (e.g. a retrieval index or a bigger cache
-            on hot shards only).  Applied inside every worker of that
-            shard's replica group via ``set_engine_config``.
 
     Data plane: :meth:`submit` routes/sheds/queues one request,
     :meth:`pump` drains ready replies (and runs one supervisor tick),
@@ -389,19 +380,11 @@ class ServingCluster:
         config: ClusterConfig | None = None,
         registry: dict | None = None,
         clock=time.monotonic,
-        engine_overrides: dict | None = None,
     ):
         self.config = config or ClusterConfig()
         self._clock = clock
         self._factory = service_factory
         self._registry = registry
-        self.engine_overrides = dict(engine_overrides or {})
-        for shard in self.engine_overrides:
-            if not 0 <= shard < self.config.num_shards:
-                raise ValueError(
-                    f"engine_overrides keys must be shard ids in "
-                    f"[0, {self.config.num_shards}); got {shard!r}"
-                )
         self.pool = ForkedWorkerPool(role="shard worker")
         shard_ids = list(range(self.config.num_shards))
         # Worker-level books, keyed by pool index (stable across the
@@ -469,12 +452,7 @@ class ServingCluster:
             group.clear()
 
     def _spawn_worker(self, shard: int) -> int:
-        worker = self.pool.spawn(
-            _shard_loop,
-            self._factory,
-            self._registry,
-            self.engine_overrides.get(shard),
-        )
+        worker = self.pool.spawn(_shard_loop, self._factory, self._registry)
         self._worker_shard[worker] = shard
         self._inflight[worker] = {}
         self._dispatches[worker] = deque()
@@ -993,8 +971,8 @@ class ServingCluster:
                     raise
 
     def describe(self) -> dict[int, dict]:
-        """Per-shard, per-rung model identity (class name + version +
-        engine summary), read from the group's first replica —
+        """Per-shard, per-rung model identity (class name + version),
+        read from the group's first replica —
         replicas are kept in lockstep by rollout/commit/warm-load."""
         return {
             shard: self._control_shard(shard, ("describe",), ("described",))[1]

@@ -1,9 +1,9 @@
 """High-throughput inference engine for the serving hot path.
 
-Three pieces compose into :class:`InferenceEngine`, which slots in
-anywhere a ``score_batch(histories)`` recommender is expected (so the
-whole breaker/retry/deadline machinery of
-:class:`repro.serve.RecommendService` works on top of it unchanged):
+Three pieces compose into :class:`InferenceEngine`, through which
+:class:`repro.serve.RecommendService` serves every rung.  It exposes a
+recommender's ``score_batch(histories)`` surface, so the whole
+breaker/retry/deadline machinery works on top of it unchanged:
 
 - **No-tape, last-position forwards** — every model call runs under
   :class:`repro.tensor.no_grad` (serving allocates no autodiff tape) and
@@ -32,8 +32,8 @@ the engine serves the candidate-native contract end to end:
 ``score_batch`` returns a ``TopScores`` batch, the chunked forwards
 hand out narrow rows, the cache stores the packed pairs, and
 :class:`repro.serve.RecommendService` ranks straight from the candidate
-list — no full-width row is built on the hot path.  Exact mode, no
-index, or a model without retrieval hooks serve the model's own dense
+list — no full-width row is built on the hot path.  No index, or a
+model without retrieval hooks, serves the model's own dense
 ``score_batch`` rows.
 
 Equivalence is pinned bitwise: for a row-deterministic BLAS the batched
@@ -350,13 +350,11 @@ class InferenceEngine:
         """One batched forward, guaranteed tape-free.
 
         Returns a narrow :class:`~repro.retrieval.TopScores` batch
-        under approximate retrieval, the model's full-width rows
-        everywhere else — exact mode re-scores the whole catalogue
-        anyway, so there is nothing narrow to return.
+        under retrieval, the model's full-width rows everywhere else.
         """
         retrieval = self._ensure_retrieval()
         with no_grad():
-            if retrieval is not None and not retrieval.exact:
+            if retrieval is not None:
                 return retrieval.score_topk(histories)
             return self._model.score_batch(histories)
 

@@ -118,17 +118,11 @@ class Recommendation:
     fallbacks: int
 
 
+@dataclass
 class _Rung:
-    def __init__(self, name: str, model, breaker: CircuitBreaker):
-        self.name = name
-        self.model = model
-        self.breaker = breaker
-
-    @property
-    def engine(self) -> InferenceEngine | None:
-        """The rung's engine, when the service routes through one."""
-        model = self.model
-        return model if isinstance(model, InferenceEngine) else None
+    name: str
+    engine: InferenceEngine
+    breaker: CircuitBreaker
 
 
 class RecommendService:
@@ -147,13 +141,13 @@ class RecommendService:
             :class:`CircuitBreaker` on the service clock.
         clock: monotonic time source (injectable for deterministic
             deadline/breaker tests).
-        engine: route every rung through an
-            :class:`repro.serve.engine.InferenceEngine` (batched
-            forwards, LRU score cache, guaranteed no-tape forwards).
-            Pass an :class:`EngineConfig`, or leave ``None`` for direct
-            model calls.  Breakers, retries, and deadlines see the
-            engine exactly like a model, so the fault machinery composes
-            with batching unchanged.
+        engine: the :class:`EngineConfig` of the
+            :class:`repro.serve.engine.InferenceEngine` that serves
+            every rung (batched forwards, LRU score cache, guaranteed
+            no-tape forwards); ``None`` means ``EngineConfig()``.
+            Breakers, retries, and deadlines see the engine exactly like
+            a model, so the fault machinery composes with batching
+            unchanged.
     """
 
     def __init__(
@@ -180,14 +174,11 @@ class RecommendService:
             max_attempts=2, base_delay=0.01, max_delay=0.1
         )
         self._clock = clock
-        self.engine_config = engine
         if breaker_factory is None:
             breaker_factory = lambda: CircuitBreaker(clock=clock)  # noqa: E731
         self._rungs = [
             _Rung(
-                name,
-                InferenceEngine(model, config=engine)
-                if engine else model,
+                name, InferenceEngine(model, config=engine),
                 breaker_factory(),
             )
             for name, model in rungs
@@ -222,8 +213,9 @@ class RecommendService:
     def _serve(self, history, top_n, budget, ready=None) -> Recommendation:
         """Walk the fallback chain for one validated request.
 
-        ``ready`` is a window-ranked ``(ranked, narrow)`` entry that
-        the first rung serves in place of a scoring call (see
+        ``ready`` is a window entry that stands in for the first rung's
+        first scoring call: a ranked ``(ranked, narrow)`` pair, or the
+        error the request's prefetch chunk raised (see
         :meth:`recommend_many`).
         """
         start = self._clock()
@@ -272,20 +264,24 @@ class RecommendService:
         are scored by one :meth:`InferenceEngine.prefetch` through its
         engine and the rows it returns are ranked in one pass.  Each of
         those requests walks the same fallback chain as
-        :meth:`recommend`, in window order, with its window-ranked list
-        in place of a scoring call.
+        :meth:`recommend`, in window order, with its window entry in
+        place of its first scoring call on the first rung: the ranked
+        list, or the error its chunk raised.  That error is booked as a
+        failed call, as a per-request call's would be (breaker failure,
+        ``failures["error"]``), and a transient one is retried in place.
 
         Every other request goes through :meth:`recommend` unchanged:
-        invalid ones, rows whose chunk failed or that carry NaN/+inf,
-        lists that need the slow path (a short narrow list that
-        densifies, or an empty one), the whole window when its ranking
-        raised, and every request when the first rung's breaker is
-        open or there is no engine.  Breaker, retry, deadline and stats
-        bookings happen per request in window order, so rankings,
-        provenance and every service counter (latency values aside)
-        equal those of a prefetch followed by a :meth:`recommend` loop.
-        Prefetch and window ranking are attributed to the batch; the
-        per-request latency stats measure the serve itself.
+        invalid ones, rows that carry NaN/+inf, lists that need the
+        slow path (a short narrow list that densifies, or an empty
+        one), the whole window when its ranking raised, and every
+        request when the first rung's breaker is open.  Breaker, retry,
+        deadline and stats bookings happen per request in window order,
+        so rankings, provenance and every service counter (latency
+        values aside) equal those of a prefetch followed by a
+        :meth:`recommend` loop in which each request of a failed chunk
+        first books that failure.  Prefetch and window ranking are
+        attributed to the batch; the per-request latency stats measure
+        the serve itself.
 
         Returns a list aligned with ``histories`` whose elements are
         :class:`Recommendation` on success and the raised
@@ -322,26 +318,28 @@ class RecommendService:
         top_n)}``) with one prefetch through the first rung's engine,
         and rank the rows it returned in one pass.
 
-        Returns ``{position: (ranked, narrow)}`` for the requests whose
-        list needs no slow path.
+        Returns ``{position: entry}``: ``(ranked, narrow)`` for the
+        requests whose list needs no slow path, and the error raised by
+        the chunk of each request whose forward failed.
         """
         rung = self._rungs[0]
-        engine = rung.engine
         # Only the first rung is scored: lower rungs see traffic only
         # when requests degrade.  An open breaker means "stop hammering
         # this model": the window then serves request by request.
-        if not valid or engine is None or not rung.breaker.allow():
+        if not valid or not rung.breaker.allow():
             return {}
         positions = list(valid)
         histories = [valid[position][0] for position in positions]
         top_n = valid[positions[0]][1]
-        entries = engine.prefetch(histories)
-        scored = [
-            index for index, entry in enumerate(entries)
-            if not isinstance(entry, Exception)
-        ]
+        entries = rung.engine.prefetch(histories)
+        ready, scored = {}, []
+        for index, entry in enumerate(entries):
+            if isinstance(entry, Exception):
+                ready[positions[index]] = entry
+            else:
+                scored.append(index)
         if not scored:
-            return {}
+            return ready
         rows = [entries[index] for index in scored]
         narrow = isinstance(rows[0], TopScores)
         try:
@@ -350,12 +348,11 @@ class RecommendService:
                 rows, [histories[index] for index in scored], top_n
             )
         except ValueError:
-            return {}
-        return {
-            positions[index]: (ranked, narrow)
-            for index, ranked, needs_slow_path in zip(scored, lists, slow)
-            if not needs_slow_path
-        }
+            return ready
+        for index, ranked, needs_slow_path in zip(scored, lists, slow):
+            if not needs_slow_path:
+                ready[positions[index]] = (ranked, narrow)
+        return ready
 
     def _attempt(
         self, rung: _Rung, history, top_n, start, budget, causes,
@@ -365,8 +362,9 @@ class RecommendService:
 
         Returns the ranking, or ``None`` (with breaker/stats updated and
         ``causes[rung]`` set) to fall through to the next rung.  A
-        ``ready`` window entry stands in for the scoring call and the
-        ranking.
+        ``ready`` window entry stands in for the first attempt's scoring
+        call: a ``(ranked, narrow)`` pair for the call and the ranking,
+        an exception for a call that raised it.
         """
         rstats = self._stats.rungs[rung.name]
         for attempt in range(self.retry.max_attempts):
@@ -378,21 +376,23 @@ class RecommendService:
             remaining = (
                 None if budget is None else budget - (called_at - start)
             )
-            outcome = ready
+            outcome, ready = ready, None
             if outcome is None:
                 try:
-                    scores = rung.model.score_batch([history])
+                    scores = rung.engine.score_batch([history])
                 except Exception as error:  # noqa: BLE001 — rung isolation
-                    rung.breaker.record_failure()
-                    rstats.failures["error"] += 1
-                    causes[rung.name] = f"error: {error}"
-                    if (
-                        isinstance(error, TransientError)
-                        and attempt < self.retry.max_attempts - 1
-                        and self._pause_within_budget(attempt, start, budget)
-                    ):
-                        continue
-                    return None
+                    outcome = error
+            if isinstance(outcome, Exception):
+                rung.breaker.record_failure()
+                rstats.failures["error"] += 1
+                causes[rung.name] = f"error: {outcome}"
+                if (
+                    isinstance(outcome, TransientError)
+                    and attempt < self.retry.max_attempts - 1
+                    and self._pause_within_budget(attempt, start, budget)
+                ):
+                    continue
+                return None
             elapsed = self._clock() - called_at
             if budget is not None and elapsed > max(remaining, 0.0):
                 # The call returned, but outran what was left of the
@@ -495,21 +495,21 @@ class RecommendService:
         A narrow list that needs the slow path falls back to one true
         dense forward through the rung's engine (``score_batch_dense``):
         the full catalogue can still be ranked, it just costs the
-        allocation the narrow path normally avoids.  A rung without that
-        hatch serves a short list as it is and fails an empty one.
-        Raises ``ValueError`` when the scores carry NaN/+inf or nothing
-        is rankable.
+        allocation the narrow path normally avoids.  Raises
+        ``ValueError`` when the scores carry NaN/+inf or nothing is
+        rankable.
         """
         lists, slow = self._rank(scores, [history], top_n)
         narrow = isinstance(scores, TopScores)
-        dense = getattr(rung.model, "score_batch_dense", None)
-        if narrow and slow[0] and lists[0] is not None and dense is not None:
+        if narrow and slow[0] and lists[0] is not None:
             self._stats.dense_fallbacks += 1
-            lists, slow = self._rank(dense([history]), [history], top_n)
+            lists, slow = self._rank(
+                rung.engine.score_batch_dense([history]), [history], top_n
+            )
             narrow = False
         if lists[0] is None:
             raise NonFiniteScoresError("scores contain NaN/+inf entries")
-        if slow[0] and not (narrow and lists[0].size):
+        if slow[0]:
             raise ValueError("no rankable items after exclusions")
         return lists[0], narrow
 
@@ -581,9 +581,9 @@ class RecommendService:
         :func:`repro.serve.loading.safe_load_model` (corrupt/truncated/
         NaN-weight files raise :class:`repro.nn.CheckpointError` and the
         current model keeps serving); on success the rung's breaker is
-        reset so the fresh model starts with a clean slate, and — when
-        the rung runs through an engine — every cached score for the old
-        weights is invalidated (version bump + eager clear).
+        reset so the fresh model starts with a clean slate, and every
+        cached score for the old weights is invalidated (the engine's
+        version bump + eager clear).
         """
         rung = self._rung(name)
         self._install(rung, safe_load_model(
@@ -597,40 +597,13 @@ class RecommendService:
 
     @staticmethod
     def _install(rung: _Rung, model) -> None:
-        engine = rung.engine
-        if engine is not None:
-            engine.set_model(model)
-        else:
-            rung.model = model
+        rung.engine.set_model(model)
         rung.breaker.reset()
 
-    def set_engine_config(self, engine: EngineConfig | None) -> None:
-        """Re-wrap every rung for a different engine configuration.
-
-        Shard workers use this to apply a per-shard
-        :class:`EngineConfig` override after the (shared) factory has
-        built the service — e.g. a retrieval index or a bigger score
-        cache on hot shards only.  Each rung's *current* model is kept;
-        engines are rebuilt around it (fresh cache and counters), and
-        ``None`` unwraps back to direct model calls.
-        """
-        self.engine_config = engine
-        for rung in self._rungs:
-            model = (
-                rung.engine.model if rung.engine is not None else rung.model
-            )
-            rung.model = (
-                InferenceEngine(model, config=engine)
-                if engine else model
-            )
-
     def current_model(self, name: str):
-        """The model currently serving rung ``name`` (unwrapping the
-        engine when the rung routes through one) — what a canary
-        rollback must restore."""
-        rung = self._rung(name)
-        engine = rung.engine
-        return engine.model if engine is not None else rung.model
+        """The model currently serving rung ``name`` (inside its engine)
+        — what a canary rollback must restore."""
+        return self._rung(name).engine.model
 
     def warm_programs(self, batch_sizes) -> int:
         """Pre-trace compiled scoring programs for ``batch_sizes``.
@@ -649,23 +622,20 @@ class RecommendService:
         """
         warmed = 0
         for rung in self._rungs:
-            engine = rung.engine
-            model = engine.model if engine is not None else rung.model
+            model = rung.engine.model
             if not isinstance(model, NeuralSequentialRecommender):
                 continue
+            max_batch = rung.engine.config.max_batch
             chunk_sizes: set[int] = set()
             for size in batch_sizes:
                 size = int(size)
                 if size < 1:
                     continue
-                if engine is not None:
-                    full, remainder = divmod(size, engine.config.max_batch)
-                    if full:
-                        chunk_sizes.add(engine.config.max_batch)
-                    if remainder:
-                        chunk_sizes.add(remainder)
-                else:
-                    chunk_sizes.add(size)
+                full, remainder = divmod(size, max_batch)
+                if full:
+                    chunk_sizes.add(max_batch)
+                if remainder:
+                    chunk_sizes.add(remainder)
             probe = np.array([1], dtype=np.int64)
             for size in sorted(chunk_sizes):
                 before = len(programs_for(model))
@@ -675,32 +645,15 @@ class RecommendService:
 
     def describe_rungs(self) -> dict:
         """Per-rung model identity: class name plus the engine's model
-        version and a summary of its configuration (both ``None`` for
-        direct model calls).  The cluster's canary rollout uses this to
-        assert which model generation each shard is actually serving;
-        the engine summary is how heterogeneous per-shard overrides
-        stay observable from the router."""
-        description = {}
-        for rung in self._rungs:
-            engine = rung.engine
-            model = engine.model if engine is not None else rung.model
-            description[rung.name] = {
-                "model": type(model).__name__,
-                "version": (
-                    engine.model_version if engine is not None else None
-                ),
-                "engine": (
-                    {
-                        "max_batch": engine.config.max_batch,
-                        "cache_capacity": engine.config.cache_capacity,
-                        "cache_capacity_bytes":
-                            engine.config.cache_capacity_bytes,
-                        "retrieval": engine.config.index is not None,
-                    }
-                    if engine is not None else None
-                ),
+        version.  The cluster's canary rollout uses this to assert which
+        model generation each shard is actually serving."""
+        return {
+            rung.name: {
+                "model": type(rung.engine.model).__name__,
+                "version": rung.engine.model_version,
             }
-        return description
+            for rung in self._rungs
+        }
 
     def breaker(self, name: str) -> CircuitBreaker:
         """The breaker guarding rung ``name`` (for tests/ops)."""
@@ -722,15 +675,13 @@ class RecommendService:
         return self._stats
 
     def stats(self) -> dict:
-        """JSON-friendly snapshot of all counters and breaker states
-        (plus per-rung engine cache/batcher stats when engines are on)."""
+        """JSON-friendly snapshot of all counters, breaker states and
+        per-rung engine cache/batcher stats."""
         return self._stats.snapshot(
             breakers={
                 rung.name: rung.breaker.snapshot() for rung in self._rungs
             },
             engines={
-                rung.name: rung.engine.snapshot()
-                for rung in self._rungs
-                if rung.engine is not None
+                rung.name: rung.engine.snapshot() for rung in self._rungs
             },
         )

@@ -336,8 +336,9 @@ def run_chaos(
     Counts, latency and SLO attainment cover this call only, the
     recovery probe wave included (``probe_requests=0`` leaves it out).
     ``wall_seconds`` runs from the first submission until the drain
-    settles, and ``sustained_rps`` divides the completions of that span
-    by it.  Latency is read from ``cluster.records``.
+    settles (rounded to 0.1 ms, at least 0.1 ms), and ``sustained_rps``
+    divides the completions of that span by that reported value.
+    Latency is read from ``cluster.records``.
     """
     config = config or ChaosConfig()
     traffic = list(traffic)
@@ -408,7 +409,9 @@ def run_chaos(
                 f"target — skipped")
     due.clear()
     cluster.drain(timeout=config.drain_timeout)
-    wall = max(time.monotonic() - started, 1e-9)
+    # Rounded once, to the 0.1 ms that is reported: the rate divides by
+    # the very value ``wall_seconds`` shows, however short the run.
+    wall = max(round(time.monotonic() - started, 4), 1e-4)
     drained = cluster.completed - before["completed"]
     _check(cluster, "after drain")
     if cluster.inflight:
@@ -471,7 +474,7 @@ def run_chaos(
     spans = recovery_spans(cluster.events[before["events"]:])
     return {
         "offered": len(traffic),
-        "wall_seconds": round(wall, 4),
+        "wall_seconds": wall,
         "sustained_rps": round(drained / wall, 2),
         "submitted": run["submitted"],
         "completed": run["completed"],

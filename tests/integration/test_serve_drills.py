@@ -147,14 +147,15 @@ def test_fault_storm(trained, mode):
         ),
         engine=EngineConfig(
             max_batch=16,
-            # Deliberately approximate: half the lists probed, so
-            # exact-mode short-circuiting cannot mask a broken
-            # two-stage path.
+            # Deliberately approximate: half the lists probed, so a
+            # scan of every list cannot mask a broken two-stage path.
             index=IndexConfig(nlist=4, nprobe=2,
                               candidates=max(24, num_items // 2),
                               seed=SEED)
             if mode == "retrieval" else None,
-        ) if engine else None,
+        ) if engine else EngineConfig(cache_capacity=0),
+        # plain: one request at a time and no cache, so every request
+        # reaches the faulty model.
     )
 
     def serve_chunk(start, stop):
@@ -202,7 +203,7 @@ def test_fault_storm(trained, mode):
         return
     retrieval = snap["retrieval"]
     assert retrieval is not None
-    assert not retrieval["exact"]
+    assert retrieval["nprobe"] < retrieval["nlist"]
     assert retrieval["searches"] > 0
     assert retrieval["narrow_batches"] > 0
     assert stats["narrow_ranked"] > 0
@@ -218,6 +219,15 @@ def test_fault_storm(trained, mode):
 
 NUM_USERS = 1_000_000
 NUM_ITEMS = 200
+
+
+def rung_models(described):
+    """``ServingCluster.describe()`` reduced to each rung's model
+    class."""
+    return {
+        shard: {name: rung["model"] for name, rung in rungs.items()}
+        for shard, rungs in described.items()
+    }
 
 
 def zipf_config(requests, rate):
@@ -357,7 +367,9 @@ def test_cluster_drill():
         assert not rollout.ok
         assert rollout.rolled_back
         assert "breaker tripped" in (rollout.reason or ""), rollout.reason
-        assert cluster.describe() == before
+        # The swap and the rollback each bump the engine's model
+        # version; the rung's model class is what must come back.
+        assert rung_models(cluster.describe()) == rung_models(before)
 
         final = cluster.stats()
         assert final["cluster"]["accounted"]

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import VSAN
 from repro.models import Caser, GRU4Rec, SASRec, SVAE
-from repro.retrieval import IndexConfig
 from repro.serve import EngineConfig, InferenceEngine
 
 NUM_ITEMS = 40
@@ -108,19 +107,16 @@ class TestCandidateParity:
         np.testing.assert_array_equal(manual[:, 1:], dense[:, 1:])
 
     def test_none_candidates_is_score_batch(self, build):
-        # No candidate restriction (exact retrieval covering the whole
-        # catalogue) serves the model's own dense rows, bitwise.
+        # No candidate restriction (the engine without an index) serves
+        # the model's own dense rows, bitwise.
         model = build()
         model.eval()
         histories = _histories(count=3)
-        exact = IndexConfig(nlist=1, nprobe=1, candidates=NUM_ITEMS)
-        engine = InferenceEngine(
-            model, EngineConfig(cache_capacity=0, index=exact)
-        )
+        engine = InferenceEngine(model, EngineConfig(cache_capacity=0))
         np.testing.assert_array_equal(
             engine.score_batch(histories), model.score_batch(histories)
         )
-        assert engine.snapshot()["retrieval"]["exact"]
+        assert engine.snapshot()["retrieval"] is None
 
 
 def test_vsan_sampling_disables_retrieval(tiny_corpus):

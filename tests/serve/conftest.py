@@ -102,7 +102,9 @@ def serve_loop(service, histories, top_n=None):
     """The reference for ``recommend_many``: prefetch the valid
     histories through the first rung's engine (unless its breaker is
     open), then serve one ``recommend`` call per request, returning
-    errors in place."""
+    errors in place.  A request whose prefetch chunk failed sees that
+    error from its first scoring call on the first rung, so its
+    counters include the booked prefetch failure."""
     from repro.serve import InvalidRequest, ServeError
 
     valid = []
@@ -110,17 +112,38 @@ def serve_loop(service, histories, top_n=None):
         try:
             valid.append(service._validate(history, top_n)[0])
         except InvalidRequest:
-            pass
-    rung = service._rungs[0]
-    if valid and rung.engine is not None and rung.breaker.allow():
-        rung.engine.prefetch(valid)
+            valid.append(None)
+    engine = service._rungs[0].engine
+    entries = [None] * len(histories)
+    scored = [index for index, one in enumerate(valid) if one is not None]
+    if scored and service._rungs[0].breaker.allow():
+        rows = engine.prefetch([valid[index] for index in scored])
+        for index, row in zip(scored, rows):
+            entries[index] = row
     results = []
-    for history in histories:
+    for history, entry in zip(histories, entries):
+        if isinstance(entry, Exception):
+            engine.score_batch = _RaiseOnce(engine, entry)
         try:
             results.append(service.recommend(history, top_n=top_n))
         except ServeError as error:
             results.append(error)
+        finally:
+            engine.__dict__.pop("score_batch", None)
     return results
+
+
+class _RaiseOnce:
+    """An engine's ``score_batch`` for one call: raise ``error`` and
+    restore the real method."""
+
+    def __init__(self, engine, error):
+        self.engine = engine
+        self.error = error
+
+    def __call__(self, histories):
+        del self.engine.score_batch
+        raise self.error
 
 
 def comparable_stats(service) -> dict:

@@ -61,7 +61,8 @@ class SlowWarmService(RecommendService):
 
 
 def make_factory(primary_builder=StubModel, retry_attempts=1,
-                 breaker_min_calls=3, service=RecommendService):
+                 breaker_min_calls=3, service=RecommendService,
+                 engine=None):
     """A service factory closure; runs inside each forked shard."""
 
     def factory():
@@ -74,6 +75,7 @@ def make_factory(primary_builder=StubModel, retry_attempts=1,
                 failure_threshold=0.5, window=6,
                 min_calls=breaker_min_calls, cooldown=30.0,
             ),
+            engine=engine,
         )
 
     return factory
@@ -338,9 +340,20 @@ class TestCanaryRollout:
         # The canary *serves* its probe (transient failure + in-place
         # retry) but trips the breaker doing so: the trip, not the
         # probe outcome, must abort the rollout.
+        self._roll_out_flaky_canary(engine=None)
+
+    def test_flaky_canary_rolls_back_on_engine_backed_shards(self):
+        # The same canary behind an explicit default engine, as the
+        # benchmarks build their shards: the probe window's failed
+        # prefetch is the failure that must trip the breaker.
+        self._roll_out_flaky_canary(engine=EngineConfig())
+
+    @staticmethod
+    def _roll_out_flaky_canary(engine):
         factory = make_factory(
             retry_attempts=3,
             breaker_min_calls=1,  # hair-trigger: one failure trips
+            engine=engine,
         )
         with ServingCluster(
             factory,
@@ -617,38 +630,6 @@ class TestKillAllShards:
             cluster.drain()
             assert cluster.completed == before + 20
             assert cluster.accounted()
-
-
-class TestPerShardEngines:
-    def test_engine_override_applies_to_its_shard_only(self):
-        with ServingCluster(
-            make_factory(),
-            config=ClusterConfig(num_shards=2, batch_size=4,
-                                 worker_timeout=20.0),
-            engine_overrides={
-                0: EngineConfig(max_batch=8, cache_capacity=16),
-            },
-        ) as cluster:
-            described = cluster.describe()
-            engine = described[0]["primary"]["engine"]
-            assert engine == {"max_batch": 8, "cache_capacity": 16,
-                              "cache_capacity_bytes": None,
-                              "retrieval": False}
-            assert described[0]["pop"]["engine"] == engine
-            assert described[1]["primary"]["engine"] is None
-            # Heterogeneous shards still serve the same traffic.
-            submit_users(cluster, range(30))
-            cluster.drain()
-            assert cluster.completed == 30
-            assert cluster.accounted()
-
-    def test_engine_overrides_validated_against_shard_range(self):
-        with pytest.raises(ValueError):
-            ServingCluster(
-                make_factory(),
-                config=ClusterConfig(num_shards=2),
-                engine_overrides={5: EngineConfig()},
-            )
 
 
 class TestRolloutCommit:

@@ -451,9 +451,13 @@ def distinct_histories(seed, count=64):
     return histories
 
 
+#: The one-at-a-time path: one forward per request, nothing cached.
+ONE_AT_A_TIME = EngineConfig(max_batch=1, cache_capacity=0)
+
+
 class TestBatchedSequentialEquivalence:
     def test_engine_service_matches_plain_service_bitwise(self, sasrec):
-        plain = make_service(sasrec)
+        plain = make_service(sasrec, engine=ONE_AT_A_TIME)
         engined = make_service(
             sasrec, engine=EngineConfig(max_batch=8)
         )
@@ -528,7 +532,7 @@ class TestBatchedSequentialEquivalence:
             )
 
         histories = ragged_histories(seed=2, count=11)
-        sequential = [build(None).recommend(h) for h in histories]
+        sequential = [build(ONE_AT_A_TIME).recommend(h) for h in histories]
         batched = build(EngineConfig(max_batch=4)).recommend_many(histories)
         for one, many in zip(sequential, batched):
             assert isinstance(many, Recommendation)
@@ -570,7 +574,7 @@ class TestBatchedSequentialEquivalence:
         # size, each distinct key is scored once, max_batch at a time.
         model = _property_model()
         histories = [np.array(h, dtype=np.int64) for h in raw]
-        sequential = make_service(model)
+        sequential = make_service(model, engine=ONE_AT_A_TIME)
         engined = make_service(model, engine=EngineConfig(
             max_batch=max_batch, cache_capacity=cache_capacity
         ))
@@ -586,7 +590,8 @@ class TestBatchedSequentialEquivalence:
 class TestWindowParity:
     """``recommend_many`` ranks a window in one call, yet every result
     and service counter equals prefetch + a ``recommend`` loop (dense
-    rows)."""
+    rows).  The loop's counters include each failed prefetch's booked
+    failure (see ``serve_loop``)."""
 
     @staticmethod
     def _build(sasrec, engine=None, clock=None, faulty=None, **config):
@@ -642,6 +647,17 @@ class TestWindowParity:
                 faulty=lambda: FaultInjector(nan_rate=0.3, seed=seed),
             ),
             ragged_histories(seed=8 + seed, count=15),
+        )
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_error_faults_same_injector_seed(self, sasrec, seed):
+        # Failed chunks book one error per request and retry in place.
+        assert_window_parity(
+            self._build(
+                sasrec, engine=EngineConfig(max_batch=4),
+                faulty=lambda: FaultInjector(error_rate=0.4, seed=seed),
+            ),
+            ragged_histories(seed=20 + seed, count=15),
         )
 
     def test_half_open_primary_breaker(self, sasrec):

@@ -1,8 +1,8 @@
 """Two-stage retrieval through the serving stack.
 
-Pins the ISSUE-level guarantees: exact-mode output is *bitwise*
-identical to dense scoring (alone, under the micro-batcher, and under
-fault degradation), the approximate path serves the candidate-native
+Pins the guarantees: the exact path, the engine without an index, is
+*bitwise* the model's own dense scoring (alone, under chunked forwards,
+and under fault degradation), the approximate path serves the candidate-native
 narrow contract whose ranking is bitwise-identical to ranking the
 full-width scattered row, and a `set_model` hot-swap refreshes the
 index incrementally while atomically invalidating the score cache
@@ -59,7 +59,6 @@ def histories():
     ]
 
 
-EXACT = IndexConfig(nlist=1, nprobe=1, candidates=NUM_ITEMS)
 APPROX = IndexConfig(nlist=6, nprobe=2, candidates=16, seed=0)
 
 
@@ -78,70 +77,81 @@ class _ScatteredRows:
         return self._retrieval.score_topk(histories).to_dense()
 
 
+def _chunked(scorer, histories, size=4):
+    """``scorer.score_batch`` over ``size``-row chunks, as the engine
+    forwards them: the rows stacked, or the first error raised (every
+    chunk is scored either way, so fault draws are consumed alike)."""
+    rows, errors = [], []
+    for start in range(0, len(histories), size):
+        try:
+            rows.append(scorer.score_batch(histories[start:start + size]))
+        except Exception as error:  # noqa: BLE001
+            errors.append(error)
+    if errors:
+        raise errors[0]
+    return np.concatenate(rows)
+
+
 class TestExactModeBitwise:
+    """The exact path is the engine without an index: its rows are
+    bitwise the model's own ``score_batch``."""
+
     def test_direct_engine(self, model, histories):
         dense = model.score_batch(histories)
-        assert RetrievalEngine(model, EXACT).exact
-        engine = InferenceEngine(
-            model, EngineConfig(cache_capacity=0, index=EXACT)
-        )
+        engine = InferenceEngine(model, EngineConfig(cache_capacity=0))
         np.testing.assert_array_equal(engine.score_batch(histories), dense)
+        assert engine.snapshot()["retrieval"] is None
 
     def test_under_micro_batcher(self, model, histories):
-        plain = InferenceEngine(
+        engine = InferenceEngine(
             model, EngineConfig(max_batch=4, cache_capacity=0)
         )
-        retrieval = InferenceEngine(
-            model,
-            EngineConfig(max_batch=4, cache_capacity=0, index=EXACT),
+        np.testing.assert_array_equal(
+            engine.score_batch(histories), _chunked(model, histories)
         )
-        a = plain.score_batch(histories)
-        b = retrieval.score_batch(histories)
-        np.testing.assert_array_equal(a, b)
-        snap = retrieval.snapshot()["retrieval"]
-        assert snap["exact"]
+        assert engine.snapshot()["batcher"]["flushes"] == 3
 
     def test_under_fault_degradation(self, model, histories):
         # Same injector seed on both sides: the fault decision stream
-        # must be consumed identically by the dense and retrieval paths,
-        # so degraded outputs stay bitwise equal too.
-        def build(index):
-            faulty = FaultyRecommender(
+        # must be consumed identically by the engine and by direct
+        # calls, so degraded outputs stay bitwise equal too.
+        def faulty():
+            return FaultyRecommender(
                 model, FaultInjector(nan_rate=0.5, seed=4)
             )
-            return InferenceEngine(
-                faulty,
-                EngineConfig(max_batch=4, cache_capacity=0, index=index),
-            )
 
-        plain, retrieval = build(None), build(EXACT)
+        engine = InferenceEngine(
+            faulty(), EngineConfig(max_batch=4, cache_capacity=0)
+        )
+        direct = faulty()
         for chunk in (histories[:5], histories[5:]):
             np.testing.assert_array_equal(
-                plain.score_batch(chunk), retrieval.score_batch(chunk)
+                engine.score_batch(chunk), _chunked(direct, chunk)
             )
+        assert direct.injector.injected["nan"] > 0
 
     def test_injected_errors_match(self, model, histories):
-        def build(index):
-            faulty = FaultyRecommender(
+        def faulty():
+            return FaultyRecommender(
                 model, FaultInjector(error_rate=0.6, seed=2)
             )
-            return InferenceEngine(
-                faulty,
-                EngineConfig(max_batch=4, cache_capacity=0, index=index),
-            )
 
-        plain, retrieval = build(None), build(EXACT)
+        engine = InferenceEngine(
+            faulty(), EngineConfig(max_batch=4, cache_capacity=0)
+        )
+        direct = faulty()
         for chunk in (histories[:4], histories[4:8], histories[8:]):
             outcomes = []
-            for engine in (plain, retrieval):
+            for scorer in (engine, direct):
                 try:
-                    outcomes.append(engine.score_batch(chunk))
+                    outcomes.append(_chunked(scorer, chunk))
                 except Exception as error:  # noqa: BLE001
                     outcomes.append(type(error).__name__)
             if isinstance(outcomes[0], str):
                 assert outcomes[0] == outcomes[1]
             else:
                 np.testing.assert_array_equal(*outcomes)
+        assert direct.injector.injected["error"] > 0
 
 
 class TestApproximatePath:
@@ -160,7 +170,7 @@ class TestApproximatePath:
         # "Exact re-rank" = the same GEMM inputs as dense scoring; the
         # C-column gather contracts in a different order than the full
         # GEMM, so equality is to float32 rounding, not bitwise (only
-        # exact *mode* promises bitwise identity).
+        # the engine without an index promises bitwise identity).
         engine = RetrievalEngine(model, APPROX)
         rows = engine.score_topk(histories).to_dense()
         dense = model.score_batch(histories)
@@ -244,10 +254,16 @@ class TestNarrowBitwise:
             wide._rungs[0].engine.score_batch(histories), top.to_dense()
         )
 
-    def test_exact_mode_has_no_narrow_form(self, model, histories):
-        engine = RetrievalEngine(model, EXACT)
-        with pytest.raises(ValueError, match="exact mode"):
-            engine.score_topk(histories)
+    def test_probing_every_list_serves_narrow_rows(self, model, histories):
+        # nprobe >= nlist scans every list: still the narrow contract,
+        # with the whole catalogue as candidates.
+        config = IndexConfig(nlist=1, nprobe=1, candidates=NUM_ITEMS)
+        top = RetrievalEngine(model, config).score_topk(histories)
+        assert isinstance(top, TopScores)
+        np.testing.assert_array_equal(
+            np.sort(top.ids, axis=1),
+            np.tile(np.arange(1, NUM_ITEMS + 1), (len(histories), 1)),
+        )
 
     def test_engine_serves_narrow_batches(self, model, histories):
         engine = InferenceEngine(
@@ -428,7 +444,8 @@ class TestNarrowExclusionFallback:
 class TestWindowParity:
     """``recommend_many`` ranks a window's narrow rows in one call, yet
     every result and service counter equals prefetch + a ``recommend``
-    loop."""
+    loop (whose counters include each failed prefetch's booked failure,
+    see ``serve_loop``)."""
 
     @staticmethod
     def _build(inner, index=APPROX, engine=None, faulty=None, clock=None,
@@ -456,8 +473,9 @@ class TestWindowParity:
         ) == 0
 
     def test_exact_index_serves_dense_rows(self, model, histories):
+        # The exact path: no index, full-width rows.
         assert assert_window_parity(
-            self._build(lambda: model, index=EXACT), histories
+            self._build(lambda: model, index=None), histories
         ) == 0
 
     def test_row_needing_the_dense_fallback(self):
@@ -620,20 +638,23 @@ class TestVersionCoupling:
         )
 
     @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("config", [APPROX, EXACT],
+    @pytest.mark.parametrize("config", [APPROX, None],
                              ids=["approx", "exact"])
-    def test_refresh_patches_table_to_new_head(self, tied, config):
-        """The diffed, patched table is bitwise the one a fresh build
-        would take from the new model, and ``changed`` counts exactly
-        the items whose vector or bias moved."""
+    def test_refresh_patches_table_to_new_head(
+        self, tied, config, histories
+    ):
+        """With an index, the diffed, patched table is bitwise the one a
+        fresh build would take from the new model, and ``changed``
+        counts exactly the items whose vector or bias moved.  Without
+        one (the exact path), the swapped engine's rows are bitwise the
+        new model's ``score_batch``."""
         def make():
             return SASRec(
                 NUM_ITEMS, MAX_LENGTH, dim=16, num_blocks=1, seed=1,
                 tie_weights=tied,
             )
 
-        retrieval = RetrievalEngine(make(), config)
-        replacement = make()
+        original, replacement = make(), make()
         if tied:
             replacement.embedding.item_embedding.weight.data[[3, 40]] += 0.5
             moved = 2
@@ -641,16 +662,23 @@ class TestVersionCoupling:
             replacement.output.weight.data[:, [3, 40]] += 0.5
             replacement.output.bias.data[[40, 59]] -= 0.25  # 40 twice
             moved = 3
+        if config is None:
+            engine = InferenceEngine(original, EngineConfig())
+            engine.score_batch(histories)
+            engine.set_model(replacement)
+            np.testing.assert_array_equal(
+                engine.score_batch(histories),
+                replacement.score_batch(histories),
+            )
+            return
+        retrieval = RetrievalEngine(original, config)
         report = retrieval.refresh(replacement)
         want, _ = RetrievalEngine._item_table(replacement)
         assert retrieval._items.tobytes() == want.tobytes()
-        if config is EXACT:
-            assert report == {"mode": "exact", "changed": 0}
-        else:
-            assert report == {"mode": "update", "changed": moved}
-            assert retrieval.refresh(replacement) == {
-                "mode": "noop", "changed": 0,
-            }
+        assert report == {"mode": "update", "changed": moved}
+        assert retrieval.refresh(replacement) == {
+            "mode": "noop", "changed": 0,
+        }
 
     def test_swap_resets_unsupported_flag(self, histories):
         class Dense:

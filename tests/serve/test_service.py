@@ -12,13 +12,15 @@ from repro.serve import (
     CheckpointError,
     CircuitBreaker,
     DeadlineExceeded,
+    EngineConfig,
     InvalidRequest,
     RecommendService,
     RetryPolicy,
     ServiceConfig,
     TransientError,
 )
-from repro.retrieval import TopScores
+from repro.retrieval import IndexConfig
+from repro.tensor import Tensor
 from tests.faults import FaultInjector, FaultyRecommender
 
 from .conftest import (
@@ -36,7 +38,8 @@ def no_sleep_retry(attempts=1):
                        sleep=lambda _: None)
 
 
-def make_service(rungs, clock=None, config=None, retry=None, **breaker):
+def make_service(rungs, clock=None, config=None, retry=None, engine=None,
+                 **breaker):
     clock = clock or FakeClock()
     breaker_kwargs = dict(
         failure_threshold=0.5, window=6, min_calls=3, cooldown=1.0,
@@ -50,6 +53,7 @@ def make_service(rungs, clock=None, config=None, retry=None, **breaker):
         retry=retry or no_sleep_retry(),
         breaker_factory=lambda: CircuitBreaker(**breaker_kwargs),
         clock=clock,
+        engine=engine,
     )
 
 
@@ -189,22 +193,31 @@ class TestRankingContract:
 
 
 class NarrowStubModel(StubModel):
-    """Answers with a narrow candidate list (score = item id) and keeps
-    the dense ``score_batch_dense`` path for fallbacks."""
+    """Score = item id, served narrow through a real index: the engine's
+    retrieval re-ranks candidates from ``output_head`` and
+    ``hidden_last``, and its dense fallback reaches ``score_batch``.
+    The second index coordinate, which the query ignores, puts the
+    ``apart`` items in a region of their own, so a two-list index
+    probing one list retrieves only them."""
 
     name = "narrow"
+    supports_retrieval = True
 
-    def __init__(self, candidate_ids, **kwargs):
+    def __init__(self, apart=(), **kwargs):
         super().__init__(**kwargs)
-        self.candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
+        self.weights = np.zeros((2, self.num_items + 1), dtype=np.float32)
+        self.weights[0] = np.arange(self.num_items + 1)
+        self.weights[1, 1:] = -1000.0
+        self.weights[1, list(apart)] = 1000.0
         self.dense_calls = 0
 
-    def score_batch(self, histories):
-        self.calls += 1
-        ids = np.tile(self.candidate_ids, (len(histories), 1))
-        return TopScores(ids, ids.astype(np.float64), self.num_items + 1)
+    def output_head(self):
+        return Tensor(self.weights), None
 
-    def score_batch_dense(self, histories):
+    def hidden_last(self, histories):
+        return np.tile(np.float32([1.0, 0.0]), (len(histories), 1))
+
+    def score_batch(self, histories):
         self.dense_calls += 1
         return super().score_batch(histories)
 
@@ -213,37 +226,39 @@ class TestNarrowShortRanking:
     """A narrow list shorter than ``top_n`` densifies whenever the
     catalogue could fill more of it."""
 
-    def _recommend(self, candidate_ids, history, top_n=5):
-        model = NarrowStubModel(candidate_ids)
+    def _recommend(self, candidates, history, top_n=5, apart=()):
+        model = NarrowStubModel(apart)
+        index = IndexConfig(nlist=2 if apart else 1, nprobe=1,
+                            candidates=candidates)
         service = make_service(
             [("primary", model)],
             config=ServiceConfig(top_n=top_n, deadline=None),
+            engine=EngineConfig(index=index),
         )
         rec = service.recommend(np.asarray(history, dtype=np.int64))
         return rec, service.stats(), model
 
     def test_history_thinning_candidates_falls_back_dense(self):
-        # Six candidates minus three history items leave 3 < top_n = 5.
-        rec, stats, model = self._recommend(
-            [10, 9, 8, 7, 6, 5], history=[10, 9, 8]
-        )
+        # Six candidates (10..5) minus three history items leave
+        # 3 < top_n = 5.
+        rec, stats, model = self._recommend(6, history=[10, 9, 8])
         np.testing.assert_array_equal(rec.items, [7, 6, 5, 4, 3])
         assert model.dense_calls == 1
         assert stats["dense_fallbacks"] == 1
         assert stats["narrow_ranked"] == 0
 
     def test_thin_probe_falls_back_dense(self):
-        # Only two real candidates in six slots; nothing excluded.
+        # The probed list holds only items 10 and 9: two real
+        # candidates in six slots; nothing excluded.
         rec, stats, model = self._recommend(
-            [10, 9, -1, -1, -1, -1], history=[1], top_n=3
+            6, history=[1], top_n=3, apart=(9, 10)
         )
         np.testing.assert_array_equal(rec.items, [10, 9, 8])
+        assert model.dense_calls == 1
         assert stats["dense_fallbacks"] == 1
 
     def test_full_list_stays_narrow(self):
-        rec, stats, model = self._recommend(
-            [10, 9, 8, 7, 6, 5], history=[1]
-        )
+        rec, stats, model = self._recommend(6, history=[1])
         np.testing.assert_array_equal(rec.items, [10, 9, 8, 7, 6])
         assert model.dense_calls == 0
         assert stats["narrow_ranked"] == 1
@@ -251,28 +266,15 @@ class TestNarrowShortRanking:
     def test_candidate_width_below_top_n_stays_narrow(self):
         # Every one of the C = 2 slots is ranked: the list is as long as
         # the retrieval width allows, so no dense forward.
-        rec, stats, model = self._recommend([10, 9], history=[1], top_n=3)
+        rec, stats, model = self._recommend(2, history=[1], top_n=3)
         np.testing.assert_array_equal(rec.items, [10, 9])
         assert model.dense_calls == 0
         assert stats["dense_fallbacks"] == 0
 
-    def test_short_list_served_when_rung_has_no_dense_path(self):
-        model = NarrowStubModel([10, 9, 8, 7, 6, 5])
-        model.score_batch_dense = None
-        service = make_service(
-            [("primary", model)],
-            config=ServiceConfig(top_n=5, deadline=None),
-        )
-        rec = service.recommend(np.array([10, 9, 8]))
-        np.testing.assert_array_equal(rec.items, [7, 6, 5])
-        assert service.stats()["narrow_ranked"] == 1
-
     def test_exhausted_catalogue_stays_narrow(self):
         # History covers 8 of 10 items: only two are rankable anywhere,
         # and the narrow list already has both.
-        rec, stats, model = self._recommend(
-            [10, 9, 8, 7, 6, 5], history=np.arange(1, 9)
-        )
+        rec, stats, model = self._recommend(6, history=np.arange(1, 9))
         np.testing.assert_array_equal(rec.items, [10, 9])
         assert model.dense_calls == 0
         assert stats["narrow_ranked"] == 1
@@ -474,6 +476,62 @@ class TestRetry:
         assert primary.calls == 1
 
 
+class TestWindowFaultAccounting:
+    """A window's failed prefetch chunk stands in for the first scoring
+    attempt of each of its requests, and is booked as one."""
+
+    @pytest.mark.parametrize(
+        "engine", [EngineConfig(), EngineConfig(cache_capacity=0)],
+        ids=["cache", "no-cache"],
+    )
+    def test_failed_prefetch_books_an_error_and_trips_the_breaker(
+        self, engine
+    ):
+        primary = FailingModel(error=TransientError("flaky"), fail_first=1)
+        service = make_service(
+            [("primary", primary), ("fallback", StubModel())],
+            retry=no_sleep_retry(attempts=3),
+            engine=engine,
+            min_calls=1,
+        )
+        [rec] = service.recommend_many([np.array([1, 2])])
+        # Retried in place: the second forward answers.
+        assert rec.rung == "primary"
+        stats = service.stats()
+        assert stats["rungs"]["primary"]["engine"]["batcher"]["flushes"] == 2
+        assert stats["rungs"]["primary"]["failures"] == {"error": 1}
+        assert stats["rungs"]["primary"]["attempts"] == 2
+        assert service.breaker("primary").times_opened == 1
+
+    def test_every_request_of_the_failed_chunk_books_its_failure(self):
+        primary = FailingModel(error=TransientError("flaky"), fail_first=1)
+        service = make_service(
+            [("primary", primary), ("fallback", StubModel())],
+            retry=no_sleep_retry(attempts=2),
+            min_calls=10,
+        )
+        histories = [np.array([1]), np.array([2]), np.array([3])]
+        results = service.recommend_many(histories)
+        assert [rec.rung for rec in results] == ["primary"] * 3
+        rung = service.stats()["rungs"]["primary"]
+        assert rung["failures"] == {"error": 3}
+        assert rung["attempts"] == 6
+        assert rung["successes"] == 3
+
+    def test_permanent_prefetch_error_falls_through(self):
+        primary = FailingModel(error=RuntimeError("down"), fail_first=1)
+        service = make_service(
+            [("primary", primary), ("fallback", StubModel())],
+            retry=no_sleep_retry(attempts=3),
+        )
+        [rec] = service.recommend_many([np.array([1])])
+        # Not transient: no retry, the fallback answers.
+        assert rec.rung == "fallback" and rec.degraded
+        primary_stats = service.stats()["rungs"]["primary"]
+        assert primary_stats["failures"] == {"error": 1}
+        assert primary_stats["engine"]["batcher"]["flushes"] == 1
+
+
 class TestOperations:
     def test_swap_model_resets_breaker(self):
         service = make_service(
@@ -565,6 +623,9 @@ class TestAcceptance:
             clock=clock,
             config=ServiceConfig(top_n=3, deadline=0.25),
             retry=no_sleep_retry(attempts=2),
+            # One history, sent again and again: a cache would answer
+            # before the faulty model is reached.
+            engine=EngineConfig(cache_capacity=0),
             cooldown=0.5,
         )
         history = np.array([1, 2])
